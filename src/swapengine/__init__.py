@@ -10,8 +10,8 @@ from .pathft import (QubitPath, enumerate_paths, ft_log_ratio_exact,
                      reversed_path)
 from .stats import (EfficiencyDistribution, EnsembleStats, FtLogRatio,
                     InferredInjection, PowerScanRow, Reconstruction,
-                    accumulate, efficiency_distribution, ft_log_ratio,
-                    integral_ft, power_scan, reconstruct_from_events)
+                    accumulate, efficiency_distribution, fold_ensemble,
+                    ft_log_ratio, power_scan, reconstruct_from_events)
 from .thermo import (ConfigError, Efficiencies, EngineConfig, ExpansionFit,
                      MaxPowerPoint, MeanEnergetics, Regime, bose_occupation,
                      classify_regime, efficiencies, excited_population,

@@ -30,12 +30,12 @@ import numpy as np
 from .eventlog import ParseError, parse_events, write_events
 from .gates import (Generic, GateSpec, ISwap, SwapFamily, build_gate,
                     mean_energetics_for_gate, optimize_gate)
-from .stats import (EnsembleStats, FtLogRatio, accumulate, efficiency_distribution,
-                    ft_log_ratio, power_scan, reconstruct_from_events)
-from .thermo import (ConfigError, EngineConfig, Regime, classify_regime,
-                     efficiencies, low_etaC_expansion, mean_energetics,
-                     omega_star, post_swap_betas, relaxation_time)
-from .trajectory import Protocol, run_ensemble
+from .stats import (EnsembleStats, FtLogRatio, efficiency_distribution,
+                    fold_ensemble, ft_log_ratio, power_scan,
+                    reconstruct_from_events)
+from .thermo import (ConfigError, EngineConfig, classify_regime, efficiencies,
+                     mean_energetics, omega_star, post_swap_betas, relaxation_time)
+from .trajectory import Protocol, pick_lane, run_ensemble
 
 _DEFAULTS = {
     "beta1": 2.0 / 3.0,
@@ -189,6 +189,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"samples must be >= 1, got {values['samples']}")
     if values["pulses"] < 0:
         raise ConfigError(f"pulses must be >= 0, got {values['pulses']}")
+    if values["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {values['seed']}")
     return RunConfig(
         engine=engine,
         gate_spec=parse_gate_spec(values["gate"]),
@@ -211,12 +213,17 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = [_fmt(c) if isinstance(c, float) else str(c) for c in row]
+            cells = ["" if c is None else _fmt(c) if isinstance(c, float) else str(c)
+                     for c in row]
             fh.write(",".join(cells) + "\n")
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+def _json_text(payload) -> str:
+    """Every JSON output's text: strict JSON with sorted keys."""
+    try:
+        return json.dumps(payload, allow_nan=False, sort_keys=True, indent=2)
+    except ValueError as exc:   # a NaN or infinity, which strict JSON lacks
+        raise ConfigError(f"a result is out of the float range: {exc}") from None
 
 
 def _print_human(pairs: Sequence[tuple[str, object]]) -> None:
@@ -250,7 +257,7 @@ def cmd_analytic(rc: RunConfig, scan: str | None) -> int:
     if scan is not None:
         report["scan"] = _eta_mp_scan(cfg, scan)
     if rc.json_mode:
-        _print_json(report)
+        print(_json_text(report))
         return 0
     pairs = [
         ("regime", report["regime"]),
@@ -316,7 +323,7 @@ def _eta_mp_scan(cfg: EngineConfig, scan: str) -> list[dict]:
 
 
 def _stats_summary(rc: RunConfig, stats: EnsembleStats,
-                   ratio: FtLogRatio | None, engine_used: str) -> dict:
+                   ratio: FtLogRatio | None, lane: str) -> dict:
     mean_dE1, se_dE1 = stats.mean_dE1
     mean_dE2, se_dE2 = stats.mean_dE2
     mean_w, se_w = stats.mean_w
@@ -325,7 +332,7 @@ def _stats_summary(rc: RunConfig, stats: EnsembleStats,
     ift, ift_se = stats.integral_ft_estimate
     return {
         "config": rc.echo(),
-        "engine_lane": engine_used,
+        "engine_lane": lane,
         "sample_size": stats.sample_size,
         "means": {
             "dE1": [mean_dE1, se_dE1], "dE2": [mean_dE2, se_dE2],
@@ -343,22 +350,20 @@ def _stats_summary(rc: RunConfig, stats: EnsembleStats,
 def cmd_simulate(rc: RunConfig) -> int:
     out = Path(rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stats = EnsembleStats()
+    lane = pick_lane(rc.gate_spec, keep_events=rc.emit_logs)
     if rc.emit_logs:
-        engine_used = "events"
+        stats = EnsembleStats()
         log_dir = out / "events"
         log_dir.mkdir(exist_ok=True)
         width = max(5, len(str(rc.samples - 1)))
         records = run_ensemble(rc.engine, rc.protocol, rc.gate_spec, rc.samples,
-                               rc.seed, keep_events=True, engine="events")
+                               rc.seed, keep_events=True, engine=lane)
         for k, record in enumerate(records):
             write_events(log_dir / f"trajectory_{k:0{width}d}.log", record.events)
             stats.add(record)
     else:
-        engine_used = "events" if isinstance(rc.gate_spec, Generic) else "bits"
-        for record in run_ensemble(rc.engine, rc.protocol, rc.gate_spec,
-                                   rc.samples, rc.seed, engine="auto"):
-            stats.add(record)
+        stats = fold_ensemble(rc.engine, rc.protocol, rc.gate_spec, rc.samples,
+                              rc.seed)
     ratio: FtLogRatio | None
     try:
         ratio = ft_log_ratio(stats)
@@ -376,13 +381,12 @@ def cmd_simulate(rc: RunConfig) -> int:
     if ratio is not None:
         _write_csv(out / "log_ratio.csv", ("n_w", "log_ratio", "std_error"),
                    list(ratio.points))
-    summary = _stats_summary(rc, stats, ratio, engine_used)
+    summary = _stats_summary(rc, stats, ratio, lane)
     summary_path = out / "summary.json"
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    summary_path.write_text(_json_text(summary) + "\n", encoding="utf-8",
+                            newline="\n")
     if rc.json_mode:
-        _print_json(summary)
+        print(_json_text(summary))
     else:
         print(str(summary_path))
     return 0
@@ -402,13 +406,13 @@ def cmd_power_scan(rc: RunConfig, t_op_multiple: float, n_list: str) -> int:
                [(r.n_pulses, r.tau2, r.work_output, r.work_se, r.power, r.eta)
                 for r in rows])
     if rc.json_mode:
-        _print_json({
+        print(_json_text({
             "config": rc.echo(),
             "t_op_multiple": t_op_multiple,
             "rows": [{"n_pulses": r.n_pulses, "tau2": r.tau2,
                       "work_output": r.work_output, "work_se": r.work_se,
                       "power": r.power, "eta": r.eta} for r in rows],
-        })
+        }))
     else:
         print(str(csv_path))
     return 0
@@ -434,10 +438,9 @@ def cmd_opt_gate(rc: RunConfig, restarts: int) -> int:
     }
     out = Path(rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "opt_gate.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    _print_json(report)
+    (out / "opt_gate.json").write_text(_json_text(report) + "\n",
+                                       encoding="utf-8", newline="\n")
+    print(_json_text(report))
     return 0
 
 
@@ -461,11 +464,9 @@ def cmd_analyze(rc: RunConfig, paths: list[str], naive: bool) -> int:
                ("file", "q1", "q2", "dE1", "dE2", "w", "n_w", "w_refined",
                 "survivors"),
                [(r["file"], r["q1"], r["q2"], r["dE1"], r["dE2"], r["w"],
-                 "" if r["n_w"] is None else r["n_w"],
-                 "" if r["w_refined"] is None else r["w_refined"],
-                 r["survivors"]) for r in rows])
+                 r["n_w"], r["w_refined"], r["survivors"]) for r in rows])
     if rc.json_mode:
-        _print_json({"config": rc.echo(), "trajectories": rows})
+        print(_json_text({"config": rc.echo(), "trajectories": rows}))
     else:
         for r in rows:
             w_ref = "n/a" if r["w_refined"] is None else _fmt(r["w_refined"])

@@ -1,14 +1,14 @@
 """Ensemble statistics, fluctuation-relation estimators, and event-log analysis.
 
-The accumulator is a mergeable monoid over trajectory records: all first and
-second moments are kept as exact integer sums of the ledger quantities (the
-level spacings multiply in only when a mean or error is read off), and the
-histograms live on the exact integer lattice of quanta, so shard order can
-never change a count.  Swap-family runs additionally carry per-record
-rigidity checks: the energy-proportionality identity is tested as a literal
-float equality on every record, the work value is tested for exact
-membership of the (omega1-omega2) lattice, and violations are counted
-rather than silently rebinned.
+The accumulator is a mergeable exact histogram over each record's integer
+ledger key, so shard order can never change a count, and every statistic is
+read off the counts: means and errors from exact integer moments (the level
+spacings multiply in only then), the integral-FT sum over the sorted keys.
+Swap-family runs additionally carry rigidity checks, deterministic in the
+key and counted per record: the energy-proportionality identity is tested
+as a literal float equality, the work value is tested for exact membership
+of the (omega1-omega2) lattice, and violations are counted rather than
+silently rebinned.
 
 Work-quanta sign convention: n_w = w/(omega1 - omega2) counts quanta
 injected by the work source, so engine operation has negative mean n_w and
@@ -21,52 +21,52 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .gates import SwapFamily
+import numpy as np
+
+from .gates import GateSpec, SwapFamily
 from .thermo import ConfigError, EngineConfig, excited_population, relaxation_time
 from .trajectory import (Protocol, RunParams, TrajectoryEvent, TrajectoryRecord,
-                         run_ensemble)
+                         _bit_lane_chunks, pick_lane, run_ensemble, run_params)
 
 ETA_BIN_WIDTH = 0.01
 
 
+class LedgerKey(NamedTuple):
+    """Integer ledger of one record (n_w is None on generic-gate records);
+    x and y are the quanta entering subsystems 1 and 2."""
+
+    h1: int
+    h2: int
+    db1: int
+    db2: int
+    n_w: int | None
+
+    @property
+    def x(self) -> int:
+        return self.h1 + self.db1
+
+    @property
+    def y(self) -> int:
+        return self.h2 + self.db2
+
+
 @dataclass
 class EnsembleStats:
-    """Single-pass, mergeable accumulation of one homogeneous ensemble.
+    """Exact, mergeable histogram of one homogeneous ensemble over LedgerKey.
 
-    Integer fields are exact; x = h1 + db1 and y = h2 + db2 are the quanta
-    entering subsystems 1 and 2, with x = n_w = -y on swap-family records.
     hist_joint is keyed by exact quantum counts (q1/omega1, w/(omega1-omega2))
     = (h1, n_w); hist_eta bins eta = w/q1 (work output over heat drawn from
     the hot bath) with width 0.01, infinity (q1 = 0, w != 0) and undefined
     (q1 = w = 0) tallied separately so all counts still sum to sample_size;
     eta_exact tallies the reduced rational n_w/h1 so the discrete peaks are
-    located without binning error.
+    located without binning error.  Below two records an error is None.
     """
 
     params: RunParams | None = None
     quantized: bool = True
-    sample_size: int = 0
-    s_h1: int = 0
-    s_h2: int = 0
-    s_x: int = 0
-    s_y: int = 0
-    ss_h1: int = 0
-    ss_h2: int = 0
-    ss_x: int = 0
-    ss_y: int = 0
-    s_xy: int = 0
-    hist_nw: Counter = field(default_factory=Counter)
-    hist_joint: Counter = field(default_factory=Counter)
-    hist_eta: Counter = field(default_factory=Counter)
-    eta_exact: Counter = field(default_factory=Counter)
-    eta_infinite: int = 0
-    eta_undefined: int = 0
-    rigidity_violations: int = 0
-    quantization_violations: int = 0
-    ft_sum: float = 0.0
-    ft_sumsq: float = 0.0
+    counts: Counter = field(default_factory=Counter)
 
     def add(self, record: TrajectoryRecord) -> None:
         if self.params is None:
@@ -77,116 +77,146 @@ class EnsembleStats:
                               f"{record.params} vs {self.params}")
         if (record.n_w is not None) != self.quantized:
             raise ConfigError("cannot mix swap-family and generic-gate records")
-        x = record.h1 + record.db1
-        y = record.h2 + record.db2
-        p = record.params
-        self.sample_size += 1
-        self.s_h1 += record.h1
-        self.s_h2 += record.h2
-        self.s_x += x
-        self.s_y += y
-        self.ss_h1 += record.h1 * record.h1
-        self.ss_h2 += record.h2 * record.h2
-        self.ss_x += x * x
-        self.ss_y += y * y
-        self.s_xy += x * y
-        if self.quantized:
-            m = record.n_w
-            if m != x or m != -y:
-                raise AssertionError(f"ledger broken: n_w={m}, x={x}, y={y}")
-            if abs(m - record.h1) > 1:
+        self._insert(LedgerKey(record.h1, record.h2, record.db1, record.db2,
+                               record.n_w), 1)
+
+    def _insert(self, key: LedgerKey, count: int) -> None:
+        if self.quantized and key not in self.counts:
+            m = key.n_w
+            if m != key.x or m != -key.y:
+                raise AssertionError(f"ledger broken: n_w={m}, x={key.x}, y={key.y}")
+            if abs(m - key.h1) > 1:
                 raise AssertionError(
-                    f"work and bath-1 heat quanta differ by {m - record.h1}")
-            dE1 = record.dE1
-            if record.dE2 != -(p.omega2 / p.omega1) * dE1:
-                self.rigidity_violations += 1
-            d = p.omega1 - p.omega2
-            if d != 0.0:
-                # lattice membership: the nearest integer quantum count must
-                # reproduce w bit for bit (bare w/d can round off-integer)
-                m_hat = round(record.w / d)
-                if m_hat != m or d * m_hat != record.w:
-                    self.quantization_violations += 1
-            self.hist_nw[m] += 1
-            self.hist_joint[(record.h1, m)] += 1
-            if record.h1 == 0:
-                if m == 0:
-                    self.eta_undefined += 1
-                else:
-                    self.eta_infinite += 1
-            else:
-                eta = record.w / record.q1
-                self.hist_eta[math.floor(eta / ETA_BIN_WIDTH)] += 1
-                self.eta_exact[Fraction(m, record.h1)] += 1
-        e = math.exp((p.beta2 - p.beta1) * record.dE1 - p.beta2 * record.w)
-        self.ft_sum += e
-        self.ft_sumsq += e * e
+                    f"work and bath-1 heat quanta differ by {m - key.h1}")
+        self.counts[key] += count
 
     def merge(self, other: EnsembleStats) -> EnsembleStats:
         """Associative combination of two shards of the same ensemble."""
-        if other.params is None:
-            return self
         if self.params is None:
             self.params = other.params
             self.quantized = other.quantized
-        elif self.params != other.params:
+        elif other.params not in (None, self.params):
             raise ConfigError("cannot merge stats from different runs")
-        self.sample_size += other.sample_size
-        for name in ("s_h1", "s_h2", "s_x", "s_y", "ss_h1", "ss_h2", "ss_x",
-                     "ss_y", "s_xy", "eta_infinite", "eta_undefined",
-                     "rigidity_violations", "quantization_violations",
-                     "ft_sum", "ft_sumsq"):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.hist_nw.update(other.hist_nw)
-        self.hist_joint.update(other.hist_joint)
-        self.hist_eta.update(other.hist_eta)
-        self.eta_exact.update(other.eta_exact)
+        self.counts.update(other.counts)
         return self
 
-    def _mean_se(self, s: float, ss: float, scale: float) -> tuple[float, float]:
+    @property
+    def sample_size(self) -> int:
+        return sum(self.counts.values())
+
+    def _moments(self, f: Callable[[LedgerKey], float]) -> tuple[float, float]:
+        """Sums of f and f^2 over the records, taken over the sorted keys."""
+        s = ss = 0
+        for k, c in sorted(self.counts.items()):
+            v = f(k)
+            s += c * v
+            ss += c * v * v
+        return s, ss
+
+    def _mean_se(self, s: float, ss: float, scale: float) -> tuple[float, float | None]:
         n = self.sample_size
         mean = scale * (s / n)
         if n < 2:
-            return mean, math.nan
+            return mean, None
         var = (ss - s * s / n) / (n - 1)
-        return mean, abs(scale) * math.sqrt(var / n)
+        return mean, abs(scale) * math.sqrt(max(var, 0.0) / n)
+
+    def _swap_tally(self, f: Callable[[LedgerKey], object]) -> Counter:
+        """Counts of f(key) over swap-family records (None values left out);
+        for a predicate f, tally[True] is the number of records it holds on."""
+        tally: Counter = Counter()
+        for k, c in self.counts.items() if self.quantized else ():
+            v = f(k)
+            if v is not None:
+                tally[v] += c
+        return tally
 
     @property
-    def mean_dE1(self) -> tuple[float, float]:
-        return self._mean_se(self.s_x, self.ss_x, self.params.omega1)
+    def mean_dE1(self) -> tuple[float, float | None]:
+        return self._mean_se(*self._moments(lambda k: k.x), self.params.omega1)
 
     @property
-    def mean_dE2(self) -> tuple[float, float]:
-        return self._mean_se(self.s_y, self.ss_y, self.params.omega2)
+    def mean_dE2(self) -> tuple[float, float | None]:
+        return self._mean_se(*self._moments(lambda k: k.y), self.params.omega2)
 
     @property
-    def mean_q1(self) -> tuple[float, float]:
-        return self._mean_se(self.s_h1, self.ss_h1, self.params.omega1)
+    def mean_q1(self) -> tuple[float, float | None]:
+        return self._mean_se(*self._moments(lambda k: k.h1), self.params.omega1)
 
     @property
-    def mean_q2(self) -> tuple[float, float]:
-        return self._mean_se(self.s_h2, self.ss_h2, self.params.omega2)
+    def mean_q2(self) -> tuple[float, float | None]:
+        return self._mean_se(*self._moments(lambda k: k.h2), self.params.omega2)
 
     @property
-    def mean_w(self) -> tuple[float, float]:
+    def mean_w(self) -> tuple[float, float | None]:
         p = self.params
+        s_x, ss_x = self._moments(lambda k: k.x)
         if self.quantized:
-            return self._mean_se(self.s_x, self.ss_x, p.omega1 - p.omega2)
+            return self._mean_se(s_x, ss_x, p.omega1 - p.omega2)
+        s_y, ss_y = self._moments(lambda k: k.y)
+        s_xy = self._moments(lambda k: k.x * k.y)[0]
         n = self.sample_size
-        mean = (p.omega1 * self.s_x + p.omega2 * self.s_y) / n
+        mean = (p.omega1 * s_x + p.omega2 * s_y) / n
         if n < 2:
-            return mean, math.nan
-        var_x = (self.ss_x - self.s_x ** 2 / n) / (n - 1)
-        var_y = (self.ss_y - self.s_y ** 2 / n) / (n - 1)
-        cov = (self.s_xy - self.s_x * self.s_y / n) / (n - 1)
+            return mean, None
+        var_x = (ss_x - s_x ** 2 / n) / (n - 1)
+        var_y = (ss_y - s_y ** 2 / n) / (n - 1)
+        cov = (s_xy - s_x * s_y / n) / (n - 1)
         var = p.omega1 ** 2 * var_x + p.omega2 ** 2 * var_y \
             + 2.0 * p.omega1 * p.omega2 * cov
         return mean, math.sqrt(max(var, 0.0) / n)
 
     @property
-    def integral_ft_estimate(self) -> tuple[float, float]:
+    def integral_ft_estimate(self) -> tuple[float, float | None]:
         """Mean of exp((beta2-beta1)*dE1 - beta2*w) with its standard error."""
-        return self._mean_se(self.ft_sum, self.ft_sumsq, 1.0)
+        p = self.params
+
+        def weight(k: LedgerKey) -> float:
+            # dE1 and w rounded as TrajectoryRecord rounds them
+            dE1 = p.omega1 * k.x
+            w = (p.omega1 - p.omega2) * k.n_w if self.quantized else dE1 + p.omega2 * k.y
+            return math.exp((p.beta2 - p.beta1) * dE1 - p.beta2 * w)
+        return self._mean_se(*self._moments(weight), 1.0)
+
+    @property
+    def hist_nw(self) -> Counter:
+        return self._swap_tally(lambda k: k.n_w)
+
+    @property
+    def hist_joint(self) -> Counter:
+        return self._swap_tally(lambda k: (k.h1, k.n_w))
+
+    @property
+    def hist_eta(self) -> Counter:
+        p = self.params
+        return self._swap_tally(lambda k: None if k.h1 == 0 else math.floor(
+            (p.omega1 - p.omega2) * k.n_w / (p.omega1 * k.h1) / ETA_BIN_WIDTH))
+
+    @property
+    def eta_exact(self) -> Counter:
+        return self._swap_tally(lambda k: Fraction(k.n_w, k.h1) if k.h1 else None)
+
+    @property
+    def eta_infinite(self) -> int:
+        return self._swap_tally(lambda k: k.h1 == 0 and k.n_w != 0)[True]
+
+    @property
+    def eta_undefined(self) -> int:
+        return self._swap_tally(lambda k: k.h1 == 0 and k.n_w == 0)[True]
+
+    @property
+    def rigidity_violations(self) -> int:
+        p = self.params
+        return self._swap_tally(
+            lambda k: p.omega2 * k.y != -(p.omega2 / p.omega1) * (p.omega1 * k.x))[True]
+
+    @property
+    def quantization_violations(self) -> int:
+        # w = d*n_w is on the lattice when round(w/d) recovers n_w (bare w/d
+        # can round off-integer); d*round(w/d) then reproduces w bit for bit
+        p = self.params
+        return self._swap_tally(lambda k: p.omega1 != p.omega2 and round(
+            (p.omega1 - p.omega2) * k.n_w / (p.omega1 - p.omega2)) != k.n_w)[True]
 
 
 def accumulate(records: Iterable[TrajectoryRecord]) -> EnsembleStats:
@@ -196,6 +226,27 @@ def accumulate(records: Iterable[TrajectoryRecord]) -> EnsembleStats:
         stats.add(record)
     if stats.sample_size == 0:
         raise ConfigError("cannot accumulate an empty record stream")
+    return stats
+
+
+def fold_ensemble(cfg: EngineConfig, protocol: Protocol, gate_spec: GateSpec,
+                  sample_size: int, seed: int) -> EnsembleStats:
+    """Fold an ensemble run without event logs on the lane pick_lane picks.
+
+    Equal to accumulate(run_ensemble(...)) on the same arguments, but the bit
+    lane is folded by columns: each chunk's rows collapse to distinct ledger
+    keys with counts, and no per-trajectory record is built."""
+    if pick_lane(gate_spec, keep_events=False) != "bits":
+        return accumulate(run_ensemble(cfg, protocol, gate_spec, sample_size, seed))
+    if sample_size < 1:
+        raise ConfigError(f"sample_size must be at least 1, got {sample_size}")
+    stats = EnsembleStats(params=run_params(cfg, protocol, gate_spec))
+    for ch in _bit_lane_chunks(cfg, protocol, sample_size, seed):
+        rows = np.stack([ch["h1"], ch["h2"], ch["b1f"] - ch["b1i"],
+                         ch["b2f"] - ch["b2i"], ch["n_w"]], axis=1)
+        keys, counts = np.unique(rows, axis=0, return_counts=True)
+        for key, count in zip(keys.tolist(), counts.tolist()):
+            stats._insert(LedgerKey(*key), count)
     return stats
 
 
@@ -244,36 +295,6 @@ def ft_log_ratio(stats: EnsembleStats) -> FtLogRatio:
         swxy += wgt * n * y
     return FtLogRatio(points=tuple(points), slope=swxy / swxx,
                       slope_se=1.0 / math.sqrt(swxx))
-
-
-def integral_ft(records: Iterable[TrajectoryRecord]) -> tuple[float, float]:
-    """Sample mean of exp((beta2-beta1)*dE1 - beta2*w) with jackknife error.
-
-    For the sample mean the leave-one-out estimate is
-    m_i = (s - e_i)/(n-1), so m_i - mean = (mean - e_i)/(n-1) and the
-    jackknife error sqrt((n-1)/n * sum (m_i - mean)^2) collapses to the
-    plain standard error s_sample/sqrt(n); it is computed that way.
-    Requires at least 10^3 records.
-    """
-    n = 0
-    s = 0.0
-    ss = 0.0
-    params: RunParams | None = None
-    for record in records:
-        if params is None:
-            params = record.params
-        elif record.params != params:
-            raise ConfigError("cannot pool records from different runs")
-        e = math.exp((params.beta2 - params.beta1) * record.dE1
-                     - params.beta2 * record.w)
-        n += 1
-        s += e
-        ss += e * e
-    if n < 1000:
-        raise ConfigError(f"integral fluctuation estimate needs >= 1000 records, got {n}")
-    mean = s / n
-    var = (ss - s * s / n) / (n - 1)
-    return mean, math.sqrt(max(var, 0.0) / n)
 
 
 @dataclass(frozen=True)
@@ -352,8 +373,7 @@ def power_scan(
     rows = []
     for i, n_pulses in enumerate(n_values):
         protocol = Protocol(n_pulses=n_pulses, tau2=t_op / n_pulses)
-        stats = accumulate(run_ensemble(cfg, protocol, SwapFamily(),
-                                        sample_size, seed + i))
+        stats = fold_ensemble(cfg, protocol, SwapFamily(), sample_size, seed + i)
         if stats.rigidity_violations or stats.quantization_violations:
             raise AssertionError(
                 f"rigidity broken at N={n_pulses}: "

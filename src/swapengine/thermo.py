@@ -18,6 +18,7 @@ the gradient (refrigerator), or dumps work into both baths (heater).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,6 +55,10 @@ class EngineConfig:
                 f"beta1 must not exceed beta2 (bath 1 is the hotter one), "
                 f"got beta1={self.beta1}, beta2={self.beta2}"
             )
+        for i, x in ((1, self.beta1 * self.omega1), (2, self.beta2 * self.omega2)):
+            if x > math.log(sys.float_info.max):
+                raise ConfigError(f"beta{i}*omega{i} must keep e^(beta{i}*omega{i}) "
+                                  f"finite, got {x}")
 
 
 class Regime(Enum):
@@ -74,12 +79,13 @@ class MeanEnergetics:
 
 @dataclass(frozen=True)
 class Efficiencies:
-    """Efficiency figures; cop is None when omega2 >= omega1 (no cooling cycle)."""
+    """Efficiency figures; cop is None when omega2 >= omega1 (no cooling
+    cycle), cop_carnot when beta1 == beta2 (no gradient)."""
 
     eta: float
     eta_carnot: float
     cop: float | None
-    cop_carnot: float
+    cop_carnot: float | None
     eta_ca: float
 
 
@@ -161,13 +167,14 @@ def efficiencies(cfg: EngineConfig) -> Efficiencies:
     eta = 1 - omega2/omega1 (work per unit heat drawn from bath 1, fixed by
     the frequency ratio alone), eta_carnot = 1 - beta1/beta2, cop =
     omega2/(omega1 - omega2) for the cooling mode (None when omega2 >=
-    omega1), cop_carnot = 1/(beta2/beta1 - 1), and the Curzon-Ahlborn value
+    omega1), cop_carnot = 1/(beta2/beta1 - 1) (None when beta1 == beta2),
+    and the Curzon-Ahlborn value
     eta_ca = 1 - sqrt(beta1/beta2).
     """
     eta = 1.0 - cfg.omega2 / cfg.omega1
     eta_carnot = 1.0 - cfg.beta1 / cfg.beta2
     cop = cfg.omega2 / (cfg.omega1 - cfg.omega2) if cfg.omega2 < cfg.omega1 else None
-    cop_carnot = 1.0 / (cfg.beta2 / cfg.beta1 - 1.0) if cfg.beta1 < cfg.beta2 else math.inf
+    cop_carnot = 1.0 / (cfg.beta2 / cfg.beta1 - 1.0) if cfg.beta1 < cfg.beta2 else None
     eta_ca = 1.0 - math.sqrt(cfg.beta1 / cfg.beta2)
     return Efficiencies(eta=eta, eta_carnot=eta_carnot, cop=cop,
                         cop_carnot=cop_carnot, eta_ca=eta_ca)

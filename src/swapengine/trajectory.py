@@ -387,12 +387,19 @@ def apply_pulse(
     return new, PulseEffect(dE1=dE1, dE2=dE2, w=dE1 + dE2, transfer=m)
 
 
-def _gate_tag(spec: GateSpec) -> str:
-    return repr(spec)
-
-
 def _is_swaplike(spec: GateSpec) -> bool:
     return isinstance(spec, (SwapFamily, ISwap))
+
+
+def pick_lane(gate_spec: GateSpec, keep_events: bool) -> str:
+    """The lane engine "auto" runs: "bits" for swap-family gates without
+    event recording, "events" otherwise."""
+    return "bits" if _is_swaplike(gate_spec) and not keep_events else "events"
+
+
+def run_params(cfg: EngineConfig, protocol: Protocol, gate_spec: GateSpec) -> RunParams:
+    return RunParams(cfg.beta1, cfg.beta2, cfg.omega1, cfg.omega2, cfg.gamma,
+                     protocol.n_pulses, protocol.tau2, repr(gate_spec))
 
 
 def run_trajectory(
@@ -415,31 +422,19 @@ def run_trajectory(
     pops0 = gibbs_populations(cfg)
     idx0 = sample_initial_state(cfg, rng)
     state = basis_state(idx0)
-    params = RunParams(cfg.beta1, cfg.beta2, cfg.omega1, cfg.omega2, cfg.gamma,
-                       protocol.n_pulses, protocol.tau2, _gate_tag(gate_spec))
     events: list[TrajectoryEvent] = []
     h1 = h2 = 0
     n_w = 0 if swaplike else None
-    for k in range(protocol.n_pulses):
+    for k in range(max(protocol.n_pulses, 1)):
         t_pulse = k * protocol.tau2
-        state, effect = apply_pulse(state, gate, cfg)
-        if swaplike:
-            n_w += effect.transfer
-        if keep_events:
-            events.append(TrajectoryEvent(time=t_pulse, kind="P", index=k))
+        if k < protocol.n_pulses:
+            state, effect = apply_pulse(state, gate, cfg)
+            if swaplike:
+                n_w += effect.transfer
+            if keep_events:
+                events.append(TrajectoryEvent(time=t_pulse, kind="P", index=k))
         state, evs = evolve_between_pulses(
             state, protocol.tau2, cfg, rng, t_start=t_pulse,
-            eigenstate_shortcut=eigenstate_shortcut)
-        for ev in evs:
-            if ev.bath == 1:
-                h1 += 1 if ev.kind == "E" else -1
-            else:
-                h2 += 1 if ev.kind == "E" else -1
-        if keep_events:
-            events.extend(evs)
-    if protocol.n_pulses == 0:
-        state, evs = evolve_between_pulses(
-            state, protocol.tau2, cfg, rng,
             eigenstate_shortcut=eigenstate_shortcut)
         for ev in evs:
             if ev.bath == 1:
@@ -456,7 +451,7 @@ def run_trajectory(
     db1 = BASIS_BITS[idx_f][0] - BASIS_BITS[idx0][0]
     db2 = BASIS_BITS[idx_f][1] - BASIS_BITS[idx0][1]
     return TrajectoryRecord(
-        params=params,
+        params=run_params(cfg, protocol, gate_spec),
         initial_state=BASIS_LABELS[idx0],
         final_state=BASIS_LABELS[idx_f],
         p_initial=float(pops0[idx0]),
@@ -477,8 +472,8 @@ def _bit_lane_chunks(
     Per interval and qubit the end bit is drawn from the exact two-state
     propagator p_end = f + (b_start - f)*exp(-R*tau2) with R = gamma*(2n+1);
     pulses swap the bits and bank the transfer.  Chunk size depends only on
-    the pulse count, and each chunk consumes its own (seed, chunk) stream in
-    full, so row k is a function of (seed, k, protocol) alone.
+    the pulse count, and each chunk draws its rows from the start of its own
+    (seed, chunk) stream, so row k is a function of (seed, k, protocol) alone.
     """
     f1 = excited_population(cfg.beta1, cfg.omega1)
     f2 = excited_population(cfg.beta2, cfg.omega2)
@@ -493,9 +488,8 @@ def _bit_lane_chunks(
     n_chunks = -(-sample_size // chunk_rows)
     for c in range(n_chunks):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, c))))
-        u = rng.random((chunk_rows, cols))
         rows = min(chunk_rows, sample_size - c * chunk_rows)
-        u = u[:rows]
+        u = rng.random((rows, cols))   # filled row-major
         b1 = (u[:, 0] < f1).astype(np.int64)
         b2 = (u[:, 1] < f2).astype(np.int64)
         b1i = b1.copy()
@@ -535,16 +529,15 @@ def run_ensemble(
 
     engine "bits" needs a swap-family gate and cannot keep events; "events"
     and "mcwf" loop full per-trajectory simulations ("mcwf" disables the
-    eigenstate shortcut and is the slow oracle).  "auto" picks "bits" for
-    swap-family runs without event recording, "events" otherwise.
+    eigenstate shortcut and is the slow oracle).  "auto" runs the lane
+    pick_lane picks.
     """
     if sample_size < 1:
         raise ConfigError(f"sample_size must be at least 1, got {sample_size}")
-    swaplike = _is_swaplike(gate_spec)
     if engine == "auto":
-        engine = "bits" if swaplike and not keep_events else "events"
+        engine = pick_lane(gate_spec, keep_events)
     if engine == "bits":
-        if not swaplike:
+        if not _is_swaplike(gate_spec):
             raise ConfigError("the bit lane only runs swap-family gates")
         if keep_events:
             raise ConfigError("the bit lane does not resolve event times; use engine='events'")
@@ -568,8 +561,7 @@ def _bit_lane_records(
     seed: int,
 ) -> Iterator[TrajectoryRecord]:
     pops0 = gibbs_populations(cfg)
-    params = RunParams(cfg.beta1, cfg.beta2, cfg.omega1, cfg.omega2, cfg.gamma,
-                       protocol.n_pulses, protocol.tau2, _gate_tag(gate_spec))
+    params = run_params(cfg, protocol, gate_spec)
     for ch in _bit_lane_chunks(cfg, protocol, sample_size, seed):
         idx0 = 3 - 2 * ch["b1i"] - ch["b2i"]
         idxf = 3 - 2 * ch["b1f"] - ch["b2f"]

@@ -24,12 +24,10 @@ WORK_QUANTUM = CFG.omega1 - CFG.omega2
 
 @pytest.fixture(scope="module")
 def big_ensemble():
-    """10^6 trajectories, 100 pulses, tau2=0.65, streamed into accumulators."""
+    """10^6 trajectories, 100 pulses, tau2=0.65, folded into one histogram."""
     proto = se.Protocol(n_pulses=100, tau2=0.65)
     start = time.perf_counter()
-    stats = se.accumulate(se.run_ensemble(CFG, proto, se.SwapFamily(),
-                                          1_000_000, seed=2024,
-                                          engine="bits"))
+    stats = se.fold_ensemble(CFG, proto, se.SwapFamily(), 1_000_000, seed=2024)
     return stats, time.perf_counter() - start
 
 
@@ -78,8 +76,8 @@ def test_work_quanta_log_ratio_slope_is_the_affinity(big_ensemble):
 
 
 def test_integral_fluctuation_relation_holds_on_the_big_ensemble(big_ensemble):
-    """Same 10^6 ensemble: <exp[(b2-b1) dE1 - b2 W]> = 1 within 3 jackknife
-    standard errors."""
+    """Same 10^6 ensemble: <exp[(b2-b1) dE1 - b2 W]> = 1 within 3 standard
+    errors."""
     stats, _ = big_ensemble
     value, std_err = stats.integral_ft_estimate
     assert std_err > 0.0

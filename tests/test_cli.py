@@ -24,6 +24,13 @@ from swapengine import cli
 GENERIC = "generic:" + ",".join(str(x / 10) for x in range(1, 16))
 
 
+def _strict_json(text: str):
+    """json.loads that rejects NaN and Infinity, which strict JSON lacks."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
 def _snapshot(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
@@ -71,8 +78,9 @@ def test_analytic_outside_the_engine_window_reports_no_max_power(capsys,
                                                                  tmp_path):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["analytic", "--beta1", "1", "--beta2", "1", "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
+    report = _strict_json(capsys.readouterr().out)
     assert report["max_power"] is None
+    assert report["efficiencies"]["cop_carnot"] is None
 
 
 def test_simulate_writes_summary_and_histograms(capsys, monkeypatch, tmp_path):
@@ -97,6 +105,23 @@ def test_simulate_writes_summary_and_histograms(capsys, monkeypatch, tmp_path):
     assert sum(counts) == 400
     # the path is echoed as given on the command line
     assert "run/summary.json" in capsys.readouterr().out
+
+
+def test_single_sample_outputs_are_strict_json(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["simulate", "--samples", "1", "--pulses", "3",
+                     "--tau2", "0.5", "--out-dir", "one"]) == 0
+    summary = _strict_json((tmp_path / "one" / "summary.json").read_text())
+    assert summary["sample_size"] == 1
+    assert all(se_ is None for _, se_ in summary["means"].values())
+    assert summary["integral_ft"][1] is None
+    capsys.readouterr()
+    assert cli.main(["power-scan", "--samples", "1", "--n-list", "1,2",
+                     "--json", "--out-dir", "ps"]) == 0
+    rows = _strict_json(capsys.readouterr().out)["rows"]
+    assert [r["work_se"] for r in rows] == [None, None]
+    lines = (tmp_path / "ps" / "power_scan.csv").read_text().splitlines()
+    assert [line.split(",")[3] for line in lines[1:]] == ["", ""]
 
 
 def test_simulate_json_mode_prints_the_summary(capsys, monkeypatch, tmp_path):
@@ -264,6 +289,9 @@ def test_opt_gate_reports_the_swap_value(capsys, monkeypatch, tmp_path):
         (["analytic", "--scan-eta-mp", "0.1:0.3:3"],
          2, "beta1 < lo < hi"),
         (["analyze", "no-such-file.log"], 3, "No such file"),
+        (["simulate", "--seed", "-1", "--samples", "5"], 2, "seed must be >= 0"),
+        (["analytic", "--beta1", "800", "--beta2", "900"], 2, "beta1*omega1"),
+        (["analytic", "--json", "--gamma", "1e-320"], 2, "out of the float range"),
     ],
 )
 def test_error_exit_codes(capsys, monkeypatch, tmp_path, args, code,
@@ -271,6 +299,8 @@ def test_error_exit_codes(capsys, monkeypatch, tmp_path, args, code,
     monkeypatch.chdir(tmp_path)
     assert cli.main(args) == code
     assert fragment in capsys.readouterr().err
+    if "--seed" in args:
+        assert not (tmp_path / "out").exists()  # rejected before any output
 
 
 def test_out_dir_under_a_file_is_an_io_error(capsys, monkeypatch, tmp_path):
