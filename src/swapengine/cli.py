@@ -12,7 +12,7 @@ defaults (the defaults reproduce the documented two-bath engine example:
 beta1=2/3, beta2=1, omega1=1, omega2=5/6, 100 pulses at tau2=0.65).
 
 Exit codes: 0 success, 2 configuration error, 3 I/O failure, 4 event-log
-parse error.
+parse error, 5 broken internal check (such as work-lattice rigidity).
 """
 
 from __future__ import annotations
@@ -419,7 +419,7 @@ def cmd_power_scan(rc: RunConfig, t_op_multiple: float, n_list: str) -> int:
 
 
 def cmd_opt_gate(rc: RunConfig, restarts: int) -> int:
-    result = optimize_gate(rc.engine, restarts=restarts, seed=rc.seed)
+    result = optimize_gate(rc.engine)
     me_swap = mean_energetics(rc.engine)
     best = mean_energetics_for_gate(build_gate(Generic(result.best_angles)), rc.engine)
     report = {
@@ -516,9 +516,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="1,2,5,10,20,50,100,200",
                         help="comma-separated pulse counts, ascending")
     p_opt = sub.add_parser("opt-gate", parents=[common],
-                           help="search the full gate space for the best work output")
+                           help="exact best work output over the full gate space")
     p_opt.add_argument("--restarts", type=int, default=50,
-                       help="independent simplex restarts")
+                       help="ignored, since the optimum is exact; echoed in opt_gate.json")
     p_analyze = sub.add_parser("analyze", parents=[common],
                                help="reconstruct energetics from event logs")
     p_analyze.add_argument("logs", nargs="+", help="event-log files")
@@ -552,6 +552,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
+    except AssertionError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

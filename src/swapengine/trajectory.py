@@ -598,6 +598,8 @@ def per_pulse_transfer_moments(
     """
     if protocol.n_pulses < 1:
         raise ConfigError("per-pulse moments need at least one pulse")
+    if sample_size < 2:
+        raise ConfigError(f"sample_size must be at least 2, got {sample_size}")
     s = np.zeros(protocol.n_pulses, dtype=np.int64)
     s2 = np.zeros(protocol.n_pulses, dtype=np.int64)
     n = 0

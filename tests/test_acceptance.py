@@ -116,9 +116,9 @@ def test_work_per_operation_time_grows_with_pulse_count(omega2, eta_expected):
 
 
 def test_gate_search_never_beats_the_swap_and_reaches_it():
-    """10 random heat-engine configurations, 50 restarts each: the best
-    unitary exceeds the swap work output by at most 1e-9 and comes within
-    1e-6 of it."""
+    """10 random heat-engine configurations, each optimized exactly over the
+    24 permutation gates: the best unitary exceeds the swap work output by at
+    most 1e-9 and comes within 1e-6 of it."""
     rng = np.random.default_rng(2024)
     checked = 0
     while checked < 10:
@@ -129,7 +129,7 @@ def test_gate_search_never_beats_the_swap_and_reaches_it():
         cfg = se.EngineConfig(b1, b2, 1.0, o2)
         if se.classify_regime(cfg) is not se.Regime.HEAT_ENGINE:
             continue
-        opt = se.optimize_gate(cfg, restarts=50, seed=checked)
+        opt = se.optimize_gate(cfg)
         assert opt.gap_to_swap >= -1e-9, (b1, b2, o2)
         assert opt.gap_to_swap <= 1e-6, (b1, b2, o2)
         checked += 1

@@ -1,9 +1,10 @@
 """Command-line interface: artifacts, config resolution, exit codes.
 
 Exit code contract: 0 success, 2 configuration errors, 3 I/O errors,
-4 event-log parse errors.  Most tests drive main() in process; one runs the
-entry point declared in pyproject.toml as a subprocess, through the installed
-console script when this interpreter has one.
+4 event-log parse errors, 5 broken internal checks.  Most tests drive main()
+in process; one runs the entry point declared in pyproject.toml as a
+subprocess, through the installed console script when this interpreter has
+one.
 """
 
 from __future__ import annotations
@@ -274,6 +275,20 @@ def test_opt_gate_reports_the_swap_value(capsys, monkeypatch, tmp_path):
     assert len(printed["best_angles"]) == 15
 
 
+def test_opt_gate_output_ignores_seed_and_restarts(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    text = []
+    for seed, restarts in (("0", "1"), ("5", "9"), ("0", "1")):
+        assert cli.main(["opt-gate", "--seed", seed, "--restarts", restarts,
+                         "--out-dir", "og"]) == 0
+        text.append((tmp_path / "og" / "opt_gate.json").read_bytes())
+    assert text[0] == text[2]
+    reports = [json.loads(t) for t in text[:2]]
+    assert [r.pop("restarts") for r in reports] == [1, 9]
+    assert [r["config"].pop("seed") for r in reports] == [0, 5]
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize(
     "args,code,fragment",
     [
@@ -292,6 +307,11 @@ def test_opt_gate_reports_the_swap_value(capsys, monkeypatch, tmp_path):
         (["simulate", "--seed", "-1", "--samples", "5"], 2, "seed must be >= 0"),
         (["analytic", "--beta1", "800", "--beta2", "900"], 2, "beta1*omega1"),
         (["analytic", "--json", "--gamma", "1e-320"], 2, "out of the float range"),
+        (["opt-gate", "--beta1", "0.5", "--beta2", "1", "--omega1", "1",
+          "--omega2", "0.4"], 2, "heat-engine"),
+        (["power-scan", "--beta1", "0.2", "--beta2", "0.3",
+          "--omega1", "2.8510833966980074", "--omega2", "1.0043112108304078",
+          "--samples", "200", "--n-list", "20"], 5, "rigidity broken"),
     ],
 )
 def test_error_exit_codes(capsys, monkeypatch, tmp_path, args, code,

@@ -1,4 +1,4 @@
-"""Gate construction, gate-resolved mean energetics, and gate search.
+"""Gate construction, gate-resolved mean energetics, and the exact gate optimum.
 
 Mean energetics are linear in the doubly stochastic matrix |U_jk|^2, whose
 extreme points are the 24 permutation matrices, so checking every
@@ -8,6 +8,7 @@ permutation certifies that no unitary can beat the exchange permutation.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,21 @@ SWAP_MATRIX = np.array(
         [0.0, 0.0, 0.0, 1.0],
     ]
 )
+
+
+def heat_engine_configs(seed: int, count: int) -> list[se.EngineConfig]:
+    """Heat-engine configurations drawn as in the gate acceptance test."""
+    rng = np.random.default_rng(seed)
+    cfgs = []
+    while len(cfgs) < count:
+        b1 = float(rng.uniform(0.3, 1.0))
+        b2 = b1 * float(rng.uniform(1.2, 3.0))
+        lo = b1 / b2
+        o2 = float(lo + rng.uniform(0.05, 0.95) * (1.0 - lo))
+        cfg = se.EngineConfig(b1, b2, 1.0, o2)
+        if se.classify_regime(cfg) is se.Regime.HEAT_ENGINE:
+            cfgs.append(cfg)
+    return cfgs
 
 
 def test_plain_swap_gate_is_the_exchange_permutation():
@@ -130,13 +146,29 @@ def test_swap_minimizes_work_among_all_permutation_gates():
     assert min(values)[1] == (0, 2, 1, 3)
 
 
-def test_random_gates_never_beat_the_swap():
-    w_swap = se.mean_energetics_for_gate(SWAP_MATRIX, CFG).w
+def test_quarter_turn_givens_angles_give_every_permutation():
+    perms = set()
+    for thetas in itertools.product((0.0, math.pi / 2), repeat=6):
+        angles = (0.0,) * 3 + thetas + (0.0,) * 6
+        b = np.abs(se.build_gate(se.Generic(angles)).entries) ** 2
+        rounded = np.round(b)
+        assert np.all(np.abs(b - rounded) <= 1e-30)
+        assert np.array_equal(rounded.sum(axis=0), np.ones(4))
+        assert np.array_equal(rounded.sum(axis=1), np.ones(4))
+        perms.add(tuple(int(j) for j in np.argmax(rounded, axis=0)))
+    assert perms == set(itertools.permutations(range(4)))
+
+
+@pytest.mark.parametrize("cfg", [CFG, *heat_engine_configs(2024, 2)])
+def test_random_gates_never_beat_the_swap(cfg):
+    w_swap = se.mean_energetics_for_gate(SWAP_MATRIX, cfg).w
+    best_out = se.optimize_gate(cfg).best_w
     rng = np.random.default_rng(43)
     for _ in range(300):
         angles = tuple(rng.uniform(0.0, 2.0 * np.pi, size=15))
-        w = se.mean_energetics_for_gate(se.build_gate(se.Generic(angles)), CFG).w
+        w = se.mean_energetics_for_gate(se.build_gate(se.Generic(angles)), cfg).w
         assert w >= w_swap - 1e-12
+        assert -w <= best_out + 1e-12
 
 
 @pytest.mark.parametrize("spec", [se.ISwap(), se.SwapFamily()])
@@ -151,20 +183,16 @@ def test_fit_to_matrix_recovers_named_gates(spec):
 
 
 def test_optimize_gate_lands_on_the_swap_value():
-    opt = se.optimize_gate(CFG, restarts=3, seed=0)
+    opt = se.optimize_gate(CFG)
     swap_out = -se.mean_energetics(CFG).w
     assert len(opt.best_angles) == 15
     assert opt.best_w == pytest.approx(swap_out, rel=1e-9)
-    # the search may only exceed the swap value by rounding noise
+    assert math.isclose(opt.best_w, swap_out, rel_tol=1e-15, abs_tol=0.0)
+    # the optimum may only exceed the swap value by rounding noise
     assert opt.gap_to_swap >= -1e-9
     assert opt.gap_to_swap <= 1e-6
 
 
 def test_optimize_gate_rejects_non_engine_configurations():
     with pytest.raises(se.ConfigError, match="heat-engine"):
-        se.optimize_gate(se.EngineConfig(0.5, 1.0, 1.0, 0.4), restarts=1)
-
-
-def test_optimize_gate_rejects_zero_restarts():
-    with pytest.raises(se.ConfigError, match="at least one restart"):
-        se.optimize_gate(CFG, restarts=0)
+        se.optimize_gate(se.EngineConfig(0.5, 1.0, 1.0, 0.4))

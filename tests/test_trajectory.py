@@ -323,6 +323,13 @@ def test_run_ensemble_rejects_bad_requests():
         list(se.run_ensemble(CFG, proto, se.SwapFamily(), 0, seed=0))
 
 
+@pytest.mark.parametrize("sample_size", [0, 1])
+def test_per_pulse_transfer_moments_need_two_samples(sample_size):
+    with pytest.raises(se.ConfigError, match="sample_size"):
+        se.per_pulse_transfer_moments(CFG, se.Protocol(n_pulses=2, tau2=0.5),
+                                      sample_size, seed=0)
+
+
 def test_per_pulse_transfer_moments_match_the_relaxed_swap_mean():
     # long intervals rethermalize both qubits, so every pulse transfers
     # the fresh population imbalance on average
