@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+# unused here; kept because bench/child.py wraps gates.minimize under --trace 1
+from scipy.optimize import minimize  # noqa: F401
 
 from .thermo import ConfigError, EngineConfig, MeanEnergetics, Regime, classify_regime, excited_population
 
@@ -196,37 +197,36 @@ def optimize_gate(cfg: EngineConfig) -> GateOptimum:
                        gap_to_swap=float(swap_out - best_out))
 
 
-def fit_to_matrix(target: np.ndarray, restarts: int = 20, seed: int = 0,
-                  ) -> tuple[tuple[float, ...], float]:
-    """Fit the 15-angle form to a target unitary, up to global phase.
+def fit_to_matrix(target: np.ndarray) -> tuple[tuple[float, ...], float]:
+    """Factor a unitary into the 15-angle form, up to global phase.
 
-    Minimizes 8 - 2|Tr(V^dag U)| (zero iff U equals V up to a phase) with
-    Nelder-Mead restarts plus a BFGS polish, and returns the best angles with
-    the max entrywise distance after phase alignment.
+    Undoes the six Givens factors of the form from the right, last first:
+    the factor on pair (j, k) is chosen to zero entry (k, j) of the working
+    copy, with mixing angle atan2(|a|, |b|) and phase arg b - arg a for
+    a, b its entries (k, j), (k, k).  Unitarity leaves a diagonal matrix,
+    whose phases relative to entry (3, 3) are the three diagonal angles.
+    Returns the angles with the max entrywise distance after phase alignment;
+    a target that is not a 4x4 unitary raises ValueError.
     """
-    v = np.asarray(target, dtype=complex)
-
-    def objective(a: np.ndarray) -> float:
-        u = _generic_matrix(tuple(a))
-        return 8.0 - 2.0 * abs(np.trace(v.conj().T @ u))
-
-    rng = np.random.default_rng(seed)
-    best_val = math.inf
-    best_x = None
-    for _ in range(restarts):
-        x0 = rng.uniform(0.0, 2.0 * math.pi, size=15)
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-16,
-                                "maxfev": 8000, "adaptive": True})
-        res = minimize(objective, res.x, method="BFGS",
-                       options={"gtol": 1e-12, "maxiter": 500})
-        if res.fun < best_val:
-            best_val = res.fun
-            best_x = res.x
-        if best_val < 1e-18:
-            break
-    u = _generic_matrix(tuple(best_x))
+    v = Unitary4(target).entries
+    w = v.copy()
+    thetas: list[float] = []
+    lams: list[float] = []
+    for j, k in reversed(_PAIRS):
+        a, b = w[k, j], w[k, k]
+        th = math.atan2(abs(a), abs(b))
+        lam = 0.0 if a == 0 or b == 0 else float(np.angle(b) - np.angle(a))
+        c, s = math.cos(th), math.sin(th)
+        ep = complex(math.cos(lam), math.sin(lam))
+        col_j = w[:, j].copy()
+        w[:, j] = c * col_j - s * ep.conjugate() * w[:, k]
+        w[:, k] = s * ep * col_j + c * w[:, k]
+        thetas.append(th)
+        lams.append(lam)
+    phases = np.angle(np.diag(w)[:3]) - np.angle(w[3, 3])
+    angles = tuple(float(x) for x in [*phases, *thetas[::-1], *lams[::-1]])
+    u = _generic_matrix(angles)
     tr = np.trace(v.conj().T @ u)
     u_aligned = u * np.exp(-1j * np.angle(tr))
     dist = float(np.max(np.abs(u_aligned - v)))
-    return tuple(float(x) for x in best_x), dist
+    return angles, dist

@@ -5,9 +5,10 @@ ledger key, so shard order can never change a count, and every statistic is
 read off the counts: means and errors from exact integer moments (the level
 spacings multiply in only then), the integral-FT sum over the sorted keys.
 Swap-family runs additionally carry rigidity checks, deterministic in the
-key and counted per record: the energy-proportionality identity is tested
-as a literal float equality, the work value is tested for exact membership
-of the (omega1-omega2) lattice, and violations are counted rather than
+key and counted per record: the energy-proportionality identity
+dE2 = -(omega2/omega1)*dE1 is tested on the integer ledger, as y = -x, so
+no rounding can break it, the work value is tested for exact membership of
+the (omega1-omega2) lattice, and violations are counted rather than
 silently rebinned.
 
 Work-quanta sign convention: n_w = w/(omega1 - omega2) counts quanta
@@ -206,9 +207,7 @@ class EnsembleStats:
 
     @property
     def rigidity_violations(self) -> int:
-        p = self.params
-        return self._swap_tally(
-            lambda k: p.omega2 * k.y != -(p.omega2 / p.omega1) * (p.omega1 * k.x))[True]
+        return self._swap_tally(lambda k: k.y != -k.x)[True]
 
     @property
     def quantization_violations(self) -> int:
@@ -410,10 +409,10 @@ class InferredInjection:
 class Reconstruction:
     """Energetics recovered from a pulse-marker-free jump log.
 
-    q1/q2 are direct jump sums (exact).  dE1/dE2/w use the consecutive-pair
-    rule with ground boundaries, which lands on dE_i = q_i, so each is off
-    from the truth by exactly the unobservable -dU_i, bounded by one quantum
-    per qubit.  When the pulse schedule is known, n_w refines this by exact
+    q1/q2 are direct jump sums (exact).  The consecutive-pair rule with
+    ground boundaries infers the injections; their net count per bath is the
+    net emission count, so dE_i = q_i, each off from the truth by exactly
+    the unobservable -dU_i, bounded by one quantum per qubit.  When the pulse schedule is known, n_w refines this by exact
     candidate propagation: all four initial bit pairs are evolved through
     the known swap times, candidates inconsistent with any observed jump are
     pruned, and the largest-Gibbs-weight survivor is read off; survivors
@@ -434,26 +433,23 @@ class Reconstruction:
 
 
 def _pair_rule(times: list[float], kinds: list[str], bath: int,
-               ) -> tuple[int, list[InferredInjection]]:
-    """Net transfer into the qubit implied by its bath's jump record alone."""
+               ) -> list[InferredInjection]:
+    """Injections into the qubit implied by its bath's jump record alone;
+    their quanta sum to the net emission count #E - #A."""
     injections: list[InferredInjection] = []
     if not kinds:
-        return 0, injections
-    total = 0
+        return injections
     # leading boundary, ground start: an opening emission needs a prior quantum
     if kinds[0] == "E":
         injections.append(InferredInjection(0.0, times[0], bath, +1))
-        total += 1
     for j in range(len(kinds) - 1):
         if kinds[j] == kinds[j + 1]:
             q = 1 if kinds[j] == "E" else -1
             injections.append(InferredInjection(times[j], times[j + 1], bath, q))
-            total += q
     # trailing boundary, ground end: a closing absorption must be undone
     if kinds[-1] == "A":
         injections.append(InferredInjection(times[-1], math.inf, bath, -1))
-        total -= 1
-    return total, injections
+    return injections
 
 
 def reconstruct_from_events(
@@ -483,26 +479,23 @@ def reconstruct_from_events(
         per_bath[ev.bath][1].append(ev.kind)
     t1, k1 = per_bath[1]
     t2, k2 = per_bath[2]
-    q1 = cfg.omega1 * (k1.count("E") - k1.count("A"))
-    q2 = cfg.omega2 * (k2.count("E") - k2.count("A"))
-    n1, inj1 = _pair_rule(t1, k1, 1)
-    n2, inj2 = _pair_rule(t2, k2, 2)
-    dE1 = cfg.omega1 * n1
-    dE2 = cfg.omega2 * n2
+    h1 = k1.count("E") - k1.count("A")
+    h2 = k2.count("E") - k2.count("A")
+    dE1 = q1 = cfg.omega1 * h1
+    dE2 = q2 = cfg.omega2 * h2
+    injections = _pair_rule(t1, k1, 1) + _pair_rule(t2, k2, 2)
     n_w_hat: int | None = None
     w_refined = dE1_refined = dE2_refined = None
     survivors = 0
     if protocol is not None and protocol.n_pulses > 0:
         n_w_hat, db1, db2, survivors = _refine_candidates(events, cfg, protocol)
         if n_w_hat is not None:
-            h1 = k1.count("E") - k1.count("A")
-            h2 = k2.count("E") - k2.count("A")
             w_refined = (cfg.omega1 - cfg.omega2) * n_w_hat
             dE1_refined = cfg.omega1 * (h1 + db1)
             dE2_refined = cfg.omega2 * (h2 + db2)
     return Reconstruction(
         q1=q1, q2=q2,
-        injections=tuple(sorted(inj1 + inj2, key=lambda i: (i.t_lo, i.t_hi, i.bath))),
+        injections=tuple(sorted(injections, key=lambda i: (i.t_lo, i.t_hi, i.bath))),
         dE1=dE1, dE2=dE2, w=dE1 + dE2,
         n_w=n_w_hat, w_refined=w_refined,
         dE1_refined=dE1_refined, dE2_refined=dE2_refined,

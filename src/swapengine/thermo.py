@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 
 class ConfigError(ValueError):
@@ -199,26 +198,30 @@ def _work_output(omega_ratio: float, beta1: float, beta2: float) -> float:
 def omega_star(beta1: float, beta2: float) -> MaxPowerPoint:
     """Frequency ratio maximizing the work output, and the efficiency there.
 
-    Maximizes -<w>(Omega) = (f(beta1) - f(beta2*Omega))*(1 - Omega) over the
-    engine window Omega in (beta1/beta2, 1) with omega1 as the energy unit.
-    A 1000-point coarse grid brackets the peak, golden-section refines it;
-    the returned Omega* is accurate to well below 1e-8.
+    With omega1 as the energy unit, f1 = f(beta1) and f2 = f(beta2*Omega),
+    the work output -<w>(Omega) = (f1 - f2)*(1 - Omega) is strictly concave
+    on the engine window (beta1/beta2, 1), since f is convex for positive
+    argument.  Its slope beta2*f2*(1 - f2)*(1 - Omega) - (f1 - f2) falls
+    from positive at the lower edge to negative at Omega = 1; bisection on
+    its sign stops at two adjacent floats and returns the lower one, the
+    largest float at which the slope is still positive.
     """
     if not (0 < beta1 < beta2):
         raise ConfigError(
             f"need 0 < beta1 < beta2 for an engine window, got {beta1}, {beta2}")
-    lo = beta1 / beta2
-    grid = np.linspace(lo, 1.0, 1001)
-    vals = np.array([_work_output(x, beta1, beta2) for x in grid])
-    i = int(np.argmax(vals))
-    i = min(max(i, 1), len(grid) - 2)
-    res = minimize_scalar(
-        lambda x: -_work_output(x, beta1, beta2),
-        bracket=(grid[i - 1], grid[i], grid[i + 1]),
-        method="golden", options={"xtol": 1e-11})
-    om = float(res.x)
-    return MaxPowerPoint(omega_ratio=om, eta_star=1.0 - om,
-                         w_max=_work_output(om, beta1, beta2))
+    f1 = excited_population(beta1, 1.0)
+    lo, hi = beta1 / beta2, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        f2 = excited_population(beta2, mid)
+        if beta2 * f2 * (1.0 - f2) * (1.0 - mid) - (f1 - f2) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return MaxPowerPoint(omega_ratio=lo, eta_star=1.0 - lo,
+                         w_max=_work_output(lo, beta1, beta2))
 
 
 def low_etaC_expansion(beta2: float, etaC_grid: list[float]) -> ExpansionFit:

@@ -17,10 +17,12 @@ import sys
 import sysconfig
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import swapengine as se
 from swapengine import cli
+from swapengine import stats as stats_module
 
 GENERIC = "generic:" + ",".join(str(x / 10) for x in range(1, 16))
 
@@ -309,18 +311,38 @@ def test_opt_gate_output_ignores_seed_and_restarts(monkeypatch, tmp_path):
         (["analytic", "--json", "--gamma", "1e-320"], 2, "out of the float range"),
         (["opt-gate", "--beta1", "0.5", "--beta2", "1", "--omega1", "1",
           "--omega2", "0.4"], 2, "heat-engine"),
-        (["power-scan", "--beta1", "0.2", "--beta2", "0.3",
-          "--omega1", "2.8510833966980074", "--omega2", "1.0043112108304078",
-          "--samples", "200", "--n-list", "20"], 5, "rigidity broken"),
+        # the bit lane below is patched to hand back a broken ledger
+        (["power-scan", "--samples", "4", "--n-list", "3"],
+         5, "internal check failed: ledger broken"),
     ],
 )
 def test_error_exit_codes(capsys, monkeypatch, tmp_path, args, code,
                           fragment):
     monkeypatch.chdir(tmp_path)
+    if args[0] == "power-scan":
+        monkeypatch.setattr(stats_module, "_bit_lane_chunks", _broken_chunks)
     assert cli.main(args) == code
     assert fragment in capsys.readouterr().err
     if "--seed" in args:
         assert not (tmp_path / "out").exists()  # rejected before any output
+
+
+def _broken_chunks(cfg, protocol, sample_size, seed):
+    one = np.ones(sample_size, dtype=np.int64)
+    yield {"h1": one, "h2": -one, "b1i": 0 * one, "b1f": 0 * one,
+           "b2i": 0 * one, "b2f": 0 * one, "n_w": 0 * one}
+
+
+def test_power_scan_passes_where_float_ratios_round_apart(monkeypatch,
+                                                           tmp_path):
+    # at these frequencies omega2*y and -(omega2/omega1)*(omega1*x) differ
+    # by one rounding for many x, from |x| = 5 on, yet every ledger has
+    # y = -x
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["power-scan", "--beta1", "0.2", "--beta2", "0.3",
+                     "--omega1", "2.8510833966980074",
+                     "--omega2", "1.0043112108304078",
+                     "--samples", "200", "--n-list", "20"]) == 0
 
 
 def test_out_dir_under_a_file_is_an_io_error(capsys, monkeypatch, tmp_path):

@@ -1,4 +1,5 @@
-"""Gate construction, gate-resolved mean energetics, and the exact gate optimum.
+"""Gate construction, gate-resolved mean energetics, the exact gate optimum,
+and the exact factorization of any unitary into the 15-angle form.
 
 Mean energetics are linear in the doubly stochastic matrix |U_jk|^2, whose
 extreme points are the 24 permutation matrices, so checking every
@@ -12,6 +13,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import unitary_group
 
 import swapengine as se
 
@@ -174,12 +178,42 @@ def test_random_gates_never_beat_the_swap(cfg):
 @pytest.mark.parametrize("spec", [se.ISwap(), se.SwapFamily()])
 def test_fit_to_matrix_recovers_named_gates(spec):
     target = se.build_gate(spec).entries
-    angles, dist = se.fit_to_matrix(target, restarts=6, seed=1)
+    angles, dist = se.fit_to_matrix(target)
     assert len(angles) == 15
-    assert dist < 1e-6
+    assert dist < 1e-12
     # phase-free cross-check: transition probabilities must agree too
     fitted = se.build_gate(se.Generic(angles)).entries
-    assert np.allclose(np.abs(fitted) ** 2, np.abs(target) ** 2, atol=1e-6)
+    assert np.allclose(np.abs(fitted) ** 2, np.abs(target) ** 2, atol=1e-12)
+
+
+def test_fit_to_matrix_factors_every_permutation_gate():
+    for perm in itertools.permutations(range(4)):
+        P = np.zeros((4, 4))
+        P[list(perm), range(4)] = 1.0
+        _, dist = se.fit_to_matrix(P)
+        assert dist <= 1e-12
+
+
+def test_fit_to_matrix_factors_haar_random_unitaries():
+    for U in unitary_group.rvs(4, size=200, random_state=5):
+        _, dist = se.fit_to_matrix(U)
+        assert dist <= 1e-12
+
+
+def test_fit_to_matrix_rejects_non_unitary_targets():
+    with pytest.raises(ValueError, match="not unitary"):
+        se.fit_to_matrix(2.0 * SWAP_MATRIX)
+    with pytest.raises(ValueError, match="4x4"):
+        se.fit_to_matrix(np.eye(3))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), min_size=15,
+                max_size=15))
+def test_fit_to_matrix_factors_every_generic_gate(angles):
+    target = se.build_gate(se.Generic(tuple(angles))).entries
+    _, dist = se.fit_to_matrix(target)
+    assert dist <= 1e-12
 
 
 def test_optimize_gate_lands_on_the_swap_value():

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swapengine as se
 
@@ -190,8 +192,8 @@ def test_relaxation_time_reference_and_gamma_scaling():
 
 def test_omega_star_matches_reference():
     mp = se.omega_star(B1, B2)
-    assert abs(mp.omega_ratio - OMEGA_STAR_REF) <= 1e-6
-    assert abs(mp.eta_star - ETA_STAR_REF) <= 1e-6
+    assert _close(mp.omega_ratio, OMEGA_STAR_REF, rel=1e-15)
+    assert _close(mp.eta_star, ETA_STAR_REF, rel=1e-15)
     assert mp.eta_star == pytest.approx(1.0 - mp.omega_ratio, rel=1e-14)
     assert mp.w_max == pytest.approx(W_MAX_REF, rel=1e-12)
 
@@ -215,6 +217,22 @@ def test_omega_star_lies_inside_engine_window():
         mp = se.omega_star(b1, b2)
         assert b1 / b2 < mp.omega_ratio < 1.0
         assert mp.w_max > 0.0
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(beta1=st.floats(1e-3, 20.0), ratio=st.floats(1.0 + 1e-6, 50.0))
+def test_omega_star_is_the_last_float_of_positive_slope(beta1, ratio):
+    beta2 = beta1 * ratio
+
+    def slope(om: float) -> float:
+        # d(-<w>)/d(Omega), evaluated as omega_star evaluates it
+        f1 = se.excited_population(beta1, 1.0)
+        f2 = se.excited_population(beta2, om)
+        return beta2 * f2 * (1.0 - f2) * (1.0 - om) - (f1 - f2)
+
+    om = se.omega_star(beta1, beta2).omega_ratio
+    assert beta1 / beta2 < om < 1.0
+    assert slope(om) > 0 >= slope(math.nextafter(om, 1.0))
 
 
 def test_omega_star_rejects_degenerate_bath_ordering():
