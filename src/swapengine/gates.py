@@ -49,7 +49,7 @@ class Unitary4:
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
         dev = np.max(np.abs(m.conj().T @ m - np.eye(4)))
-        if dev > _UNITARITY_TOL:
+        if not dev <= _UNITARITY_TOL:   # a NaN deviation fails too
             raise ValueError(f"matrix is not unitary (max deviation {dev:.3e})")
         object.__setattr__(self, "entries", m)
 
@@ -62,6 +62,10 @@ class SwapFamily:
     phi2: float = 0.0
     phi3: float = 0.0
     phi4: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not all(math.isfinite(p) for p in (self.phi1, self.phi2, self.phi3, self.phi4)):
+            raise ValueError("swap gate needs 4 finite phases")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .thermo import ConfigError, EngineConfig, bose_occupation, excited_population
+from .trajectory import LedgerKey
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ def joint_ft_log_ratio_exact(path1: QubitPath, path2: QubitPath,
 
     where p are the initial product-Gibbs weights of the endpoint bit pairs
     and dE_i = omega_i * (net emissions + final bit - initial bit) is the
-    energy handed to subsystem i.  Pulse-free, so dE_i is identically 0 and
+    energy handed to subsystem i, read off the pair's LedgerKey.  Pulse-free, so dE_i is identically 0 and
     both sides always vanish; the value of the check is that the two sides
     are computed along entirely different routes.
     """
@@ -148,9 +149,10 @@ def joint_ft_log_ratio_exact(path1: QubitPath, path2: QubitPath,
            - log_weight(path1.final_bit, path2.final_bit)
            - log_path_density(reversed_path(path1), cfg.beta1, cfg.omega1, cfg.gamma)
            - log_path_density(reversed_path(path2), cfg.beta2, cfg.omega2, cfg.gamma))
-    dE1 = cfg.omega1 * (path1.net_emissions + path1.final_bit - path1.initial_bit)
-    dE2 = cfg.omega2 * (path2.net_emissions + path2.final_bit - path2.initial_bit)
-    return lhs, cfg.beta1 * dE1 + cfg.beta2 * dE2
+    e = LedgerKey(path1.net_emissions, path2.net_emissions,
+                  path1.final_bit - path1.initial_bit,
+                  path2.final_bit - path2.initial_bit, None).energetics(cfg.omega1, cfg.omega2)
+    return lhs, cfg.beta1 * e.dE1 + cfg.beta2 * e.dE2
 
 
 def enumerate_paths(duration: float, max_jumps: int,

@@ -22,35 +22,17 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .gates import GateSpec, SwapFamily
 from .thermo import ConfigError, EngineConfig, excited_population, relaxation_time
-from .trajectory import (Protocol, RunParams, TrajectoryEvent, TrajectoryRecord,
-                         _bit_lane_chunks, pick_lane, run_ensemble, run_params)
+from .trajectory import (LedgerKey, Protocol, RunParams, TrajectoryEvent,
+                         TrajectoryRecord, _bit_lane_chunks, pick_lane,
+                         run_ensemble, run_params)
 
 ETA_BIN_WIDTH = 0.01
-
-
-class LedgerKey(NamedTuple):
-    """Integer ledger of one record (n_w is None on generic-gate records);
-    x and y are the quanta entering subsystems 1 and 2."""
-
-    h1: int
-    h2: int
-    db1: int
-    db2: int
-    n_w: int | None
-
-    @property
-    def x(self) -> int:
-        return self.h1 + self.db1
-
-    @property
-    def y(self) -> int:
-        return self.h2 + self.db2
 
 
 @dataclass
@@ -72,23 +54,17 @@ class EnsembleStats:
     def add(self, record: TrajectoryRecord) -> None:
         if self.params is None:
             self.params = record.params
-            self.quantized = record.n_w is not None
+            self.quantized = record.ledger.n_w is not None
         elif record.params != self.params:
             raise ConfigError("cannot accumulate records from different runs: "
                               f"{record.params} vs {self.params}")
-        if (record.n_w is not None) != self.quantized:
+        if (record.ledger.n_w is not None) != self.quantized:
             raise ConfigError("cannot mix swap-family and generic-gate records")
-        self._insert(LedgerKey(record.h1, record.h2, record.db1, record.db2,
-                               record.n_w), 1)
+        self._insert(record.ledger, 1)
 
     def _insert(self, key: LedgerKey, count: int) -> None:
-        if self.quantized and key not in self.counts:
-            m = key.n_w
-            if m != key.x or m != -key.y:
-                raise AssertionError(f"ledger broken: n_w={m}, x={key.x}, y={key.y}")
-            if abs(m - key.h1) > 1:
-                raise AssertionError(
-                    f"work and bath-1 heat quanta differ by {m - key.h1}")
+        if key not in self.counts:
+            key.check()
         self.counts[key] += count
 
     def merge(self, other: EnsembleStats) -> EnsembleStats:
@@ -173,10 +149,8 @@ class EnsembleStats:
         p = self.params
 
         def weight(k: LedgerKey) -> float:
-            # dE1 and w rounded as TrajectoryRecord rounds them
-            dE1 = p.omega1 * k.x
-            w = (p.omega1 - p.omega2) * k.n_w if self.quantized else dE1 + p.omega2 * k.y
-            return math.exp((p.beta2 - p.beta1) * dE1 - p.beta2 * w)
+            e = k.energetics(p.omega1, p.omega2)
+            return math.exp((p.beta2 - p.beta1) * e.dE1 - p.beta2 * e.w)
         return self._mean_se(*self._moments(weight), 1.0)
 
     @property
@@ -190,8 +164,13 @@ class EnsembleStats:
     @property
     def hist_eta(self) -> Counter:
         p = self.params
-        return self._swap_tally(lambda k: None if k.h1 == 0 else math.floor(
-            (p.omega1 - p.omega2) * k.n_w / (p.omega1 * k.h1) / ETA_BIN_WIDTH))
+
+        def eta_bin(k: LedgerKey) -> int | None:
+            if k.h1 == 0:
+                return None
+            e = k.energetics(p.omega1, p.omega2)
+            return math.floor(e.w / e.q1 / ETA_BIN_WIDTH)
+        return self._swap_tally(eta_bin)
 
     @property
     def eta_exact(self) -> Counter:
@@ -215,7 +194,7 @@ class EnsembleStats:
         # can round off-integer); d*round(w/d) then reproduces w bit for bit
         p = self.params
         return self._swap_tally(lambda k: p.omega1 != p.omega2 and round(
-            (p.omega1 - p.omega2) * k.n_w / (p.omega1 - p.omega2)) != k.n_w)[True]
+            k.energetics(p.omega1, p.omega2).w / (p.omega1 - p.omega2)) != k.n_w)[True]
 
 
 def accumulate(records: Iterable[TrajectoryRecord]) -> EnsembleStats:
@@ -240,10 +219,8 @@ def fold_ensemble(cfg: EngineConfig, protocol: Protocol, gate_spec: GateSpec,
     if sample_size < 1:
         raise ConfigError(f"sample_size must be at least 1, got {sample_size}")
     stats = EnsembleStats(params=run_params(cfg, protocol, gate_spec))
-    for ch in _bit_lane_chunks(cfg, protocol, sample_size, seed):
-        rows = np.stack([ch["h1"], ch["h2"], ch["b1f"] - ch["b1i"],
-                         ch["b2f"] - ch["b2i"], ch["n_w"]], axis=1)
-        keys, counts = np.unique(rows, axis=0, return_counts=True)
+    for ledgers, _ in _bit_lane_chunks(cfg, protocol, sample_size, seed):
+        keys, counts = np.unique(ledgers, axis=0, return_counts=True)
         for key, count in zip(keys.tolist(), counts.tolist()):
             stats._insert(LedgerKey(*key), count)
     return stats
@@ -411,13 +388,15 @@ class Reconstruction:
 
     q1/q2 are direct jump sums (exact).  The consecutive-pair rule with
     ground boundaries infers the injections; their net count per bath is the
-    net emission count, so dE_i = q_i, each off from the truth by exactly
-    the unobservable -dU_i, bounded by one quantum per qubit.  When the pulse schedule is known, n_w refines this by exact
-    candidate propagation: all four initial bit pairs are evolved through
-    the known swap times, candidates inconsistent with any observed jump are
-    pruned, and the largest-Gibbs-weight survivor is read off; survivors
-    counts those left alive (0 means the log cannot come from the assumed
-    schedule, and the refined fields stay None)."""
+    net emission count, so the naive energies are those of the ledger
+    (h1, h2, 0, 0, None) and dE_i = q_i, each off from the truth by exactly
+    the unobservable -dU_i, bounded by one quantum per qubit.  When the
+    pulse schedule is known, n_w refines this by exact candidate
+    propagation: all four initial bit pairs are evolved through the known
+    swap times, candidates inconsistent with any observed jump are pruned,
+    and the largest-Gibbs-weight survivor's ledger gives the refined fields;
+    survivors counts those left alive (0 means the log cannot come from the
+    assumed schedule, and the refined fields stay None)."""
 
     q1: float
     q2: float
@@ -481,8 +460,7 @@ def reconstruct_from_events(
     t2, k2 = per_bath[2]
     h1 = k1.count("E") - k1.count("A")
     h2 = k2.count("E") - k2.count("A")
-    dE1 = q1 = cfg.omega1 * h1
-    dE2 = q2 = cfg.omega2 * h2
+    naive = LedgerKey(h1, h2, 0, 0, None).energetics(cfg.omega1, cfg.omega2)
     injections = _pair_rule(t1, k1, 1) + _pair_rule(t2, k2, 2)
     n_w_hat: int | None = None
     w_refined = dE1_refined = dE2_refined = None
@@ -490,13 +468,13 @@ def reconstruct_from_events(
     if protocol is not None and protocol.n_pulses > 0:
         n_w_hat, db1, db2, survivors = _refine_candidates(events, cfg, protocol)
         if n_w_hat is not None:
-            w_refined = (cfg.omega1 - cfg.omega2) * n_w_hat
-            dE1_refined = cfg.omega1 * (h1 + db1)
-            dE2_refined = cfg.omega2 * (h2 + db2)
+            refined = LedgerKey(h1, h2, db1, db2, n_w_hat).energetics(
+                cfg.omega1, cfg.omega2)
+            w_refined, dE1_refined, dE2_refined = refined.w, refined.dE1, refined.dE2
     return Reconstruction(
-        q1=q1, q2=q2,
+        q1=naive.q1, q2=naive.q2,
         injections=tuple(sorted(injections, key=lambda i: (i.t_lo, i.t_hi, i.bath))),
-        dE1=dE1, dE2=dE2, w=dE1 + dE2,
+        dE1=naive.dE1, dE2=naive.dE2, w=naive.w,
         n_w=n_w_hat, w_refined=w_refined,
         dE1_refined=dE1_refined, dE2_refined=dE2_refined,
         survivors=survivors,

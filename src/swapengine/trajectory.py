@@ -16,18 +16,20 @@ rates gamma*(n_i+1) (emission, active when excited) and gamma*n_i
 
 Three engines realize the same trajectory law:
 
-  "mcwf"    amplitude evolution with root-found jump times; the oracle, and
-            the only engine that can follow superpositions (Generic gates);
-  "events"  the eigenstate shortcut with closed-form exponential waiting
-            times, emitting the full time-stamped event record;
+  "mcwf"    amplitude evolution with root-found jump times throughout; the
+            slow oracle;
+  "events"  closed-form exponential waiting times while the state is a basis
+            state, the root-found ones while it is a superposition (Generic
+            gates), emitting the full time-stamped event record;
   "bits"    vectorized sampling of the occupation bits at interval
             boundaries from the exact two-state propagator; reproduces the
             exact joint law of the whole integer ledger but carries no event
             times; default for large swap-family ensembles.
 
-Every engine derives trajectory k's random stream from (seed, stream index)
-with a counter-based generator, so record k is independent of the sample
-size and reruns are bit-identical.
+Every engine records each run's integer ledger as one LedgerKey, and
+derives trajectory k's random stream from (seed, stream index) with a
+counter-based generator, so record k is independent of the sample size and
+reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .gates import BASIS_BITS, GateSpec, Generic, ISwap, SwapFamily, Unitary4, build_gate, gibbs_populations
+from .gates import BASIS_BITS, GateSpec, ISwap, SwapFamily, Unitary4, build_gate
 from .thermo import ConfigError, EngineConfig, bose_occupation, excited_population
 
 BASIS_LABELS = ("++", "+-", "-+", "--")
@@ -133,87 +135,118 @@ class RunParams(NamedTuple):
     gate: str
 
 
-@dataclass(frozen=True, slots=True)
-class TrajectoryRecord:
-    """Outcome of one run: integer ledger plus single-rounded energies.
+class Energetics(NamedTuple):
+    """Energies of one ledger; see LedgerKey.energetics."""
+
+    q1: float
+    q2: float
+    dU1: float
+    dU2: float
+    dE1: float
+    dE2: float
+    w: float
+
+
+class LedgerKey(NamedTuple):
+    """Integer ledger of one run, the ground truth of every energy.
 
     h_i is the net emission count of bath i (emissions minus absorptions),
     db_i the final minus initial occupation bit of qubit i, and n_w the
     summed per-pulse excitation transfer into qubit 1 (defined for
-    swap-family runs only; each pulse moves b2 - b1 quanta).  The exact
-    ledger identities are n_w = h1 + db1 = -(h2 + db2).
-
-    The integers are ground truth; every derived energy is one correctly
-    rounded product of a level spacing with an exact integer, never a chain
-    of rounded intermediates.  In omega1-units this makes the swap-run
-    identities dE2 == -(omega2/omega1)*dE1 and w/dE1 == (omega1-omega2)/omega1
-    literal float equalities (the latter verified for |n_w| < 1.19e5), and w
-    sits exactly on the work lattice: round(w/(omega1-omega2)) recovers n_w
-    and remultiplies to w bit for bit (bare division may round one ulp off
-    the integer).  dE_i = q_i + dU_i, w = dE1 + dE2 and
-    w = q1 + q2 + dU1 + dU2 hold exactly on the ledger itself.
-
-    events is the time-ordered pulse/jump list when the engine resolves it,
-    None otherwise; initial/final states are basis labels with their weights
-    under the initial product-Gibbs distribution (the two-measurement
-    boundary factors).
+    swap-family runs only, None on generic-gate runs; each pulse moves
+    b2 - b1 quanta).  x and y are the quanta entering subsystems 1 and 2.
     """
 
-    params: RunParams
-    initial_state: str
-    final_state: str
-    p_initial: float
-    p_final: float
     h1: int
     h2: int
     db1: int
     db2: int
     n_w: int | None
+
+    @property
+    def x(self) -> int:
+        return self.h1 + self.db1
+
+    @property
+    def y(self) -> int:
+        return self.h2 + self.db2
+
+    def check(self) -> None:
+        """Assert |db_i| <= 1 and, on swap-family runs, n_w = x = -y."""
+        if abs(self.db1) > 1 or abs(self.db2) > 1 or (
+                self.n_w is not None and not self.n_w == self.x == -self.y):
+            raise AssertionError(
+                f"ledger broken: n_w={self.n_w}, x={self.x}, y={self.y}, "
+                f"db1={self.db1}, db2={self.db2}")
+
+    def energetics(self, omega1: float, omega2: float) -> Energetics:
+        """Every energy as one correctly rounded product of a level spacing
+        with an exact integer, never a chain of rounded intermediates.
+
+        q_i = omega_i*h_i is the heat released into bath i, dU_i = omega_i*db_i
+        the energy change of qubit i, dE_i = omega_i*(h_i + db_i) the energy
+        handed to subsystem i (qubit plus bath), and w the work injected by
+        the drive: (omega1-omega2)*n_w on swap runs, dE1 + dE2 otherwise.  In
+        omega1-units this makes the swap-run identities
+        dE2 == -(omega2/omega1)*dE1 and w/dE1 == (omega1-omega2)/omega1
+        literal float equalities (the latter verified for |n_w| < 1.19e5),
+        and w sits exactly on the work lattice: round(w/(omega1-omega2))
+        recovers n_w and remultiplies to w bit for bit (bare division may
+        round one ulp off the integer).
+        """
+        dE1 = omega1 * self.x
+        dE2 = omega2 * self.y
+        return Energetics(
+            q1=omega1 * self.h1, q2=omega2 * self.h2,
+            dU1=omega1 * self.db1, dU2=omega2 * self.db2, dE1=dE1, dE2=dE2,
+            w=dE1 + dE2 if self.n_w is None else (omega1 - omega2) * self.n_w)
+
+
+@dataclass(frozen=True, slots=True)
+class TrajectoryRecord:
+    """Outcome of one run: its integer ledger, its energies read off that
+    ledger, and, when the lane resolves them, its time-ordered pulse/jump
+    events (None otherwise)."""
+
+    params: RunParams
+    ledger: LedgerKey
     events: tuple[TrajectoryEvent, ...] | None = None
 
     @property
+    def energetics(self) -> Energetics:
+        return self.ledger.energetics(self.params.omega1, self.params.omega2)
+
+    @property
     def q1(self) -> float:
-        """Heat released into reservoir 1 (emissions count positive)."""
-        return self.params.omega1 * self.h1
+        return self.energetics.q1
 
     @property
     def q2(self) -> float:
-        return self.params.omega2 * self.h2
+        return self.energetics.q2
 
     @property
     def dU1(self) -> float:
-        """Energy change of working qubit 1 between the boundary measurements."""
-        return self.params.omega1 * self.db1
+        return self.energetics.dU1
 
     @property
     def dU2(self) -> float:
-        return self.params.omega2 * self.db2
+        return self.energetics.dU2
 
     @property
     def dE1(self) -> float:
-        """Total energy handed to subsystem 1 (qubit plus bath)."""
-        return self.params.omega1 * (self.h1 + self.db1)
+        return self.energetics.dE1
 
     @property
     def dE2(self) -> float:
-        return self.params.omega2 * (self.h2 + self.db2)
+        return self.energetics.dE2
 
     @property
     def w(self) -> float:
-        """Work injected by the drive; (omega1-omega2)*n_w for swap runs."""
-        if self.n_w is not None:
-            return (self.params.omega1 - self.params.omega2) * self.n_w
-        return self.dE1 + self.dE2
+        return self.energetics.w
 
     def validate(self) -> None:
-        """Assert the integer ledger and, when events exist, their bookkeeping."""
-        if abs(self.db1) > 1 or abs(self.db2) > 1:
-            raise AssertionError("occupation bits moved by more than one level")
-        if self.n_w is not None:
-            if self.n_w != self.h1 + self.db1 or self.n_w != -(self.h2 + self.db2):
-                raise AssertionError(
-                    f"ledger mismatch: n_w={self.n_w}, h1+db1={self.h1 + self.db1}, "
-                    f"-(h2+db2)={-(self.h2 + self.db2)}")
+        """Assert that the events, when kept, are time-ordered and sum to the
+        ledger's net emission counts."""
         if self.events is not None:
             counts = {(1, "E"): 0, (1, "A"): 0, (2, "E"): 0, (2, "A"): 0}
             last = -math.inf
@@ -223,8 +256,8 @@ class TrajectoryRecord:
                 last = ev.time
                 if ev.kind in ("E", "A"):
                     counts[(ev.bath, ev.kind)] += 1
-            if counts[(1, "E")] - counts[(1, "A")] != self.h1 \
-                    or counts[(2, "E")] - counts[(2, "A")] != self.h2:
+            if counts[(1, "E")] - counts[(1, "A")] != self.ledger.h1 \
+                    or counts[(2, "E")] - counts[(2, "A")] != self.ledger.h2:
                 raise AssertionError("event counts disagree with the net ledger")
 
 
@@ -355,36 +388,19 @@ def evolve_between_pulses(
     return JointState(amps), events
 
 
-@dataclass(frozen=True)
-class PulseEffect:
-    """Per-pulse energetics, defined when both endpoint states are eigenstates."""
+def apply_pulse(state: JointState, gate: Unitary4) -> tuple[JointState, int | None]:
+    """Apply an instantaneous gate; also return the quanta it moved into qubit 1.
 
-    dE1: float
-    dE2: float
-    w: float
-    transfer: int   # quanta moved into qubit 1 (b1_after - b1_before)
-
-
-def apply_pulse(
-    state: JointState, gate: Unitary4, cfg: EngineConfig,
-) -> tuple[JointState, PulseEffect | None]:
-    """Apply an instantaneous gate; report per-pulse energetics when defined.
-
-    For swap-family gates basis states map to basis states, so the pulse
-    energy is a read-off (transfer quanta = change of qubit 1's bit).  When
-    either endpoint is a superposition no per-pulse energy is assigned.
+    For swap-family gates basis states map to basis states, so the transfer
+    is a read-off (the change of qubit 1's bit).  When either endpoint is a
+    superposition no transfer is assigned and None is returned.
     """
-    amps = gate.entries @ state.amplitudes
-    new = JointState(amps)
+    new = JointState(gate.entries @ state.amplitudes)
     i = state.basis_index
     j = new.basis_index
     if i is None or j is None:
         return new, None
-    m = BASIS_BITS[j][0] - BASIS_BITS[i][0]
-    m2 = BASIS_BITS[j][1] - BASIS_BITS[i][1]
-    dE1 = cfg.omega1 * m
-    dE2 = cfg.omega2 * m2
-    return new, PulseEffect(dE1=dE1, dE2=dE2, w=dE1 + dE2, transfer=m)
+    return new, BASIS_BITS[j][0] - BASIS_BITS[i][0]
 
 
 def _is_swaplike(spec: GateSpec) -> bool:
@@ -419,7 +435,6 @@ def run_trajectory(
     """
     gate = build_gate(gate_spec)
     swaplike = _is_swaplike(gate_spec)
-    pops0 = gibbs_populations(cfg)
     idx0 = sample_initial_state(cfg, rng)
     state = basis_state(idx0)
     events: list[TrajectoryEvent] = []
@@ -428,9 +443,9 @@ def run_trajectory(
     for k in range(max(protocol.n_pulses, 1)):
         t_pulse = k * protocol.tau2
         if k < protocol.n_pulses:
-            state, effect = apply_pulse(state, gate, cfg)
+            state, transfer = apply_pulse(state, gate)
             if swaplike:
-                n_w += effect.transfer
+                n_w += transfer
             if keep_events:
                 events.append(TrajectoryEvent(time=t_pulse, kind="P", index=k))
         state, evs = evolve_between_pulses(
@@ -448,17 +463,10 @@ def run_trajectory(
         pops = np.abs(state.amplitudes) ** 2
         pops = pops / pops.sum()
         idx_f = int(rng.choice(4, p=pops))
-    db1 = BASIS_BITS[idx_f][0] - BASIS_BITS[idx0][0]
-    db2 = BASIS_BITS[idx_f][1] - BASIS_BITS[idx0][1]
-    return TrajectoryRecord(
-        params=run_params(cfg, protocol, gate_spec),
-        initial_state=BASIS_LABELS[idx0],
-        final_state=BASIS_LABELS[idx_f],
-        p_initial=float(pops0[idx0]),
-        p_final=float(pops0[idx_f]),
-        h1=h1, h2=h2, db1=db1, db2=db2, n_w=n_w,
-        events=tuple(events) if keep_events else None,
-    )
+    ledger = LedgerKey(h1, h2, BASIS_BITS[idx_f][0] - BASIS_BITS[idx0][0],
+                       BASIS_BITS[idx_f][1] - BASIS_BITS[idx0][1], n_w)
+    return TrajectoryRecord(run_params(cfg, protocol, gate_spec), ledger,
+                            tuple(events) if keep_events else None)
 
 
 def _bit_lane_chunks(
@@ -466,7 +474,7 @@ def _bit_lane_chunks(
     protocol: Protocol,
     sample_size: int,
     seed: int,
-) -> Iterator[dict]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Chunked exact sampling of the boundary-bit Markov chain.
 
     Per interval and qubit the end bit is drawn from the exact two-state
@@ -474,6 +482,11 @@ def _bit_lane_chunks(
     pulses swap the bits and bank the transfer.  Chunk size depends only on
     the pulse count, and each chunk draws its rows from the start of its own
     (seed, chunk) stream, so row k is a function of (seed, k, protocol) alone.
+
+    Yields (ledgers, pulse_sums) per chunk: ledgers is the (rows, 5) int64
+    array of the rows' ledgers in LedgerKey field order, pulse_sums the
+    (2, n_pulses) int64 sums over the rows of each pulse's transfer and of
+    its square.
     """
     f1 = excited_population(cfg.beta1, cfg.omega1)
     f2 = excited_population(cfg.beta2, cfg.omega2)
@@ -490,16 +503,17 @@ def _bit_lane_chunks(
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, c))))
         rows = min(chunk_rows, sample_size - c * chunk_rows)
         u = rng.random((rows, cols))   # filled row-major
-        b1 = (u[:, 0] < f1).astype(np.int64)
-        b2 = (u[:, 1] < f2).astype(np.int64)
-        b1i = b1.copy()
-        b2i = b2.copy()
+        b1 = b1_0 = (u[:, 0] < f1).astype(np.int64)
+        b2 = b2_0 = (u[:, 1] < f2).astype(np.int64)
         h1 = np.zeros(rows, dtype=np.int64)
         h2 = np.zeros(rows, dtype=np.int64)
-        m_steps = np.zeros((rows, n_pulses), dtype=np.int8)
+        n_w = np.zeros(rows, dtype=np.int64)
+        pulse_sums = np.zeros((2, n_pulses), dtype=np.int64)
         for k in range(intervals):
             if k < n_pulses:
-                m_steps[:, k] = (b2 - b1).astype(np.int8)
+                m = b2 - b1
+                n_w += m
+                pulse_sums[:, k] = m.sum(), np.count_nonzero(m)   # m is -1, 0 or 1
                 b1, b2 = b2, b1
             p1_end = f1 + (b1 - f1) * dec1
             p2_end = f2 + (b2 - f2) * dec2
@@ -508,12 +522,7 @@ def _bit_lane_chunks(
             h1 += b1 - e1
             h2 += b2 - e2
             b1, b2 = e1, e2
-        yield {
-            "b1i": b1i, "b2i": b2i, "b1f": b1, "b2f": b2,
-            "h1": h1, "h2": h2,
-            "n_w": m_steps.sum(axis=1, dtype=np.int64) if n_pulses else np.zeros(rows, dtype=np.int64),
-            "m_steps": m_steps,
-        }
+        yield np.stack([h1, h2, b1 - b1_0, b2 - b2_0, n_w], axis=1), pulse_sums
 
 
 def run_ensemble(
@@ -529,8 +538,9 @@ def run_ensemble(
 
     engine "bits" needs a swap-family gate and cannot keep events; "events"
     and "mcwf" loop full per-trajectory simulations ("mcwf" disables the
-    eigenstate shortcut and is the slow oracle).  "auto" runs the lane
-    pick_lane picks.
+    eigenstate shortcut and is the slow oracle); they refuse an infinite
+    jump rate, since every waiting time would be 0 and time would never
+    advance.  "auto" runs the lane pick_lane picks.
     """
     if sample_size < 1:
         raise ConfigError(f"sample_size must be at least 1, got {sample_size}")
@@ -545,6 +555,9 @@ def run_ensemble(
         return
     if engine not in ("events", "mcwf"):
         raise ConfigError(f"unknown engine {engine!r}")
+    rates = _dichotomic_rates(cfg)
+    if not all(math.isfinite(r) for r in rates):
+        raise ConfigError(f"the {engine} lane needs finite jump rates, got {rates}")
     shortcut = engine == "events"
     for k in range(sample_size):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, k))))
@@ -560,28 +573,10 @@ def _bit_lane_records(
     sample_size: int,
     seed: int,
 ) -> Iterator[TrajectoryRecord]:
-    pops0 = gibbs_populations(cfg)
     params = run_params(cfg, protocol, gate_spec)
-    for ch in _bit_lane_chunks(cfg, protocol, sample_size, seed):
-        idx0 = 3 - 2 * ch["b1i"] - ch["b2i"]
-        idxf = 3 - 2 * ch["b1f"] - ch["b2f"]
-        db1 = ch["b1f"] - ch["b1i"]
-        db2 = ch["b2f"] - ch["b2i"]
-        h1a, h2a, nwa = ch["h1"], ch["h2"], ch["n_w"]
-        p0 = pops0[idx0]
-        pf = pops0[idxf]
-        for r in range(len(idx0)):
-            yield TrajectoryRecord(
-                params=params,
-                initial_state=BASIS_LABELS[idx0[r]],
-                final_state=BASIS_LABELS[idxf[r]],
-                p_initial=float(p0[r]),
-                p_final=float(pf[r]),
-                h1=int(h1a[r]), h2=int(h2a[r]),
-                db1=int(db1[r]), db2=int(db2[r]),
-                n_w=int(nwa[r]),
-                events=None,
-            )
+    for ledgers, _ in _bit_lane_chunks(cfg, protocol, sample_size, seed):
+        for row in ledgers.tolist():
+            yield TrajectoryRecord(params, LedgerKey(*row))
 
 
 def per_pulse_transfer_moments(
@@ -600,14 +595,10 @@ def per_pulse_transfer_moments(
         raise ConfigError("per-pulse moments need at least one pulse")
     if sample_size < 2:
         raise ConfigError(f"sample_size must be at least 2, got {sample_size}")
-    s = np.zeros(protocol.n_pulses, dtype=np.int64)
-    s2 = np.zeros(protocol.n_pulses, dtype=np.int64)
-    n = 0
-    for ch in _bit_lane_chunks(cfg, protocol, sample_size, seed):
-        m = ch["m_steps"].astype(np.int64)
-        s += m.sum(axis=0)
-        s2 += (m * m).sum(axis=0)
-        n += m.shape[0]
-    mean = s / n
-    var = (s2 / n - mean ** 2) * (n / (n - 1))
+    sums = np.zeros((2, protocol.n_pulses), dtype=np.int64)
+    for _, pulse_sums in _bit_lane_chunks(cfg, protocol, sample_size, seed):
+        sums += pulse_sums
+    n = sample_size
+    mean = sums[0] / n
+    var = (sums[1] / n - mean ** 2) * (n / (n - 1))
     return mean, np.sqrt(var / n)

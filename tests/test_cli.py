@@ -314,6 +314,15 @@ def test_opt_gate_output_ignores_seed_and_restarts(monkeypatch, tmp_path):
         # the bit lane below is patched to hand back a broken ledger
         (["power-scan", "--samples", "4", "--n-list", "3"],
          5, "internal check failed: ledger broken"),
+        (["simulate", "--gate", "swap:nan,0,0,0", "--pulses", "2",
+          "--samples", "3", "--emit-logs"], 2, "bad gate angle list"),
+        (["simulate", "--gate", "swap:inf,0,0,0", "--pulses", "2",
+          "--samples", "3", "--emit-logs"], 2, "bad gate angle list"),
+        # gamma*(n1+1) overflows to inf; so does n2 at a subnormal omega2
+        (["simulate", "--gamma", "1e308", "--pulses", "2", "--samples", "3",
+          "--emit-logs"], 2, "needs finite jump rates"),
+        (["simulate", "--omega2", "1e-320", "--pulses", "3", "--samples", "5",
+          "--emit-logs"], 2, "needs finite jump rates"),
     ],
 )
 def test_error_exit_codes(capsys, monkeypatch, tmp_path, args, code,
@@ -328,9 +337,9 @@ def test_error_exit_codes(capsys, monkeypatch, tmp_path, args, code,
 
 
 def _broken_chunks(cfg, protocol, sample_size, seed):
-    one = np.ones(sample_size, dtype=np.int64)
-    yield {"h1": one, "h2": -one, "b1i": 0 * one, "b1f": 0 * one,
-           "b2i": 0 * one, "b2f": 0 * one, "n_w": 0 * one}
+    # (h1, h2, db1, db2, n_w) = (1, -1, 0, 0, 0) on every row: n_w != x
+    yield (np.tile(np.array([1, -1, 0, 0, 0], dtype=np.int64), (sample_size, 1)),
+           np.zeros((2, protocol.n_pulses), dtype=np.int64))
 
 
 def test_power_scan_passes_where_float_ratios_round_apart(monkeypatch,

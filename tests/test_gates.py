@@ -78,6 +78,17 @@ def test_iswap_has_swap_transition_probabilities_with_quarter_phase():
 def test_unitary4_rejects_non_unitary_matrices():
     with pytest.raises(ValueError, match="not unitary"):
         se.Unitary4(np.ones((4, 4), dtype=complex))
+    with pytest.raises(ValueError, match="not unitary"):   # NaN deviation
+        se.Unitary4(np.full((4, 4), np.nan, dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_swap_family_needs_four_finite_phases(bad):
+    for k in range(4):
+        phases = [0.0] * 4
+        phases[k] = bad
+        with pytest.raises(ValueError, match="4 finite phases"):
+            se.SwapFamily(*phases)
 
 
 def test_generic_gate_needs_fifteen_finite_angles():

@@ -24,9 +24,7 @@ PARAMS = se.RunParams(CFG.beta1, CFG.beta2, CFG.omega1, CFG.omega2, CFG.gamma,
 
 def _rec(h1: int, h2: int, db1: int = 0, db2: int = 0,
          params: se.RunParams = PARAMS) -> se.TrajectoryRecord:
-    return se.TrajectoryRecord(params=params, initial_state="+-",
-                               final_state="-+", p_initial=0.25, p_final=0.25,
-                               h1=h1, h2=h2, db1=db1, db2=db2, n_w=h1 + db1)
+    return se.TrajectoryRecord(params, se.LedgerKey(h1, h2, db1, db2, h1 + db1))
 
 
 HAND_RECORDS = [
@@ -86,13 +84,14 @@ def test_accumulate_rejects_empty_and_inhomogeneous_streams():
 
 
 def test_add_asserts_the_integer_ledger():
-    st = se.EnsembleStats()
-    broken = se.TrajectoryRecord(params=PARAMS, initial_state="+-",
-                                 final_state="-+", p_initial=0.25,
-                                 p_final=0.25, h1=1, h2=0, db1=0, db2=0,
-                                 n_w=0)
-    with pytest.raises(AssertionError, match="ledger broken"):
-        st.add(broken)
+    for ledger in (se.LedgerKey(h1=1, h2=0, db1=0, db2=0, n_w=0),       # n_w != x
+                   se.LedgerKey(h1=0, h2=0, db1=0, db2=1, n_w=0),       # n_w != -y
+                   se.LedgerKey(h1=0, h2=-2, db1=0, db2=2, n_w=0),      # |db2| = 2
+                   se.LedgerKey(h1=-2, h2=0, db1=2, db2=0, n_w=None)):  # |db1| = 2
+        st = se.EnsembleStats()
+        with pytest.raises(AssertionError, match="ledger broken"):
+            st.add(se.TrajectoryRecord(PARAMS, ledger))
+        assert st.sample_size == 0
 
 
 def test_rigidity_counter_ignores_last_bit_float_rounding():
@@ -141,9 +140,9 @@ def test_columnar_fold_equals_the_record_fold(cfg, pulses, samples):
 
 def test_columnar_fold_asserts_the_integer_ledger(monkeypatch):
     def broken_chunks(cfg, protocol, sample_size, seed):
-        one = np.ones(sample_size, dtype=np.int64)
-        yield {"h1": one, "h2": -one, "b1i": 0 * one, "b1f": 0 * one,
-               "b2i": 0 * one, "b2f": 0 * one, "n_w": 0 * one}
+        # (h1, h2, db1, db2, n_w) = (1, -1, 0, 0, 0) on every row: n_w != x
+        yield (np.tile(np.array([1, -1, 0, 0, 0], dtype=np.int64), (sample_size, 1)),
+               np.zeros((2, protocol.n_pulses), dtype=np.int64))
     monkeypatch.setattr(stats_module, "_bit_lane_chunks", broken_chunks)
     with pytest.raises(AssertionError, match="ledger broken"):
         se.fold_ensemble(CFG, se.Protocol(3, 0.5), se.SwapFamily(), 4, seed=0)

@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import swapengine as se
@@ -74,31 +76,27 @@ def test_sample_initial_state_follows_gibbs_weights():
 
 def test_apply_pulse_swap_moves_one_quantum():
     swap = se.build_gate(se.SwapFamily())
-    new, eff = se.apply_pulse(se.basis_state(1), swap, CFG)  # +-
+    new, transfer = se.apply_pulse(se.basis_state(1), swap)  # +-
     assert new.basis_index == 2
-    assert eff == se.PulseEffect(dE1=-CFG.omega1,
-                                 dE2=CFG.omega2,
-                                 w=-(CFG.omega1 - CFG.omega2),
-                                 transfer=-1)
-    back, eff_back = se.apply_pulse(new, swap, CFG)
+    assert transfer == -1
+    back, transfer_back = se.apply_pulse(new, swap)
     assert back.basis_index == 1
-    assert eff_back.transfer == 1
-    assert eff_back.w == -eff.w
+    assert transfer_back == 1
 
 
 def test_apply_pulse_on_invariant_states_moves_nothing():
     swap = se.build_gate(se.SwapFamily())
     for idx in (0, 3):  # ++ and -- are swap-invariant
-        new, eff = se.apply_pulse(se.basis_state(idx), swap, CFG)
+        new, transfer = se.apply_pulse(se.basis_state(idx), swap)
         assert new.basis_index == idx
-        assert eff == se.PulseEffect(0.0, 0.0, 0.0, 0)
+        assert transfer == 0
 
 
 def test_apply_pulse_superposed_endpoint_has_no_sharp_effect():
     gen = se.build_gate(se.Generic(tuple(np.linspace(0.1, 1.5, 15))))
-    new, eff = se.apply_pulse(se.basis_state(1), gen, CFG)
+    new, transfer = se.apply_pulse(se.basis_state(1), gen)
     assert new.basis_index is None
-    assert eff is None
+    assert transfer is None
 
 
 def test_evolve_between_pulses_does_not_mutate_input():
@@ -168,33 +166,31 @@ def test_first_jump_time_from_a_superposition_matches_norm_decay():
 
 def _ledger_checks(rec: se.TrajectoryRecord) -> None:
     p = rec.params
+    led = rec.ledger
     rec.validate()
-    assert rec.n_w == rec.h1 + rec.db1 == -(rec.h2 + rec.db2)
-    assert abs(rec.db1) <= 1 and abs(rec.db2) <= 1
-    assert rec.q1 == p.omega1 * rec.h1
-    assert rec.q2 == p.omega2 * rec.h2
-    assert rec.dU1 == p.omega1 * rec.db1
-    assert rec.dU2 == p.omega2 * rec.db2
-    assert rec.dE1 == p.omega1 * (rec.h1 + rec.db1)
-    assert rec.dE2 == p.omega2 * (rec.h2 + rec.db2)
-    assert rec.w == (p.omega1 - p.omega2) * rec.n_w
-    assert rec.initial_state in se.BASIS_LABELS
-    assert rec.final_state in se.BASIS_LABELS
+    led.check()
+    assert led.n_w == led.h1 + led.db1 == -(led.h2 + led.db2)
+    assert abs(led.db1) <= 1 and abs(led.db2) <= 1
+    assert rec.q1 == p.omega1 * led.h1
+    assert rec.q2 == p.omega2 * led.h2
+    assert rec.dU1 == p.omega1 * led.db1
+    assert rec.dU2 == p.omega2 * led.db2
+    assert rec.dE1 == p.omega1 * (led.h1 + led.db1)
+    assert rec.dE2 == p.omega2 * (led.h2 + led.db2)
+    assert rec.w == (p.omega1 - p.omega2) * led.n_w
+    assert rec.energetics == led.energetics(p.omega1, p.omega2)
 
 
 def test_event_lane_records_satisfy_all_ledger_identities():
     proto = se.Protocol(n_pulses=100, tau2=0.65)
-    gp = se.gibbs_populations(CFG)
     for rec in se.run_ensemble(CFG, proto, se.SwapFamily(), 300, seed=5,
                                keep_events=True, engine="events"):
         _ledger_checks(rec)
-        assert rec.p_initial == gp[se.BASIS_LABELS.index(rec.initial_state)]
-        assert rec.p_final == gp[se.BASIS_LABELS.index(rec.final_state)]
         jumps = [ev for ev in rec.events if ev.kind != "P"]
         assert sum(1 if ev.kind == "E" else -1
-                   for ev in jumps if ev.bath == 1) == rec.h1
+                   for ev in jumps if ev.bath == 1) == rec.ledger.h1
         assert sum(1 if ev.kind == "E" else -1
-                   for ev in jumps if ev.bath == 2) == rec.h2
+                   for ev in jumps if ev.bath == 2) == rec.ledger.h2
         times = [ev.time for ev in rec.events]
         assert all(a < b for a, b in zip(times, times[1:]))
         pulses = [ev for ev in rec.events if ev.kind == "P"]
@@ -210,8 +206,8 @@ def test_bit_lane_work_lattice_is_exact_for_dyadic_gaps():
     for rec in se.run_ensemble(cfg, proto, se.SwapFamily(), 2000, seed=21,
                                engine="bits"):
         _ledger_checks(rec)
-        assert rec.w == 0.25 * rec.n_w
-        assert rec.w / 0.25 == rec.n_w
+        assert rec.w == 0.25 * rec.ledger.n_w
+        assert rec.w / 0.25 == rec.ledger.n_w
         assert rec.dE2 == -0.75 * rec.dE1
         if rec.dE1 != 0.0:
             assert rec.w / rec.dE1 == 0.25  # 1 - omega2/omega1, exactly
@@ -225,12 +221,13 @@ def test_pulse_free_protocol_exchanges_heat_but_no_work():
     for rec in se.run_ensemble(CFG, proto, se.SwapFamily(), 400, seed=33,
                                keep_events=True, engine="events"):
         rec.validate()
-        assert rec.n_w == 0
+        rec.ledger.check()
+        assert rec.ledger.n_w == 0
         assert rec.w == 0.0 and rec.dE1 == 0.0 and rec.dE2 == 0.0
         assert rec.q1 == -rec.dU1
         assert rec.q2 == -rec.dU2
         assert not any(ev.kind == "P" for ev in rec.events)
-        if rec.h1 != 0 or rec.h2 != 0:
+        if rec.ledger.h1 != 0 or rec.ledger.h2 != 0:
             moved += 1
     assert moved > 200  # heat still flows without pulses
 
@@ -282,10 +279,10 @@ def test_event_and_wavefunction_lanes_agree_on_jump_times():
 def test_bit_and_event_lanes_draw_from_the_same_law():
     proto = se.Protocol(n_pulses=3, tau2=0.5)
     m = 4000
-    bits = [r.n_w for r in se.run_ensemble(CFG, proto, se.SwapFamily(), m,
-                                           seed=51, engine="bits")]
-    evs = [r.n_w for r in se.run_ensemble(CFG, proto, se.SwapFamily(), m,
-                                          seed=52, engine="events")]
+    bits = [r.ledger.n_w for r in se.run_ensemble(CFG, proto, se.SwapFamily(),
+                                                  m, seed=51, engine="bits")]
+    evs = [r.ledger.n_w for r in se.run_ensemble(CFG, proto, se.SwapFamily(),
+                                                 m, seed=52, engine="events")]
     lo, hi = -3, 3  # clip tails so every expected cell count stays above 5
     table = np.zeros((2, hi - lo + 1))
     for row, sample in enumerate((bits, evs)):
@@ -303,9 +300,43 @@ def test_generic_gate_records_are_unquantized_but_conserving():
     assert len(recs) == 80
     for rec in recs:
         rec.validate()
-        assert rec.n_w is None
+        rec.ledger.check()
+        assert rec.ledger.n_w is None
         assert rec.w == rec.dE1 + rec.dE2
-        assert abs(rec.db1) <= 1 and abs(rec.db2) <= 1
+        assert abs(rec.ledger.db1) <= 1 and abs(rec.ledger.db2) <= 1
+
+
+@st.composite
+def small_runs(draw):
+    """Heat-engine or refrigerator configs with short protocols and gates of
+    the swap family (the lanes every check below applies to)."""
+    beta1 = draw(st.floats(0.2, 2.0))
+    beta2 = beta1 * draw(st.floats(1.05, 3.0))
+    window = draw(st.floats(0.05, 0.95))
+    lo = beta1 / beta2
+    engine = draw(st.booleans())
+    ratio = lo + window * (1.0 - lo) if engine else window * lo
+    omega1 = draw(st.floats(0.5, 2.0))
+    cfg = se.EngineConfig(beta1, beta2, omega1, ratio * omega1,
+                          gamma=draw(st.floats(0.3, 3.0)))
+    assert se.classify_regime(cfg) is (
+        se.Regime.HEAT_ENGINE if engine else se.Regime.REFRIGERATOR)
+    proto = se.Protocol(draw(st.integers(0, 5)), draw(st.floats(0.05, 2.0)))
+    gate = draw(st.sampled_from([se.SwapFamily(), se.ISwap()]))
+    return cfg, proto, gate, draw(st.integers(1, 20)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(small_runs())
+def test_every_lane_makes_checked_ledgers_that_agree(run):
+    cfg, proto, gate, samples, seed = run
+    ev = list(se.run_ensemble(cfg, proto, gate, samples, seed, engine="events"))
+    wf = list(se.run_ensemble(cfg, proto, gate, samples, seed, engine="mcwf"))
+    for rec in ev + wf:
+        rec.ledger.check()
+    assert [r.ledger for r in ev] == [r.ledger for r in wf]
+    assert se.fold_ensemble(cfg, proto, gate, samples, seed) == se.accumulate(
+        se.run_ensemble(cfg, proto, gate, samples, seed, engine="bits"))
 
 
 def test_run_ensemble_rejects_bad_requests():
@@ -321,6 +352,16 @@ def test_run_ensemble_rejects_bad_requests():
                              engine="nope"))
     with pytest.raises(se.ConfigError, match="sample_size"):
         list(se.run_ensemble(CFG, proto, se.SwapFamily(), 0, seed=0))
+    # gamma*(n1+1) overflows; n2 = 1/expm1(beta2*omega2) is inf at subnormal omega2
+    for cfg in (se.EngineConfig(2.0 / 3.0, 1.0, 1.0, 5.0 / 6.0, gamma=1e308),
+                se.EngineConfig(2.0 / 3.0, 1.0, 1.0, 1e-320)):
+        for engine in ("events", "mcwf"):
+            with pytest.raises(se.ConfigError, match="needs finite jump rates"):
+                list(se.run_ensemble(cfg, proto, se.SwapFamily(), 3, seed=0,
+                                     engine=engine))
+        # the bit lane draws from the propagator and needs no rate
+        assert len(list(se.run_ensemble(cfg, proto, se.SwapFamily(), 3, seed=0,
+                                        engine="bits"))) == 3
 
 
 @pytest.mark.parametrize("sample_size", [0, 1])
