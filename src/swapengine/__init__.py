@@ -17,10 +17,11 @@ from .thermo import (ConfigError, Efficiencies, EngineConfig, ExpansionFit,
                      classify_regime, efficiencies, excited_population,
                      low_etaC_expansion, mean_energetics, omega_star,
                      post_swap_betas, relaxation_time)
-from .trajectory import (BASIS_LABELS, Energetics, JointState, LedgerKey,
-                         Protocol, RunParams, TrajectoryEvent, TrajectoryRecord,
-                         apply_pulse, basis_state, evolve_between_pulses,
-                         jump_rates, per_pulse_transfer_moments, run_ensemble,
+from .trajectory import (BASIS_LABELS, JUMP_BUDGET, Energetics, JointState,
+                         LedgerKey, Protocol, RunParams, TrajectoryEvent,
+                         TrajectoryRecord, apply_pulse, basis_state,
+                         evolve_between_pulses, jump_rates,
+                         per_pulse_transfer_moments, run_ensemble,
                          run_trajectory, sample_initial_state)
 
 __version__ = "0.1.0"

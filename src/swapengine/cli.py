@@ -349,46 +349,48 @@ def _stats_summary(rc: RunConfig, stats: EnsembleStats,
 
 def cmd_simulate(rc: RunConfig) -> int:
     out = Path(rc.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     lane = pick_lane(rc.gate_spec, keep_events=rc.emit_logs)
     if rc.emit_logs:
-        stats = EnsembleStats()
-        log_dir = out / "events"
-        log_dir.mkdir(exist_ok=True)
-        width = max(5, len(str(rc.samples - 1)))
+        # run_ensemble checks its arguments here, before any folder is made
         records = run_ensemble(rc.engine, rc.protocol, rc.gate_spec, rc.samples,
                                rc.seed, keep_events=True, engine=lane)
+        stats = EnsembleStats()
+        log_dir = out / "events"
+        log_dir.mkdir(parents=True, exist_ok=True)
+        width = max(5, len(str(rc.samples - 1)))
         for k, record in enumerate(records):
             write_events(log_dir / f"trajectory_{k:0{width}d}.log", record.events)
             stats.add(record)
     else:
         stats = fold_ensemble(rc.engine, rc.protocol, rc.gate_spec, rc.samples,
                               rc.seed)
+    # every read-off is taken before the first artifact is written, so a
+    # refused result leaves no partial output
     ratio: FtLogRatio | None
     try:
         ratio = ft_log_ratio(stats)
     except ConfigError:
         ratio = None
+    tables = []
     if stats.quantized:
-        _write_csv(out / "hist_nw.csv", ("n_w", "count"),
-                   sorted(stats.hist_nw.items()))
-        _write_csv(out / "hist_joint.csv", ("q1_quanta", "w_quanta", "count"),
-                   [(h, m, c) for (h, m), c in sorted(stats.hist_joint.items())])
         dist = efficiency_distribution(stats)
-        _write_csv(out / "hist_eta.csv", ("eta_lo", "eta_hi", "count"),
-                   [(i * dist.bin_width, (i + 1) * dist.bin_width, c)
-                    for i, c in dist.bins])
+        tables += [
+            ("hist_nw.csv", ("n_w", "count"), sorted(stats.hist_nw.items())),
+            ("hist_joint.csv", ("q1_quanta", "w_quanta", "count"),
+             [(h, m, c) for (h, m), c in sorted(stats.hist_joint.items())]),
+            ("hist_eta.csv", ("eta_lo", "eta_hi", "count"),
+             [(i * dist.bin_width, (i + 1) * dist.bin_width, c) for i, c in dist.bins]),
+        ]
     if ratio is not None:
-        _write_csv(out / "log_ratio.csv", ("n_w", "log_ratio", "std_error"),
-                   list(ratio.points))
-    summary = _stats_summary(rc, stats, ratio, lane)
+        tables.append(("log_ratio.csv", ("n_w", "log_ratio", "std_error"),
+                       list(ratio.points)))
+    summary_text = _json_text(_stats_summary(rc, stats, ratio, lane))
+    out.mkdir(parents=True, exist_ok=True)
+    for name, header, rows in tables:
+        _write_csv(out / name, header, rows)
     summary_path = out / "summary.json"
-    summary_path.write_text(_json_text(summary) + "\n", encoding="utf-8",
-                            newline="\n")
-    if rc.json_mode:
-        print(_json_text(summary))
-    else:
-        print(str(summary_path))
+    summary_path.write_text(summary_text + "\n", encoding="utf-8", newline="\n")
+    print(summary_text if rc.json_mode else str(summary_path))
     return 0
 
 
@@ -446,16 +448,18 @@ def cmd_opt_gate(rc: RunConfig, restarts: int) -> int:
 
 def cmd_analyze(rc: RunConfig, paths: list[str], naive: bool) -> int:
     protocol = None if naive else rc.protocol
+    omegas = rc.engine.omega1, rc.engine.omega2
     rows = []
     for path in paths:
         events = parse_events(path)
         jumps = [ev for ev in events if ev.kind != "P"]
         rec = reconstruct_from_events(jumps, rc.engine, protocol)
+        e = rec.naive.energetics(*omegas)
         rows.append({
             "file": path,
-            "q1": rec.q1, "q2": rec.q2,
-            "dE1": rec.dE1, "dE2": rec.dE2, "w": rec.w,
-            "n_w": rec.n_w, "w_refined": rec.w_refined,
+            "q1": e.q1, "q2": e.q2, "dE1": e.dE1, "dE2": e.dE2, "w": e.w,
+            "n_w": None if rec.refined is None else rec.refined.n_w,
+            "w_refined": None if rec.refined is None else rec.refined.energetics(*omegas).w,
             "survivors": rec.survivors,
         })
     out = Path(rc.out_dir)

@@ -29,8 +29,8 @@ import numpy as np
 from .gates import GateSpec, SwapFamily
 from .thermo import ConfigError, EngineConfig, excited_population, relaxation_time
 from .trajectory import (LedgerKey, Protocol, RunParams, TrajectoryEvent,
-                         TrajectoryRecord, _bit_lane_chunks, pick_lane,
-                         run_ensemble, run_params)
+                         TrajectoryRecord, _bit_lane_chunks, _is_swaplike,
+                         pick_lane, run_ensemble)
 
 ETA_BIN_WIDTH = 0.01
 
@@ -48,30 +48,34 @@ class EnsembleStats:
     """
 
     params: RunParams | None = None
-    quantized: bool = True
     counts: Counter = field(default_factory=Counter)
+
+    @property
+    def quantized(self) -> bool:
+        """Whether the run's gate is of the swap family, whose ledgers carry
+        n_w (an empty histogram, with no run yet, counts as quantized)."""
+        return self.params is None or _is_swaplike(self.params.gate)
 
     def add(self, record: TrajectoryRecord) -> None:
         if self.params is None:
             self.params = record.params
-            self.quantized = record.ledger.n_w is not None
         elif record.params != self.params:
             raise ConfigError("cannot accumulate records from different runs: "
                               f"{record.params} vs {self.params}")
-        if (record.ledger.n_w is not None) != self.quantized:
-            raise ConfigError("cannot mix swap-family and generic-gate records")
         self._insert(record.ledger, 1)
 
     def _insert(self, key: LedgerKey, count: int) -> None:
         if key not in self.counts:
             key.check()
+            if (key.n_w is not None) != self.quantized:
+                raise ConfigError("a swap-family ledger needs n_w and a generic-gate one "
+                                  f"none, got n_w={key.n_w} for gate {self.params.gate}")
         self.counts[key] += count
 
     def merge(self, other: EnsembleStats) -> EnsembleStats:
         """Associative combination of two shards of the same ensemble."""
         if self.params is None:
             self.params = other.params
-            self.quantized = other.quantized
         elif other.params not in (None, self.params):
             raise ConfigError("cannot merge stats from different runs")
         self.counts.update(other.counts)
@@ -110,23 +114,23 @@ class EnsembleStats:
 
     @property
     def mean_dE1(self) -> tuple[float, float | None]:
-        return self._mean_se(*self._moments(lambda k: k.x), self.params.omega1)
+        return self._mean_se(*self._moments(lambda k: k.x), self.params.cfg.omega1)
 
     @property
     def mean_dE2(self) -> tuple[float, float | None]:
-        return self._mean_se(*self._moments(lambda k: k.y), self.params.omega2)
+        return self._mean_se(*self._moments(lambda k: k.y), self.params.cfg.omega2)
 
     @property
     def mean_q1(self) -> tuple[float, float | None]:
-        return self._mean_se(*self._moments(lambda k: k.h1), self.params.omega1)
+        return self._mean_se(*self._moments(lambda k: k.h1), self.params.cfg.omega1)
 
     @property
     def mean_q2(self) -> tuple[float, float | None]:
-        return self._mean_se(*self._moments(lambda k: k.h2), self.params.omega2)
+        return self._mean_se(*self._moments(lambda k: k.h2), self.params.cfg.omega2)
 
     @property
     def mean_w(self) -> tuple[float, float | None]:
-        p = self.params
+        p = self.params.cfg
         s_x, ss_x = self._moments(lambda k: k.x)
         if self.quantized:
             return self._mean_se(s_x, ss_x, p.omega1 - p.omega2)
@@ -146,7 +150,7 @@ class EnsembleStats:
     @property
     def integral_ft_estimate(self) -> tuple[float, float | None]:
         """Mean of exp((beta2-beta1)*dE1 - beta2*w) with its standard error."""
-        p = self.params
+        p = self.params.cfg
 
         def weight(k: LedgerKey) -> float:
             e = k.energetics(p.omega1, p.omega2)
@@ -163,13 +167,17 @@ class EnsembleStats:
 
     @property
     def hist_eta(self) -> Counter:
-        p = self.params
+        p = self.params.cfg
 
         def eta_bin(k: LedgerKey) -> int | None:
             if k.h1 == 0:
                 return None
             e = k.energetics(p.omega1, p.omega2)
-            return math.floor(e.w / e.q1 / ETA_BIN_WIDTH)
+            index = e.w / e.q1 / ETA_BIN_WIDTH
+            if not math.isfinite(index):
+                raise ConfigError(f"the efficiency w/q1 = {e.w!r}/{e.q1!r} has no "
+                                  f"finite {ETA_BIN_WIDTH}-wide bin")
+            return math.floor(index)
         return self._swap_tally(eta_bin)
 
     @property
@@ -192,7 +200,7 @@ class EnsembleStats:
     def quantization_violations(self) -> int:
         # w = d*n_w is on the lattice when round(w/d) recovers n_w (bare w/d
         # can round off-integer); d*round(w/d) then reproduces w bit for bit
-        p = self.params
+        p = self.params.cfg
         return self._swap_tally(lambda k: p.omega1 != p.omega2 and round(
             k.energetics(p.omega1, p.omega2).w / (p.omega1 - p.omega2)) != k.n_w)[True]
 
@@ -218,7 +226,7 @@ def fold_ensemble(cfg: EngineConfig, protocol: Protocol, gate_spec: GateSpec,
         return accumulate(run_ensemble(cfg, protocol, gate_spec, sample_size, seed))
     if sample_size < 1:
         raise ConfigError(f"sample_size must be at least 1, got {sample_size}")
-    stats = EnsembleStats(params=run_params(cfg, protocol, gate_spec))
+    stats = EnsembleStats(params=RunParams(cfg, protocol, gate_spec))
     for ledgers, _ in _bit_lane_chunks(cfg, protocol, sample_size, seed):
         keys, counts = np.unique(ledgers, axis=0, return_counts=True)
         for key, count in zip(keys.tolist(), counts.tolist()):
@@ -384,31 +392,24 @@ class InferredInjection:
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """Energetics recovered from a pulse-marker-free jump log.
+    """Integer ledgers recovered from a pulse-marker-free jump log.
 
-    q1/q2 are direct jump sums (exact).  The consecutive-pair rule with
-    ground boundaries infers the injections; their net count per bath is the
-    net emission count, so the naive energies are those of the ledger
-    (h1, h2, 0, 0, None) and dE_i = q_i, each off from the truth by exactly
+    The jump sums give the net emission counts h1, h2 exactly.  The
+    consecutive-pair rule with ground boundaries infers the injections;
+    their net count per bath is the net emission count, so the naive ledger
+    is (h1, h2, 0, 0, None): its dE_i = q_i is off from the truth by exactly
     the unobservable -dU_i, bounded by one quantum per qubit.  When the
-    pulse schedule is known, n_w refines this by exact candidate
+    pulse schedule is known, the refined ledger comes from exact candidate
     propagation: all four initial bit pairs are evolved through the known
     swap times, candidates inconsistent with any observed jump are pruned,
-    and the largest-Gibbs-weight survivor's ledger gives the refined fields;
-    survivors counts those left alive (0 means the log cannot come from the
-    assumed schedule, and the refined fields stay None)."""
+    and the largest-Gibbs-weight survivor's ledger is kept; survivors counts
+    those left alive (0 means the log cannot come from the assumed schedule,
+    and refined stays None)."""
 
-    q1: float
-    q2: float
-    injections: tuple[InferredInjection, ...]
-    dE1: float
-    dE2: float
-    w: float
-    n_w: int | None
-    w_refined: float | None
-    dE1_refined: float | None
-    dE2_refined: float | None
+    naive: LedgerKey
+    refined: LedgerKey | None
     survivors: int
+    injections: tuple[InferredInjection, ...]
 
 
 def _pair_rule(times: list[float], kinds: list[str], bath: int,
@@ -436,7 +437,7 @@ def reconstruct_from_events(
     cfg: EngineConfig,
     protocol: Protocol | None = None,
 ) -> Reconstruction:
-    """Recover the trajectory energetics from bare jump observations.
+    """Recover the trajectory's integer ledger from bare jump observations.
 
     events must contain jumps only (the calorimetric scenario observes no
     pulse markers); passing a known pulse schedule enables the exact
@@ -458,42 +459,32 @@ def reconstruct_from_events(
         per_bath[ev.bath][1].append(ev.kind)
     t1, k1 = per_bath[1]
     t2, k2 = per_bath[2]
-    h1 = k1.count("E") - k1.count("A")
-    h2 = k2.count("E") - k2.count("A")
-    naive = LedgerKey(h1, h2, 0, 0, None).energetics(cfg.omega1, cfg.omega2)
+    naive = LedgerKey(k1.count("E") - k1.count("A"), k2.count("E") - k2.count("A"),
+                      0, 0, None)
     injections = _pair_rule(t1, k1, 1) + _pair_rule(t2, k2, 2)
-    n_w_hat: int | None = None
-    w_refined = dE1_refined = dE2_refined = None
-    survivors = 0
+    refined, survivors = None, 0
     if protocol is not None and protocol.n_pulses > 0:
-        n_w_hat, db1, db2, survivors = _refine_candidates(events, cfg, protocol)
-        if n_w_hat is not None:
-            refined = LedgerKey(h1, h2, db1, db2, n_w_hat).energetics(
-                cfg.omega1, cfg.omega2)
-            w_refined, dE1_refined, dE2_refined = refined.w, refined.dE1, refined.dE2
+        refined, survivors = _refine_candidates(events, cfg, protocol, naive)
     return Reconstruction(
-        q1=naive.q1, q2=naive.q2,
-        injections=tuple(sorted(injections, key=lambda i: (i.t_lo, i.t_hi, i.bath))),
-        dE1=naive.dE1, dE2=naive.dE2, w=naive.w,
-        n_w=n_w_hat, w_refined=w_refined,
-        dE1_refined=dE1_refined, dE2_refined=dE2_refined,
-        survivors=survivors,
-    )
+        naive=naive, refined=refined, survivors=survivors,
+        injections=tuple(sorted(injections, key=lambda i: (i.t_lo, i.t_hi, i.bath))))
 
 
 def _refine_candidates(
     events: Sequence[TrajectoryEvent],
     cfg: EngineConfig,
     protocol: Protocol,
-) -> tuple[int | None, int, int, int]:
+    naive: LedgerKey,
+) -> tuple[LedgerKey | None, int]:
     """Propagate all four initial bit pairs through the known swap schedule.
 
     A swap-family pulse exchanges the bits; an observed emission requires
     the jumping qubit excited (and grounds it), an absorption the reverse.
     Candidates violating any jump die.  The survivor set is never empty for
     a log actually generated by this schedule, and all survivors agree on
-    the pulse-transfer sum to within one quantum; the survivor with the
-    largest initial Gibbs weight is returned.
+    the pulse-transfer sum to within one quantum.  Returns the checked
+    ledger of the survivor with the largest initial Gibbs weight (None when
+    none survives) and the number of survivors.
     """
     pulse_times = [k * protocol.tau2 for k in range(protocol.n_pulses)]
     f1 = excited_population(cfg.beta1, cfg.omega1)
@@ -527,7 +518,9 @@ def _refine_candidates(
                     c[key] = 1 - needed
     alive = [c for c in candidates if c["alive"]]
     if not alive:
-        return None, 0, 0, 0
+        return None, 0
     best = alive[0]
-    return (best["m"], best["b1"] - best["b1_0"], best["b2"] - best["b2_0"],
-            len(alive))
+    ledger = naive._replace(db1=best["b1"] - best["b1_0"],
+                            db2=best["b2"] - best["b2_0"], n_w=best["m"])
+    ledger.check()
+    return ledger, len(alive)

@@ -55,6 +55,9 @@ class EngineConfig:
                 f"got beta1={self.beta1}, beta2={self.beta2}"
             )
         for i, x in ((1, self.beta1 * self.omega1), (2, self.beta2 * self.omega2)):
+            if x == 0.0:
+                raise ConfigError(f"beta{i}*omega{i} must be positive, "
+                                  "but the product underflows to 0")
             if x > math.log(sys.float_info.max):
                 raise ConfigError(f"beta{i}*omega{i} must keep e^(beta{i}*omega{i}) "
                                   f"finite, got {x}")

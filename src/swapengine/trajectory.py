@@ -58,6 +58,13 @@ _JUMP_MAPS = (
 
 _TIME_RTOL = 1e-12   # relative tolerance of the jump-time root find
 
+# Largest expected jump count per run (the outflow rate of |++> times the
+# run time) that the events and mcwf lanes accept; the working point expects
+# about 250.  At some 20 us a jump one events-lane trajectory at the budget
+# already takes minutes, and at rates near the float limit each waiting
+# time falls below the float spacing of the clock, which then never advances.
+JUMP_BUDGET = 1e7
+
 
 @dataclass(frozen=True)
 class Protocol:
@@ -108,31 +115,20 @@ def basis_state(index: int) -> JointState:
 
 @dataclass(frozen=True, slots=True)
 class TrajectoryEvent:
-    """One record line: a jump ("E"/"A" with bath 1|2) or a pulse ("P" with index).
-
-    quantum is the bath level spacing for jumps and 0 for pulses; the sign of
-    the heat contribution comes from the kind (emission releases +quantum
-    into the bath, absorption takes -quantum from it).
-    """
+    """One record line: a jump ("E"/"A" with bath 1|2) or a pulse ("P" with index)."""
 
     time: float
     kind: str
     bath: int = 0
     index: int = -1
-    quantum: float = 0.0
 
 
 class RunParams(NamedTuple):
-    """Fingerprint shared by all records of one homogeneous ensemble."""
+    """The configuration shared by all records of one homogeneous ensemble."""
 
-    beta1: float
-    beta2: float
-    omega1: float
-    omega2: float
-    gamma: float
-    n_pulses: int
-    tau2: float
-    gate: str
+    cfg: EngineConfig
+    protocol: Protocol
+    gate: GateSpec
 
 
 class Energetics(NamedTuple):
@@ -214,35 +210,8 @@ class TrajectoryRecord:
 
     @property
     def energetics(self) -> Energetics:
-        return self.ledger.energetics(self.params.omega1, self.params.omega2)
-
-    @property
-    def q1(self) -> float:
-        return self.energetics.q1
-
-    @property
-    def q2(self) -> float:
-        return self.energetics.q2
-
-    @property
-    def dU1(self) -> float:
-        return self.energetics.dU1
-
-    @property
-    def dU2(self) -> float:
-        return self.energetics.dU2
-
-    @property
-    def dE1(self) -> float:
-        return self.energetics.dE1
-
-    @property
-    def dE2(self) -> float:
-        return self.energetics.dE2
-
-    @property
-    def w(self) -> float:
-        return self.energetics.w
+        cfg = self.params.cfg
+        return self.ledger.energetics(cfg.omega1, cfg.omega2)
 
     def validate(self) -> None:
         """Assert that the events, when kept, are time-ordered and sum to the
@@ -382,9 +351,7 @@ def evolve_between_pulses(
         amps = new / nrm
         t += t_jump
         bath, kind = CHANNELS[ch]
-        quantum = cfg.omega1 if bath == 1 else cfg.omega2
-        events.append(TrajectoryEvent(time=t_start + t, kind=kind, bath=bath,
-                                      quantum=quantum))
+        events.append(TrajectoryEvent(time=t_start + t, kind=kind, bath=bath))
     return JointState(amps), events
 
 
@@ -411,11 +378,6 @@ def pick_lane(gate_spec: GateSpec, keep_events: bool) -> str:
     """The lane engine "auto" runs: "bits" for swap-family gates without
     event recording, "events" otherwise."""
     return "bits" if _is_swaplike(gate_spec) and not keep_events else "events"
-
-
-def run_params(cfg: EngineConfig, protocol: Protocol, gate_spec: GateSpec) -> RunParams:
-    return RunParams(cfg.beta1, cfg.beta2, cfg.omega1, cfg.omega2, cfg.gamma,
-                     protocol.n_pulses, protocol.tau2, repr(gate_spec))
 
 
 def run_trajectory(
@@ -465,7 +427,7 @@ def run_trajectory(
         idx_f = int(rng.choice(4, p=pops))
     ledger = LedgerKey(h1, h2, BASIS_BITS[idx_f][0] - BASIS_BITS[idx0][0],
                        BASIS_BITS[idx_f][1] - BASIS_BITS[idx0][1], n_w)
-    return TrajectoryRecord(run_params(cfg, protocol, gate_spec), ledger,
+    return TrajectoryRecord(RunParams(cfg, protocol, gate_spec), ledger,
                             tuple(events) if keep_events else None)
 
 
@@ -538,9 +500,10 @@ def run_ensemble(
 
     engine "bits" needs a swap-family gate and cannot keep events; "events"
     and "mcwf" loop full per-trajectory simulations ("mcwf" disables the
-    eigenstate shortcut and is the slow oracle); they refuse an infinite
-    jump rate, since every waiting time would be 0 and time would never
-    advance.  "auto" runs the lane pick_lane picks.
+    eigenstate shortcut and is the slow oracle); they refuse a run whose
+    largest total outflow rate times its duration exceeds JUMP_BUDGET.
+    "auto" runs the lane pick_lane picks.  The arguments are checked when
+    this is called, before the first record is drawn.
     """
     if sample_size < 1:
         raise ConfigError(f"sample_size must be at least 1, got {sample_size}")
@@ -551,19 +514,22 @@ def run_ensemble(
             raise ConfigError("the bit lane only runs swap-family gates")
         if keep_events:
             raise ConfigError("the bit lane does not resolve event times; use engine='events'")
-        yield from _bit_lane_records(cfg, protocol, gate_spec, sample_size, seed)
-        return
+        return _bit_lane_records(cfg, protocol, gate_spec, sample_size, seed)
     if engine not in ("events", "mcwf"):
         raise ConfigError(f"unknown engine {engine!r}")
-    rates = _dichotomic_rates(cfg)
-    if not all(math.isfinite(r) for r in rates):
-        raise ConfigError(f"the {engine} lane needs finite jump rates, got {rates}")
+    em1, _, em2, _ = _dichotomic_rates(cfg)
+    rate = em1 + em2   # the outflow rate of |++>, the largest of the four states
+    if not rate * protocol.total_time <= JUMP_BUDGET:
+        raise ConfigError(
+            f"the {engine} lane needs finite jump rates within the jump budget of "
+            f"{JUMP_BUDGET:.0e} per run, got a largest outflow rate of {rate!r} "
+            f"over a run time of {protocol.total_time!r}")
     shortcut = engine == "events"
-    for k in range(sample_size):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, k))))
-        yield run_trajectory(cfg, protocol, gate_spec, rng,
-                             keep_events=keep_events,
-                             eigenstate_shortcut=shortcut)
+    return (run_trajectory(
+                cfg, protocol, gate_spec,
+                np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, k)))),
+                keep_events=keep_events, eigenstate_shortcut=shortcut)
+            for k in range(sample_size))
 
 
 def _bit_lane_records(
@@ -573,7 +539,7 @@ def _bit_lane_records(
     sample_size: int,
     seed: int,
 ) -> Iterator[TrajectoryRecord]:
-    params = run_params(cfg, protocol, gate_spec)
+    params = RunParams(cfg, protocol, gate_spec)
     for ledgers, _ in _bit_lane_chunks(cfg, protocol, sample_size, seed):
         for row in ledgers.tolist():
             yield TrajectoryRecord(params, LedgerKey(*row))

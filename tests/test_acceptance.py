@@ -183,4 +183,4 @@ def test_event_logs_alone_recover_the_work_within_one_quantum(tmp_path,
         fields = line.split(",")
         w_refined = float(fields[7])
         assert int(fields[8]) >= 1  # at least one consistent candidate
-        assert abs(w_refined - rec.w) <= tol, fields[0]
+        assert abs(w_refined - rec.energetics.w) <= tol, fields[0]

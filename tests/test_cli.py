@@ -9,16 +9,21 @@ one.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
 import sysconfig
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swapengine as se
 from swapengine import cli
@@ -323,6 +328,16 @@ def test_opt_gate_output_ignores_seed_and_restarts(monkeypatch, tmp_path):
           "--emit-logs"], 2, "needs finite jump rates"),
         (["simulate", "--omega2", "1e-320", "--pulses", "3", "--samples", "5",
           "--emit-logs"], 2, "needs finite jump rates"),
+        # finite rates whose expected jump count per run is beyond the budget
+        (["simulate", "--gamma", "1e200", "--pulses", "1", "--samples", "1",
+          "--emit-logs"], 2, "jump budget"),
+        (["simulate", "--beta1", "1e-200", "--omega1", "1e-200", "--samples", "5"],
+         2, "beta1*omega1 must be positive"),
+        (["power-scan", "--beta1", "1e-200", "--omega1", "1e-200", "--samples", "5"],
+         2, "beta1*omega1 must be positive"),
+        # w/q1 is about 1e318, whose 0.01-wide bin index is infinite
+        (["simulate", "--omega1", "1e-320", "--omega2", "0.01", "--beta2", "100",
+          "--samples", "5"], 2, "no finite 0.01-wide bin"),
     ],
 )
 def test_error_exit_codes(capsys, monkeypatch, tmp_path, args, code,
@@ -332,7 +347,7 @@ def test_error_exit_codes(capsys, monkeypatch, tmp_path, args, code,
         monkeypatch.setattr(stats_module, "_bit_lane_chunks", _broken_chunks)
     assert cli.main(args) == code
     assert fragment in capsys.readouterr().err
-    if "--seed" in args:
+    if args[0] == "simulate" and code == 2:
         assert not (tmp_path / "out").exists()  # rejected before any output
 
 
@@ -390,6 +405,39 @@ def test_config_file_errors_carry_file_and_line(capsys, monkeypatch, tmp_path,
     err = capsys.readouterr().err
     assert fragment in err
     assert "bad.cfg:" in err
+
+
+# magnitudes from subnormal to near the float limit
+MAGNITUDES = (1e-320, 1e-200, 1e-10, 0.5, 1.0, 100.0, 700.0, 1e300)
+
+
+@st.composite
+def extreme_flags(draw):
+    """Parameter flags drawn from MAGNITUDES, with beta1 <= beta2."""
+    magnitude = st.sampled_from(MAGNITUDES)
+    beta1, beta2 = sorted((draw(magnitude), draw(magnitude)))
+    values = {"--beta1": beta1, "--beta2": beta2}
+    for name in ("--omega1", "--omega2", "--gamma", "--tau2"):
+        values[name] = draw(magnitude)
+    return [x for name, v in values.items() for x in (name, repr(v))]
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(extreme_flags())
+def test_extreme_parameters_run_or_fail_with_one_config_error_line(flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in (["simulate", "--samples", "5", "--pulses", "3"],
+                        ["power-scan", "--samples", "5", "--n-list", "1,2"],
+                        ["analytic"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([*command, *flags, "--json", "--out-dir", tmp])
+            if code == 0:
+                _strict_json(out.getvalue())
+            else:
+                assert code == 2, err.getvalue()
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("config error: ")
 
 
 def _declared_entry_point(name: str) -> str:

@@ -32,8 +32,8 @@ def test_format_event_round_trips_seventeen_digit_times():
 def test_write_then_parse_preserves_jump_triples_and_pulse_indices(tmp_path):
     events = [
         se.TrajectoryEvent(0.0, "P", 0, 0),
-        se.TrajectoryEvent(0.1083315516061128, "E", 2, quantum=5.0 / 6.0),
-        se.TrajectoryEvent(0.25, "A", 1, quantum=1.0),
+        se.TrajectoryEvent(0.1083315516061128, "E", 2),
+        se.TrajectoryEvent(0.25, "A", 1),
         se.TrajectoryEvent(0.5, "P", 0, 1),
     ]
     path = tmp_path / "t.log"
@@ -43,10 +43,10 @@ def test_write_then_parse_preserves_jump_triples_and_pulse_indices(tmp_path):
     back = se.parse_events(path)
     assert [(ev.kind, ev.bath, ev.index) for ev in back] == [
         ("P", 0, 0), ("E", 2, -1), ("A", 1, -1), ("P", 0, 1)]
-    # parsed pulses carry no time; parsed jumps carry no quantum
+    # parsed pulses carry no time; parsed jumps equal the written ones
     assert math.isnan(back[0].time) and math.isnan(back[3].time)
     assert back[1].time == 0.1083315516061128
-    assert back[1].quantum == 0.0
+    assert back[1:3] == events[1:3]
 
 
 def test_round_trip_on_simulated_trajectories(tmp_path):
@@ -63,7 +63,7 @@ def test_round_trip_on_simulated_trajectories(tmp_path):
             assert parsed.bath == orig.bath
             assert parsed.index == orig.index
             if orig.kind != "P":
-                assert parsed.time == orig.time
+                assert parsed == orig
 
 
 def test_empty_log_parses_to_no_events(tmp_path):

@@ -8,6 +8,7 @@ and the columnar fold of the bit lane against the record-by-record one.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -18,8 +19,7 @@ import swapengine as se
 from swapengine import stats as stats_module
 
 CFG = se.EngineConfig(beta1=2.0 / 3.0, beta2=1.0, omega1=1.0, omega2=5.0 / 6.0)
-PARAMS = se.RunParams(CFG.beta1, CFG.beta2, CFG.omega1, CFG.omega2, CFG.gamma,
-                      10, 0.65, "swap")
+PARAMS = se.RunParams(CFG, se.Protocol(10, 0.65), se.SwapFamily())
 
 
 def _rec(h1: int, h2: int, db1: int = 0, db2: int = 0,
@@ -68,8 +68,8 @@ def test_work_without_hot_heat_counts_as_infinite_efficiency():
 
 def test_ft_weight_sum_follows_the_definition():
     st = se.accumulate(HAND_RECORDS)
-    weights = [math.exp((PARAMS.beta2 - PARAMS.beta1) * r.dE1
-                        - PARAMS.beta2 * r.w) for r in HAND_RECORDS]
+    weights = [math.exp((CFG.beta2 - CFG.beta1) * r.energetics.dE1
+                        - CFG.beta2 * r.energetics.w) for r in HAND_RECORDS]
     value, std_err = st.integral_ft_estimate
     assert value == pytest.approx(np.mean(weights), rel=1e-15)
     assert std_err == pytest.approx(np.std(weights, ddof=1) / 2.0, rel=1e-14)
@@ -78,7 +78,7 @@ def test_ft_weight_sum_follows_the_definition():
 def test_accumulate_rejects_empty_and_inhomogeneous_streams():
     with pytest.raises(se.ConfigError, match="empty record stream"):
         se.accumulate([])
-    other = PARAMS._replace(beta1=0.5)
+    other = PARAMS._replace(cfg=dataclasses.replace(CFG, beta1=0.5))
     with pytest.raises(se.ConfigError, match="different runs"):
         se.accumulate([_rec(0, 0), _rec(0, 0, params=other)])
 
@@ -99,7 +99,7 @@ def test_rigidity_counter_ignores_last_bit_float_rounding():
     # rounds away from omega2*(h2+db2), but the ledger has y = -x exactly,
     # and that integer identity is what the counter checks
     o1, o2, n = 2.8510833966980074, 1.0043112108304078, -36
-    params = se.RunParams(0.2, 0.3, o1, o2, 1.0, 10, 0.65, "swap")
+    params = PARAMS._replace(cfg=se.EngineConfig(0.2, 0.3, o1, o2, 1.0))
     st = se.accumulate([_rec(n, -n, params=params)])
     assert o2 * -n != -(o2 / o1) * (o1 * n)
     assert st.rigidity_violations == 0
@@ -155,7 +155,7 @@ def test_merge_with_a_fresh_accumulator_is_the_identity():
 
 
 def test_merge_rejects_mismatched_runs():
-    other = PARAMS._replace(tau2=0.5)
+    other = PARAMS._replace(protocol=se.Protocol(10, 0.5))
     with pytest.raises(se.ConfigError, match="cannot merge"):
         se.accumulate(HAND_RECORDS).merge(se.accumulate([_rec(0, 0,
                                                               params=other)]))
@@ -218,8 +218,8 @@ def test_integral_ft_matches_explicit_leave_one_out_jackknife():
     proto = se.Protocol(n_pulses=10, tau2=0.65)
     records = list(se.run_ensemble(CFG, proto, se.SwapFamily(), 1500, seed=16,
                                    engine="bits"))
-    vals = np.array([math.exp((r.params.beta2 - r.params.beta1) * r.dE1
-                              - r.params.beta2 * r.w) for r in records])
+    vals = np.array([math.exp((r.params.cfg.beta2 - r.params.cfg.beta1) * r.energetics.dE1
+                              - r.params.cfg.beta2 * r.energetics.w) for r in records])
     n = len(vals)
     mean = vals.mean()
     loo = (vals.sum() - vals) / (n - 1)
@@ -299,30 +299,37 @@ def _jump(t: float, kind: str, bath: int) -> se.TrajectoryEvent:
     return se.TrajectoryEvent(t, kind, bath)
 
 
+def _naive(out: se.Reconstruction) -> se.Energetics:
+    return out.naive.energetics(CFG.omega1, CFG.omega2)
+
+
 def test_reconstruction_pair_rule_on_textbook_sequences():
     # two emissions in a row need a hidden injection between them
     out = se.reconstruct_from_events([_jump(0.2, "E", 1), _jump(0.7, "E", 1)],
                                      CFG)
     assert out.injections == (se.InferredInjection(0.0, 0.2, 1, 1),
                               se.InferredInjection(0.2, 0.7, 1, 1))
-    assert out.q1 == 2.0 * CFG.omega1
-    assert out.dE1 == out.q1  # ground-boundary convention
-    assert out.w == out.q1 + out.q2
-    assert out.survivors == 0 and out.w_refined is None
+    e = _naive(out)
+    assert e.q1 == 2.0 * CFG.omega1
+    assert e.dE1 == e.q1  # ground-boundary convention
+    assert e.w == e.q1 + e.q2
+    assert out.survivors == 0 and out.refined is None
 
     # emission then absorption is self-contained inside the window
     out = se.reconstruct_from_events([_jump(0.2, "E", 1), _jump(0.7, "A", 1)],
                                      CFG)
     assert out.injections == (se.InferredInjection(0.0, 0.2, 1, 1),
                               se.InferredInjection(0.7, math.inf, 1, -1))
-    assert out.q1 == 0.0 and out.dE1 == 0.0 and out.w == 0.0
+    e = _naive(out)
+    assert e.q1 == 0.0 and e.dE1 == 0.0 and e.w == 0.0
 
     # a bare absorption parks a quantum until some later pulse removes it
     out = se.reconstruct_from_events([_jump(0.3, "A", 2)], CFG)
     assert out.injections == (se.InferredInjection(0.3, math.inf, 2, -1),)
-    assert out.q2 == -CFG.omega2
-    assert out.dE2 == out.q2
-    assert out.w == pytest.approx(out.q1 + out.q2)
+    e = _naive(out)
+    assert e.q2 == -CFG.omega2
+    assert e.dE2 == e.q2
+    assert e.w == pytest.approx(e.q1 + e.q2)
 
 
 def test_reconstruction_rejects_malformed_streams():
@@ -345,13 +352,18 @@ def test_refined_reconstruction_recovers_simulated_work():
     for rec in recs:
         stripped = [ev for ev in rec.events if ev.kind != "P"]
         out = se.reconstruct_from_events(stripped, CFG, proto)
-        assert out.q1 == rec.q1
-        assert out.q2 == rec.q2
+        true = rec.energetics
+        assert _naive(out).q1 == true.q1
+        assert _naive(out).q2 == true.q2
         assert out.survivors >= 1
-        assert isinstance(out.n_w, int)
-        assert abs(out.w_refined - rec.w) <= quantum
-        assert abs(out.dE1_refined - rec.dE1) <= CFG.omega1
-        assert abs(out.dE2_refined - rec.dE2) <= CFG.omega2
+        assert isinstance(out.refined.n_w, int)
+        assert (out.refined.h1, out.refined.h2) == (rec.ledger.h1, rec.ledger.h2)
+        out.refined.check()
+        assert abs(out.refined.n_w - rec.ledger.n_w) <= 1
+        refined = out.refined.energetics(CFG.omega1, CFG.omega2)
+        assert abs(refined.w - true.w) <= quantum
+        assert abs(refined.dE1 - true.dE1) <= CFG.omega1
+        assert abs(refined.dE2 - true.dE2) <= CFG.omega2
 
 
 def test_reconstructed_energy_changes_are_the_jump_sums():
@@ -361,11 +373,12 @@ def test_reconstructed_energy_changes_are_the_jump_sums():
     for rec in recs:
         stripped = [ev for ev in rec.events if ev.kind != "P"]
         out = se.reconstruct_from_events(stripped, CFG)
-        assert out.dE1 == out.q1 == rec.q1
-        assert out.dE2 == out.q2 == rec.q2
+        e = _naive(out)
+        assert e.dE1 == e.q1 == rec.energetics.q1
+        assert e.dE2 == e.q2 == rec.energetics.q2
         n1 = sum(i.quanta for i in out.injections if i.bath == 1)
         n2 = sum(i.quanta for i in out.injections if i.bath == 2)
-        assert (n1 * CFG.omega1, n2 * CFG.omega2) == (out.q1, out.q2)
+        assert (n1 * CFG.omega1, n2 * CFG.omega2) == (e.q1, e.q2)
 
 
 def test_refined_reconstruction_flags_impossible_logs():
@@ -375,5 +388,5 @@ def test_refined_reconstruction_flags_impossible_logs():
     out = se.reconstruct_from_events([_jump(1.0, "E", 1), _jump(2.0, "E", 1)],
                                      CFG, proto)
     assert out.survivors == 0
-    assert out.w_refined is None and out.n_w is None
-    assert out.q1 == 2.0 * CFG.omega1  # naive bookkeeping still reported
+    assert out.refined is None
+    assert _naive(out).q1 == 2.0 * CFG.omega1  # naive bookkeeping still reported

@@ -165,20 +165,21 @@ def test_first_jump_time_from_a_superposition_matches_norm_decay():
 
 
 def _ledger_checks(rec: se.TrajectoryRecord) -> None:
-    p = rec.params
+    p = rec.params.cfg
     led = rec.ledger
+    e = rec.energetics
     rec.validate()
     led.check()
     assert led.n_w == led.h1 + led.db1 == -(led.h2 + led.db2)
     assert abs(led.db1) <= 1 and abs(led.db2) <= 1
-    assert rec.q1 == p.omega1 * led.h1
-    assert rec.q2 == p.omega2 * led.h2
-    assert rec.dU1 == p.omega1 * led.db1
-    assert rec.dU2 == p.omega2 * led.db2
-    assert rec.dE1 == p.omega1 * (led.h1 + led.db1)
-    assert rec.dE2 == p.omega2 * (led.h2 + led.db2)
-    assert rec.w == (p.omega1 - p.omega2) * led.n_w
-    assert rec.energetics == led.energetics(p.omega1, p.omega2)
+    assert e.q1 == p.omega1 * led.h1
+    assert e.q2 == p.omega2 * led.h2
+    assert e.dU1 == p.omega1 * led.db1
+    assert e.dU2 == p.omega2 * led.db2
+    assert e.dE1 == p.omega1 * (led.h1 + led.db1)
+    assert e.dE2 == p.omega2 * (led.h2 + led.db2)
+    assert e.w == (p.omega1 - p.omega2) * led.n_w
+    assert e == led.energetics(p.omega1, p.omega2)
 
 
 def test_event_lane_records_satisfy_all_ledger_identities():
@@ -206,11 +207,12 @@ def test_bit_lane_work_lattice_is_exact_for_dyadic_gaps():
     for rec in se.run_ensemble(cfg, proto, se.SwapFamily(), 2000, seed=21,
                                engine="bits"):
         _ledger_checks(rec)
-        assert rec.w == 0.25 * rec.ledger.n_w
-        assert rec.w / 0.25 == rec.ledger.n_w
-        assert rec.dE2 == -0.75 * rec.dE1
-        if rec.dE1 != 0.0:
-            assert rec.w / rec.dE1 == 0.25  # 1 - omega2/omega1, exactly
+        e = rec.energetics
+        assert e.w == 0.25 * rec.ledger.n_w
+        assert e.w / 0.25 == rec.ledger.n_w
+        assert e.dE2 == -0.75 * e.dE1
+        if e.dE1 != 0.0:
+            assert e.w / e.dE1 == 0.25  # 1 - omega2/omega1, exactly
             seen_nonzero += 1
     assert seen_nonzero > 1000
 
@@ -223,9 +225,10 @@ def test_pulse_free_protocol_exchanges_heat_but_no_work():
         rec.validate()
         rec.ledger.check()
         assert rec.ledger.n_w == 0
-        assert rec.w == 0.0 and rec.dE1 == 0.0 and rec.dE2 == 0.0
-        assert rec.q1 == -rec.dU1
-        assert rec.q2 == -rec.dU2
+        e = rec.energetics
+        assert e.w == 0.0 and e.dE1 == 0.0 and e.dE2 == 0.0
+        assert e.q1 == -e.dU1
+        assert e.q2 == -e.dU2
         assert not any(ev.kind == "P" for ev in rec.events)
         if rec.ledger.h1 != 0 or rec.ledger.h2 != 0:
             moved += 1
@@ -302,7 +305,7 @@ def test_generic_gate_records_are_unquantized_but_conserving():
         rec.validate()
         rec.ledger.check()
         assert rec.ledger.n_w is None
-        assert rec.w == rec.dE1 + rec.dE2
+        assert rec.energetics.w == rec.energetics.dE1 + rec.energetics.dE2
         assert abs(rec.ledger.db1) <= 1 and abs(rec.ledger.db2) <= 1
 
 
@@ -340,28 +343,45 @@ def test_every_lane_makes_checked_ledgers_that_agree(run):
 
 
 def test_run_ensemble_rejects_bad_requests():
+    # every request is checked when run_ensemble is called, before a record
+    # is drawn, so no list() is needed to see the error
     proto = se.Protocol(n_pulses=2, tau2=0.5)
     gen = se.Generic(tuple(np.linspace(0.2, 2.0, 15)))
     with pytest.raises(se.ConfigError, match="only runs swap-family"):
-        list(se.run_ensemble(CFG, proto, gen, 5, seed=0, engine="bits"))
+        se.run_ensemble(CFG, proto, gen, 5, seed=0, engine="bits")
     with pytest.raises(se.ConfigError, match="does not resolve event times"):
-        list(se.run_ensemble(CFG, proto, se.SwapFamily(), 5, seed=0,
-                             keep_events=True, engine="bits"))
+        se.run_ensemble(CFG, proto, se.SwapFamily(), 5, seed=0,
+                        keep_events=True, engine="bits")
     with pytest.raises(se.ConfigError, match="unknown engine"):
-        list(se.run_ensemble(CFG, proto, se.SwapFamily(), 5, seed=0,
-                             engine="nope"))
+        se.run_ensemble(CFG, proto, se.SwapFamily(), 5, seed=0, engine="nope")
     with pytest.raises(se.ConfigError, match="sample_size"):
-        list(se.run_ensemble(CFG, proto, se.SwapFamily(), 0, seed=0))
-    # gamma*(n1+1) overflows; n2 = 1/expm1(beta2*omega2) is inf at subnormal omega2
+        se.run_ensemble(CFG, proto, se.SwapFamily(), 0, seed=0)
+    # gamma*(n1+1) overflows; n2 = 1/expm1(beta2*omega2) is inf at subnormal
+    # omega2; at gamma = 1e200 the rates are finite but about 1e200 jumps
+    # per run are expected, far beyond the jump budget
     for cfg in (se.EngineConfig(2.0 / 3.0, 1.0, 1.0, 5.0 / 6.0, gamma=1e308),
-                se.EngineConfig(2.0 / 3.0, 1.0, 1.0, 1e-320)):
+                se.EngineConfig(2.0 / 3.0, 1.0, 1.0, 1e-320),
+                se.EngineConfig(2.0 / 3.0, 1.0, 1.0, 5.0 / 6.0, gamma=1e200)):
         for engine in ("events", "mcwf"):
             with pytest.raises(se.ConfigError, match="needs finite jump rates"):
-                list(se.run_ensemble(cfg, proto, se.SwapFamily(), 3, seed=0,
-                                     engine=engine))
+                se.run_ensemble(cfg, proto, se.SwapFamily(), 3, seed=0,
+                                engine=engine)
         # the bit lane draws from the propagator and needs no rate
         assert len(list(se.run_ensemble(cfg, proto, se.SwapFamily(), 3, seed=0,
                                         engine="bits"))) == 3
+
+
+def test_jump_budget_bounds_the_rate_times_the_run_time():
+    # the working point expects about 250 jumps per run; the budget admits
+    # a run just below it and refuses one just above
+    rate = sum(se.jump_rates(se.basis_state(0), CFG))   # |++>, the largest outflow
+    assert 240 < rate * 100 * 0.65 < 260
+    tau2 = se.JUMP_BUDGET / rate / 2
+    se.run_ensemble(CFG, se.Protocol(2, tau2 * (1 - 1e-9)), se.SwapFamily(), 1,
+                    seed=0, engine="events")
+    with pytest.raises(se.ConfigError, match="jump budget"):
+        se.run_ensemble(CFG, se.Protocol(2, tau2 * (1 + 1e-9)), se.SwapFamily(),
+                        1, seed=0, engine="events")
 
 
 @pytest.mark.parametrize("sample_size", [0, 1])
