@@ -8,8 +8,9 @@ byte.
 
 Config files are flat `key = value` lines with `#` comments; unknown keys
 are rejected.  Flags override file values, which override the built-in
-defaults (the defaults reproduce the documented two-bath engine example:
-beta1=2/3, beta2=1, omega1=1, omega2=5/6, 100 pulses at tau2=0.65).
+defaults.  The table KEYS is the home of every key: its type, its default
+(the documented two-bath engine example: beta1=2/3, beta2=1, omega1=1,
+omega2=5/6, 100 pulses at tau2=0.65) and its flag's help.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O failure, 4 event-log
 parse error, 5 broken internal check (such as work-lattice rigidity).
@@ -21,47 +22,41 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .eventlog import ParseError, parse_events, write_events
 from .gates import (Generic, GateSpec, ISwap, SwapFamily, build_gate,
                     mean_energetics_for_gate, optimize_gate)
-from .stats import (EnsembleStats, FtLogRatio, efficiency_distribution,
-                    fold_ensemble, ft_log_ratio, power_scan,
-                    reconstruct_from_events)
+from .stats import (EnsembleStats, FtLogRatio, PowerScanRow, check_eta_bins,
+                    efficiency_distribution, fold_ensemble, ft_log_ratio,
+                    power_scan, reconstruct_from_events)
 from .thermo import (ConfigError, EngineConfig, classify_regime, efficiencies,
                      mean_energetics, omega_star, post_swap_betas, relaxation_time)
 from .trajectory import Protocol, pick_lane, run_ensemble
 
-_DEFAULTS = {
-    "beta1": 2.0 / 3.0,
-    "beta2": 1.0,
-    "omega1": 1.0,
-    "omega2": 5.0 / 6.0,
-    "gamma": 1.0,
-    "gate": "swap",
-    "pulses": 100,
-    "tau2": None,                 # resolved to 0.65 if no relax multiple either
-    "tau2_relax_multiple": None,
-    "samples": 10000,
-    "seed": 1,
-    "out_dir": "out",
-    "emit_logs": False,
-    "json": False,
+# key -> (type, default, flag help), in the README's flag order: the one home
+# of every config key, which gives the defaults, the config-file typing, the
+# --key-name flags and the echo
+KEYS: dict[str, tuple[type, object, str]] = {
+    "beta1": (float, 2.0 / 3.0, "hot-bath inverse temperature"),
+    "beta2": (float, 1.0, "cold-bath inverse temperature"),
+    "omega1": (float, 1.0, "qubit-1 level spacing"),
+    "omega2": (float, 5.0 / 6.0, "qubit-2 level spacing"),
+    "gamma": (float, 1.0, "bare relaxation rate"),
+    "gate": (str, "swap", "swap | iswap | swap:p1,p2,p3,p4 | generic:a1,...,a15"),
+    "pulses": (int, 100, "number of gate pulses N"),
+    "tau2": (float, 0.65, "time between pulses"),
+    "tau2_relax_multiple": (float, None, "tau2 as a multiple of the relaxation time"),
+    "samples": (int, 10000, "ensemble size M"),
+    "seed": (int, 1, "master seed for per-trajectory streams"),
+    "out_dir": (str, "out", "artifact directory"),
+    "emit_logs": (bool, False, "write one event log per trajectory"),
+    "json": (bool, False, "print the JSON report instead of the human one"),
 }
-
-_KEY_TYPES = {
-    "beta1": float, "beta2": float, "omega1": float, "omega2": float,
-    "gamma": float, "gate": str, "pulses": int, "tau2": float,
-    "tau2_relax_multiple": float, "samples": int, "seed": int,
-    "out_dir": str, "emit_logs": bool, "json": bool,
-}
-
-_FALLBACK_TAU2 = 0.65
 
 
 def _parse_bool(text: str) -> bool:
@@ -86,11 +81,12 @@ def parse_config_file(path: str | Path) -> dict:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in _KEY_TYPES:
+            if key not in KEYS:
                 raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
             if key in values:
                 raise ConfigError(f"{path}:{line_no}: duplicate config key {key!r}")
-            caster = _parse_bool if _KEY_TYPES[key] is bool else _KEY_TYPES[key]
+            kind = KEYS[key][0]
+            caster = _parse_bool if kind is bool else kind
             try:
                 values[key] = caster(value)
             except ValueError:
@@ -125,91 +121,46 @@ def parse_gate_spec(text: str) -> GateSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved invocation: physics, gate, schedule, and run knobs."""
+    """Fully resolved invocation: the value of every key of KEYS but
+    tau2_relax_multiple (tau2 holds the resolved interval), and the engine and
+    gate built from them."""
 
+    values: dict
     engine: EngineConfig
-    gate_spec: GateSpec
-    gate_text: str
-    n_pulses: int
-    tau2: float
-    samples: int
-    seed: int
-    out_dir: str
-    emit_logs: bool
-    json_mode: bool
+    gate: GateSpec
 
     @property
     def protocol(self) -> Protocol:
-        return Protocol(n_pulses=self.n_pulses, tau2=self.tau2)
+        return Protocol(n_pulses=self.values["pulses"], tau2=self.values["tau2"])
 
     def echo(self) -> dict:
         """Flat config-file form of this run; re-parses to an equivalent RunConfig."""
-        return {
-            "beta1": self.engine.beta1,
-            "beta2": self.engine.beta2,
-            "omega1": self.engine.omega1,
-            "omega2": self.engine.omega2,
-            "gamma": self.engine.gamma,
-            "gate": self.gate_text,
-            "pulses": self.n_pulses,
-            "tau2": self.tau2,
-            "samples": self.samples,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "emit_logs": self.emit_logs,
-            "json": self.json_mode,
-        }
+        return dict(self.values)
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, and flag overrides into a RunConfig."""
-    values = dict(_DEFAULTS)
-    explicit = set()
-    if getattr(args, "config", None):
-        file_values = parse_config_file(args.config)
-        values.update(file_values)
-        explicit |= set(file_values)
-    for key in _KEY_TYPES:
-        flag = getattr(args, key, None)
-        if flag is not None and flag is not False:
-            values[key] = flag
-            explicit.add(key)
-    engine = EngineConfig(beta1=values["beta1"], beta2=values["beta2"],
-                          omega1=values["omega1"], omega2=values["omega2"],
-                          gamma=values["gamma"])
+    explicit = parse_config_file(args.config) if args.config else {}
+    explicit.update((key, flag) for key, flag in vars(args).items()
+                    if key in KEYS and flag is not None)
+    values = {key: default for key, (_, default, _) in KEYS.items()} | explicit
+    engine = EngineConfig(**{f.name: values[f.name] for f in fields(EngineConfig)})
     if "tau2" in explicit and "tau2_relax_multiple" in explicit:
         raise ConfigError("give either tau2 or tau2_relax_multiple, not both")
-    if values["tau2_relax_multiple"] is not None:
-        tau2 = values["tau2_relax_multiple"] * relaxation_time(engine)
-    elif values["tau2"] is not None:
-        tau2 = values["tau2"]
-    else:
-        tau2 = _FALLBACK_TAU2
-    if values["samples"] < 1:
-        raise ConfigError(f"samples must be >= 1, got {values['samples']}")
-    if values["pulses"] < 0:
-        raise ConfigError(f"pulses must be >= 0, got {values['pulses']}")
-    if values["seed"] < 0:
-        raise ConfigError(f"seed must be >= 0, got {values['seed']}")
-    return RunConfig(
-        engine=engine,
-        gate_spec=parse_gate_spec(values["gate"]),
-        gate_text=values["gate"],
-        n_pulses=values["pulses"],
-        tau2=tau2,
-        samples=values["samples"],
-        seed=values["seed"],
-        out_dir=values["out_dir"],
-        emit_logs=bool(values["emit_logs"]),
-        json_mode=bool(values["json"]),
-    )
+    multiple = values.pop("tau2_relax_multiple")
+    if multiple is not None:
+        values["tau2"] = multiple * relaxation_time(engine)
+    for key, low in (("samples", 1), ("pulses", 0), ("seed", 0)):
+        if values[key] < low:
+            raise ConfigError(f"{key} must be >= {low}, got {values[key]}")
+    return RunConfig(values, engine, parse_gate_spec(values["gate"]))
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -256,7 +207,7 @@ def cmd_analytic(rc: RunConfig, scan: str | None) -> int:
         report["max_power"] = None
     if scan is not None:
         report["scan"] = _eta_mp_scan(cfg, scan)
-    if rc.json_mode:
+    if rc.values["json"]:
         print(_json_text(report))
         return 0
     pairs = [
@@ -282,11 +233,9 @@ def cmd_analytic(rc: RunConfig, scan: str | None) -> int:
                       ("w_max per pulse", _fmt(report["max_power"]["w_max"]))])
     _print_human(pairs)
     if scan is not None:
-        print("beta2,eta_carnot,omega_star,eta_star,eta_ca,w_max")
+        print(",".join(report["scan"][0]))   # the columns, in the rows' order
         for row in report["scan"]:
-            print(",".join(_fmt(row[k]) for k in
-                           ("beta2", "eta_carnot", "omega_star", "eta_star",
-                            "eta_ca", "w_max")))
+            print(",".join(_fmt(v) for v in row.values()))
     return 0
 
 
@@ -348,22 +297,23 @@ def _stats_summary(rc: RunConfig, stats: EnsembleStats,
 
 
 def cmd_simulate(rc: RunConfig) -> int:
-    out = Path(rc.out_dir)
-    lane = pick_lane(rc.gate_spec, keep_events=rc.emit_logs)
-    if rc.emit_logs:
+    v, cfg = rc.values, rc.engine
+    check_eta_bins(cfg, rc.protocol, rc.gate)
+    out = Path(v["out_dir"])
+    lane = pick_lane(rc.gate, keep_events=v["emit_logs"])
+    if v["emit_logs"]:
         # run_ensemble checks its arguments here, before any folder is made
-        records = run_ensemble(rc.engine, rc.protocol, rc.gate_spec, rc.samples,
-                               rc.seed, keep_events=True, engine=lane)
+        records = run_ensemble(cfg, rc.protocol, rc.gate, v["samples"], v["seed"],
+                               keep_events=True, engine=lane)
         stats = EnsembleStats()
         log_dir = out / "events"
         log_dir.mkdir(parents=True, exist_ok=True)
-        width = max(5, len(str(rc.samples - 1)))
+        width = max(5, len(str(v["samples"] - 1)))
         for k, record in enumerate(records):
             write_events(log_dir / f"trajectory_{k:0{width}d}.log", record.events)
             stats.add(record)
     else:
-        stats = fold_ensemble(rc.engine, rc.protocol, rc.gate_spec, rc.samples,
-                              rc.seed)
+        stats = fold_ensemble(cfg, rc.protocol, rc.gate, v["samples"], v["seed"])
     # every read-off is taken before the first artifact is written, so a
     # refused result leaves no partial output
     ratio: FtLogRatio | None
@@ -390,31 +340,25 @@ def cmd_simulate(rc: RunConfig) -> int:
         _write_csv(out / name, header, rows)
     summary_path = out / "summary.json"
     summary_path.write_text(summary_text + "\n", encoding="utf-8", newline="\n")
-    print(summary_text if rc.json_mode else str(summary_path))
+    print(summary_text if v["json"] else str(summary_path))
     return 0
 
 
 def cmd_power_scan(rc: RunConfig, t_op_multiple: float, n_list: str) -> int:
     try:
-        n_values = [int(v) for v in n_list.split(",")]
+        n_values = [int(n) for n in n_list.split(",")]
     except ValueError:
         raise ConfigError(f"bad pulse-count list {n_list!r}") from None
-    rows = power_scan(rc.engine, t_op_multiple, n_values, rc.samples, rc.seed)
-    out = Path(rc.out_dir)
+    v = rc.values
+    rows = power_scan(rc.engine, t_op_multiple, n_values, v["samples"], v["seed"])
+    out = Path(v["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "power_scan.csv"
-    _write_csv(csv_path,
-               ("n_pulses", "tau2", "work_output", "work_se", "power", "eta"),
-               [(r.n_pulses, r.tau2, r.work_output, r.work_se, r.power, r.eta)
-                for r in rows])
-    if rc.json_mode:
-        print(_json_text({
-            "config": rc.echo(),
-            "t_op_multiple": t_op_multiple,
-            "rows": [{"n_pulses": r.n_pulses, "tau2": r.tau2,
-                      "work_output": r.work_output, "work_se": r.work_se,
-                      "power": r.power, "eta": r.eta} for r in rows],
-        }))
+    # PowerScanRow's fields, in order, are the columns
+    _write_csv(csv_path, [f.name for f in fields(PowerScanRow)], map(astuple, rows))
+    if v["json"]:
+        print(_json_text({"config": rc.echo(), "t_op_multiple": t_op_multiple,
+                          "rows": list(map(asdict, rows))}))
     else:
         print(str(csv_path))
     return 0
@@ -438,7 +382,7 @@ def cmd_opt_gate(rc: RunConfig, restarts: int) -> int:
             "eta": None if best.dE1 == 0 else best.w / best.dE1,
         },
     }
-    out = Path(rc.out_dir)
+    out = Path(rc.values["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     (out / "opt_gate.json").write_text(_json_text(report) + "\n",
                                        encoding="utf-8", newline="\n")
@@ -455,21 +399,18 @@ def cmd_analyze(rc: RunConfig, paths: list[str], naive: bool) -> int:
         jumps = [ev for ev in events if ev.kind != "P"]
         rec = reconstruct_from_events(jumps, rc.engine, protocol)
         e = rec.naive.energetics(*omegas)
+        refined = rec.refined
         rows.append({
-            "file": path,
-            "q1": e.q1, "q2": e.q2, "dE1": e.dE1, "dE2": e.dE2, "w": e.w,
-            "n_w": None if rec.refined is None else rec.refined.n_w,
-            "w_refined": None if rec.refined is None else rec.refined.energetics(*omegas).w,
+            "file": path, "q1": e.q1, "q2": e.q2, "dE1": e.dE1, "dE2": e.dE2,
+            "w": e.w,
+            "n_w": None if refined is None else refined.n_w,
+            "w_refined": None if refined is None else refined.energetics(*omegas).w,
             "survivors": rec.survivors,
         })
-    out = Path(rc.out_dir)
+    out = Path(rc.values["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "reconstruction.csv",
-               ("file", "q1", "q2", "dE1", "dE2", "w", "n_w", "w_refined",
-                "survivors"),
-               [(r["file"], r["q1"], r["q2"], r["dE1"], r["dE2"], r["w"],
-                 r["n_w"], r["w_refined"], r["survivors"]) for r in rows])
-    if rc.json_mode:
+    _write_csv(out / "reconstruction.csv", rows[0], [r.values() for r in rows])
+    if rc.values["json"]:
         print(_json_text({"config": rc.echo(), "trajectories": rows}))
     else:
         for r in rows:
@@ -481,24 +422,14 @@ def cmd_analyze(rc: RunConfig, paths: list[str], naive: bool) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
+    for key, (kind, _, help_text) in KEYS.items():
+        flag = "--" + key.replace("_", "-")
+        if kind is bool:
+            common.add_argument(flag, dest=key, action="store_true", default=None,
+                                help=help_text)
+        else:
+            common.add_argument(flag, dest=key, type=kind, help=help_text)
     common.add_argument("--config", help="flat key = value config file")
-    common.add_argument("--seed", type=int, help="master seed for per-trajectory streams")
-    common.add_argument("--samples", type=int, help="ensemble size M")
-    common.add_argument("--pulses", type=int, help="number of gate pulses N")
-    common.add_argument("--tau2", type=float, help="time between pulses")
-    common.add_argument("--tau2-relax-multiple", dest="tau2_relax_multiple",
-                        type=float, help="tau2 as a multiple of the relaxation time")
-    common.add_argument("--out-dir", dest="out_dir", help="artifact directory")
-    common.add_argument("--emit-logs", dest="emit_logs", action="store_true",
-                        default=None, help="write one event log per trajectory")
-    common.add_argument("--json", dest="json", action="store_true", default=None,
-                        help="print the JSON report instead of the human one")
-    common.add_argument("--beta1", type=float, help="hot-bath inverse temperature")
-    common.add_argument("--beta2", type=float, help="cold-bath inverse temperature")
-    common.add_argument("--omega1", type=float, help="qubit-1 level spacing")
-    common.add_argument("--omega2", type=float, help="qubit-2 level spacing")
-    common.add_argument("--gamma", type=float, help="bare relaxation rate")
-    common.add_argument("--gate", help="swap | iswap | swap:p1,p2,p3,p4 | generic:a1,...,a15")
 
     parser = argparse.ArgumentParser(
         prog="swapengine",

@@ -35,6 +35,26 @@ from .trajectory import (LedgerKey, Protocol, RunParams, TrajectoryEvent,
 ETA_BIN_WIDTH = 0.01
 
 
+def _eta_bin(w: float, q1: float) -> int:
+    index = w / q1 / ETA_BIN_WIDTH
+    if not math.isfinite(index):
+        raise ConfigError(f"the efficiency w/q1 = {w!r}/{q1!r} has no "
+                          f"finite {ETA_BIN_WIDTH}-wide bin")
+    return math.floor(index)
+
+
+def check_eta_bins(cfg: EngineConfig, protocol: Protocol, gate_spec: GateSpec) -> None:
+    """Refuse, before it runs, a swap-family run with an efficiency bin that
+    is not finite.
+
+    The largest |w/q1| a run can reach is hist_eta's float steps at
+    |n_w| = n_pulses and |h1| = 1; rounding is monotone, so if that bin is
+    finite, every bin is, whatever the lane and the seed.
+    """
+    if _is_swaplike(gate_spec):
+        _eta_bin((cfg.omega1 - cfg.omega2) * protocol.n_pulses, cfg.omega1)
+
+
 @dataclass
 class EnsembleStats:
     """Exact, mergeable histogram of one homogeneous ensemble over LedgerKey.
@@ -173,11 +193,7 @@ class EnsembleStats:
             if k.h1 == 0:
                 return None
             e = k.energetics(p.omega1, p.omega2)
-            index = e.w / e.q1 / ETA_BIN_WIDTH
-            if not math.isfinite(index):
-                raise ConfigError(f"the efficiency w/q1 = {e.w!r}/{e.q1!r} has no "
-                                  f"finite {ETA_BIN_WIDTH}-wide bin")
-            return math.floor(index)
+            return _eta_bin(e.w, e.q1)
         return self._swap_tally(eta_bin)
 
     @property

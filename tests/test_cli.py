@@ -141,15 +141,27 @@ def test_simulate_json_mode_prints_the_summary(capsys, monkeypatch, tmp_path):
     assert printed == on_disk
 
 
-def test_simulate_reruns_are_byte_identical(monkeypatch, tmp_path):
-    monkeypatch.chdir(tmp_path)
-    args = ["simulate", "--samples", "60", "--pulses", "4", "--tau2", "0.5",
-            "--seed", "11", "--emit-logs", "--out-dir", "rep"]
-    assert cli.main(args) == 0
-    first = _snapshot(tmp_path / "rep")
-    assert any(name.startswith("events/") for name in first)
-    assert cli.main(args) == 0
-    assert _snapshot(tmp_path / "rep") == first
+@settings(derandomize=True, database=None, deadline=None)
+@given(gate=st.sampled_from(("swap", "iswap", GENERIC)), emit_logs=st.booleans(),
+       samples=st.integers(1, 20), pulses=st.integers(0, 4),
+       seed=st.integers(0, 1000), as_json=st.booleans())
+def test_simulate_reruns_are_byte_identical(gate, emit_logs, samples, pulses,
+                                            seed, as_json):
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "rep"
+        args = ["simulate", "--gate", gate, "--samples", str(samples),
+                "--pulses", str(pulses), "--tau2", "0.5", "--seed", str(seed),
+                "--out-dir", str(out_dir)]
+        args += ["--emit-logs"] * emit_logs + ["--json"] * as_json
+        runs = []
+        for _ in range(2):
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                assert cli.main(args) == 0
+            runs.append((printed.getvalue(), _snapshot(out_dir)))
+        assert runs[1] == runs[0]
+        logs = [name for name in runs[0][1] if name.startswith("events/")]
+        assert len(logs) == (samples if emit_logs else 0)
 
 
 def test_simulate_lane_selection_follows_the_gate(monkeypatch, tmp_path):
@@ -338,6 +350,12 @@ def test_opt_gate_output_ignores_seed_and_restarts(monkeypatch, tmp_path):
         # w/q1 is about 1e318, whose 0.01-wide bin index is infinite
         (["simulate", "--omega1", "1e-320", "--omega2", "0.01", "--beta2", "100",
           "--samples", "5"], 2, "no finite 0.01-wide bin"),
+        # at n_w = N and h1 = 1, |w/q1| = (omega1 - omega2)*N/omega1 is about
+        # 1e308, whose bin index overflows: the run is refused before it
+        # writes a log, whichever trajectories the seed draws
+        (["simulate", "--emit-logs", "--beta1", "1", "--beta2", "1",
+          "--omega1", "1e-307", "--omega2", "1", "--gamma", "1e-307",
+          "--samples", "5", "--pulses", "10"], 2, "no finite 0.01-wide bin"),
     ],
 )
 def test_error_exit_codes(capsys, monkeypatch, tmp_path, args, code,
@@ -407,6 +425,28 @@ def test_config_file_errors_carry_file_and_line(capsys, monkeypatch, tmp_path,
     assert "bad.cfg:" in err
 
 
+# a value other than the default for every key of cli.KEYS, as flag text
+KEY_VALUES = {
+    "beta1": "0.5", "beta2": "1.5", "omega1": "1.25", "omega2": "0.75",
+    "gamma": "2.5", "gate": "iswap", "pulses": "7", "tau2": "0.4",
+    "tau2_relax_multiple": "2", "samples": "33", "seed": "9",
+    "out_dir": "elsewhere", "emit_logs": "true", "json": "true",
+}
+
+
+@pytest.mark.parametrize("key", list(cli.KEYS))
+def test_each_key_resolves_alike_from_its_flag_and_a_config_line(key,
+                                                                 tmp_path):
+    parser = cli._build_parser()
+    flag = "--" + key.replace("_", "-")
+    by_flag = [flag] if cli.KEYS[key][0] is bool else [flag, KEY_VALUES[key]]
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{key} = {KEY_VALUES[key]}\n")
+    echoes = [cli.resolve_config(parser.parse_args(["simulate", *argv])).echo()
+              for argv in (by_flag, ["--config", str(cfg)], [])]
+    assert echoes[0] == echoes[1] != echoes[2]
+
+
 # magnitudes from subnormal to near the float limit
 MAGNITUDES = (1e-320, 1e-200, 1e-10, 0.5, 1.0, 100.0, 700.0, 1e300)
 
@@ -426,9 +466,14 @@ def extreme_flags(draw):
 @given(extreme_flags())
 def test_extreme_parameters_run_or_fail_with_one_config_error_line(flags):
     with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "three_jumps.log"
+        log.write_text("0.25 1 A\n0.75 2 E\n1.5 1 A\n")
         for command in (["simulate", "--samples", "5", "--pulses", "3"],
                         ["power-scan", "--samples", "5", "--n-list", "1,2"],
-                        ["analytic"]):
+                        ["analytic"],
+                        ["opt-gate"],
+                        ["analyze", str(log), "--pulses", "3"],
+                        ["analyze", str(log), "--naive"]):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main([*command, *flags, "--json", "--out-dir", tmp])
@@ -475,6 +520,18 @@ def _console_script(name: str) -> tuple[list[str], dict[str, str]]:
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return [sys.executable, "-c", code], env
+
+
+def test_bench_traced_mode_wraps_the_current_names(tmp_path):
+    # with TRACE 1 the benchmark's child wraps names that cli and gates look
+    # up; a renamed or removed name breaks it here, not only in the benchmark
+    child = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+    result = tmp_path / "result.json"
+    run = subprocess.run([sys.executable, str(child), str(result), "1", "{}",
+                          "--", "analytic", "--json"],
+                         capture_output=True, text=True, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(result.read_text())["rc"] == 0
 
 
 def test_console_script_matches_in_process_behavior(tmp_path):
