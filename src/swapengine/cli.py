@@ -32,8 +32,8 @@ from .eventlog import ParseError, parse_events, write_events
 from .gates import (Generic, GateSpec, ISwap, SwapFamily, build_gate,
                     mean_energetics_for_gate, optimize_gate)
 from .stats import (EnsembleStats, FtLogRatio, PowerScanRow, check_eta_bins,
-                    efficiency_distribution, fold_ensemble, ft_log_ratio,
-                    power_scan, reconstruct_from_events)
+                    check_refinable, efficiency_distribution, fold_ensemble,
+                    ft_log_ratio, power_scan, reconstruct_from_events)
 from .thermo import (ConfigError, EngineConfig, classify_regime, efficiencies,
                      mean_energetics, omega_star, post_swap_betas, relaxation_time)
 from .trajectory import Protocol, pick_lane, run_ensemble
@@ -391,6 +391,8 @@ def cmd_opt_gate(rc: RunConfig, restarts: int) -> int:
 
 
 def cmd_analyze(rc: RunConfig, paths: list[str], naive: bool) -> int:
+    if not naive:
+        check_refinable(rc.gate)
     protocol = None if naive else rc.protocol
     omegas = rc.engine.omega1, rc.engine.omega2
     rows = []

@@ -8,16 +8,23 @@ One UTF-8 line per event, trailing newline required:
                              its position in the file places it in time)
 
 Jump times must be strictly increasing through the file.  Times are printed
-with 17 significant digits, so float64 values round-trip exactly.
+with 17 significant digits, so float64 values round-trip exactly.  Numerals
+are ASCII decimals, as format_event writes them: no underscores, no other
+digits, no leading "+".
 """
 
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 from typing import Iterable
 
 from .trajectory import TrajectoryEvent
+
+# the numerals format_event writes: "%.17g" of a float, str() of an int
+_TIME = re.compile(r"-?([0-9]+(\.[0-9]+)?(e[+-][0-9]+)?|inf|nan)", re.ASCII)
+_INDEX = re.compile(r"-?[0-9]+", re.ASCII)
 
 
 class ParseError(Exception):
@@ -65,20 +72,18 @@ def parse_events(path: str | Path) -> list[TrajectoryEvent]:
         if fields[0] == "P":
             if len(fields) != 2:
                 raise ParseError(name, line_no, f"pulse marker needs exactly one index, got {line!r}")
-            try:
-                index = int(fields[1])
-            except ValueError:
-                raise ParseError(name, line_no, f"bad pulse index {fields[1]!r}") from None
+            if not _INDEX.fullmatch(fields[1]):
+                raise ParseError(name, line_no, f"bad pulse index {fields[1]!r}")
+            index = int(fields[1])
             if index < 0:
                 raise ParseError(name, line_no, f"negative pulse index {index}")
-            events.append(TrajectoryEvent(time=math.nan, kind="P", index=index))
+            events.append(TrajectoryEvent(math.nan, "P", 0, index))
             continue
         if len(fields) != 3:
             raise ParseError(name, line_no, f"expected '<time> <bath> <kind>', got {line!r}")
-        try:
-            time = float(fields[0])
-        except ValueError:
-            raise ParseError(name, line_no, f"bad time {fields[0]!r}") from None
+        if not _TIME.fullmatch(fields[0]):
+            raise ParseError(name, line_no, f"bad time {fields[0]!r}")
+        time = float(fields[0])
         if not math.isfinite(time):
             raise ParseError(name, line_no, f"non-finite time {fields[0]!r}")
         if fields[1] not in ("1", "2"):
@@ -88,5 +93,5 @@ def parse_events(path: str | Path) -> list[TrajectoryEvent]:
         if time <= last_time:
             raise ParseError(name, line_no, f"jump times not strictly increasing at {fields[0]}")
         last_time = time
-        events.append(TrajectoryEvent(time=time, kind=fields[2], bath=int(fields[1])))
+        events.append(TrajectoryEvent(time, fields[2], int(fields[1])))
     return events

@@ -55,6 +55,15 @@ def check_eta_bins(cfg: EngineConfig, protocol: Protocol, gate_spec: GateSpec) -
         _eta_bin((cfg.omega1 - cfg.omega2) * protocol.n_pulses, cfg.omega1)
 
 
+def check_refinable(gate_spec: GateSpec) -> None:
+    """Refuse, before any log is read, the schedule-aware refinement of
+    reconstruct_from_events for a gate with no work lattice: it propagates
+    swap-family pulses, which a generic gate is not."""
+    if not _is_swaplike(gate_spec):
+        raise ConfigError("the schedule-aware refinement needs a swap-family gate, "
+                          "since a generic gate has no work lattice; use --naive")
+
+
 @dataclass
 class EnsembleStats:
     """Exact, mergeable histogram of one homogeneous ensemble over LedgerKey.

@@ -18,9 +18,12 @@ Three engines realize the same trajectory law:
 
   "mcwf"    amplitude evolution with root-found jump times throughout; the
             slow oracle;
-  "events"  closed-form exponential waiting times while the state is a basis
-            state, the root-found ones while it is a superposition (Generic
-            gates), emitting the full time-stamped event record;
+  "events"  carries the state as a basis index while it is a basis state
+            (always on swap-family gates, whose pulses permute the basis;
+            on Generic gates once jumps have collapsed the state), with
+            closed-form exponential waiting times, and as amplitudes with
+            root-found ones while it is a superposition; emits the full
+            time-stamped event record;
   "bits"    vectorized sampling of the occupation bits at interval
             boundaries from the exact two-state propagator; reproduces the
             exact joint law of the whole integer ledger but carries no event
@@ -29,7 +32,8 @@ Three engines realize the same trajectory law:
 Every engine records each run's integer ledger as one LedgerKey, and
 derives trajectory k's random stream from (seed, stream index) with a
 counter-based generator, so record k is independent of the sample size and
-reruns are bit-identical.
+reruns are bit-identical.  The events and mcwf lanes draw the same uniforms
+in the same order, so they make the same records jump for jump.
 """
 
 from __future__ import annotations
@@ -60,9 +64,10 @@ _TIME_RTOL = 1e-12   # relative tolerance of the jump-time root find
 
 # Largest expected jump count per run (the outflow rate of |++> times the
 # run time) that the events and mcwf lanes accept; the working point expects
-# about 250.  At some 20 us a jump one events-lane trajectory at the budget
-# already takes minutes, and at rates near the float limit each waiting
-# time falls below the float spacing of the clock, which then never advances.
+# about 250.  At some 5 us a jump (2-core x86-64, events kept) one
+# events-lane trajectory at the budget takes about a minute, and at rates
+# near the float limit each waiting time falls below the float spacing of
+# the clock, which then never advances.
 JUMP_BUDGET = 1e7
 
 
@@ -113,8 +118,7 @@ def basis_state(index: int) -> JointState:
     return JointState(a)
 
 
-@dataclass(frozen=True, slots=True)
-class TrajectoryEvent:
+class TrajectoryEvent(NamedTuple):
     """One record line: a jump ("E"/"A" with bath 1|2) or a pulse ("P" with index)."""
 
     time: float
@@ -245,11 +249,15 @@ def jump_rates(state: JointState, cfg: EngineConfig) -> np.ndarray:
     are active (the emission channel of an excited qubit, the absorption
     channel of a ground one) with the dichotomic rates.
     """
-    em1, ab1, em2, ab2 = _dichotomic_rates(cfg)
-    pops = np.abs(state.amplitudes) ** 2
+    return _channel_rates(np.array(_dichotomic_rates(cfg)), state.amplitudes)
+
+
+def _channel_rates(rates: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """The dichotomic rates weighted by the normalized amplitudes' occupations."""
+    pops = np.abs(amps) ** 2
     p1 = pops[0] + pops[1]     # qubit 1 excited weight
     p2 = pops[0] + pops[2]
-    return np.array([em1 * p1, ab1 * (1.0 - p1), em2 * p2, ab2 * (1.0 - p2)])
+    return rates * np.array([p1, 1.0 - p1, p2, 1.0 - p2])
 
 
 def sample_initial_state(cfg: EngineConfig, rng: np.random.Generator) -> int:
@@ -259,14 +267,151 @@ def sample_initial_state(cfg: EngineConfig, rng: np.random.Generator) -> int:
     return 3 - 2 * int(b1) - int(b2)
 
 
-def _decay_constants(cfg: EngineConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-basis-state total outflow rate and coherent phase frequency."""
-    em1, ab1, em2, ab2 = _dichotomic_rates(cfg)
+class _Relaxation(NamedTuple):
+    """The jump rates of one config, made once and shared by every interval.
+
+    weights[i] are basis state i's four channel rates in CHANNELS order (the
+    dichotomic rate on its two active channels, 0 on the others), outflow[i]
+    = gtot[i] their sum, its total outflow rate, and energy[i] its energy,
+    the phase frequency of its amplitude.
+    """
+
+    weights: tuple[tuple[float, float, float, float], ...]
+    outflow: tuple[float, ...]
+    gtot: np.ndarray
+    energy: np.ndarray
+    rates: np.ndarray
+
+
+def _relaxation(cfg: EngineConfig) -> _Relaxation:
+    rates = np.array(_dichotomic_rates(cfg))
     bits = np.array(BASIS_BITS, dtype=float)
-    gtot = (em1 * bits[:, 0] + ab1 * (1.0 - bits[:, 0])
-            + em2 * bits[:, 1] + ab2 * (1.0 - bits[:, 1]))
+    weights = rates * np.stack([bits[:, 0], 1.0 - bits[:, 0], bits[:, 1], 1.0 - bits[:, 1]],
+                               axis=1)
+    # two nonzero terms per row, so every summation order rounds alike
+    gtot = weights.sum(axis=1)
     energy = cfg.omega1 * (bits[:, 0] - 0.5) + cfg.omega2 * (bits[:, 1] - 0.5)
-    return gtot, energy
+    return _Relaxation(tuple(map(tuple, weights.tolist())), tuple(gtot.tolist()), gtot,
+                       energy, rates)
+
+
+# net emission count of each jump channel, in CHANNELS order
+_CHANNEL_SIGNS = (1, -1, 1, -1)
+
+
+def _pick_channel(weights: tuple[float, ...] | np.ndarray, u: float) -> int:
+    """The first channel whose cumulative rate reaches u, else the last."""
+    ch = 0
+    acc = weights[0]
+    while acc < u and ch < 3:
+        ch += 1
+        acc += weights[ch]
+    return ch
+
+
+def _relax_basis(
+    idx: int,
+    t: float,
+    duration: float,
+    t_start: float,
+    rng: np.random.Generator,
+    relax: _Relaxation,
+    events: list[TrajectoryEvent] | None,
+    heat: list[int],
+) -> int:
+    """Relax basis state idx from time t to the end of an interval of length
+    `duration`; return the basis state it ends in.
+
+    Survival in a basis state is a pure exponential, so each wait is
+    -ln(r)/outflow in closed form; the channel is drawn by walking the
+    state's channel rates up to u*outflow, for u a second uniform.  Jumps
+    add to heat[bath - 1] and, when events is a list, are appended to it at
+    absolute times (offset by t_start).
+    """
+    random = rng.random
+    log = math.log
+    outflow = relax.outflow
+    weights = relax.weights
+    while duration - t > 0:
+        g = outflow[idx]
+        wait = math.inf if g == 0.0 else -log(random()) / g
+        if wait > duration - t:
+            break
+        ch = _pick_channel(weights[idx], random() * g)
+        dst = _JUMP_MAPS[ch][idx]
+        if dst < 0:
+            raise AssertionError("state annihilated before jump: rate bookkeeping broken")
+        idx = dst
+        t += wait
+        bath, kind = CHANNELS[ch]
+        heat[bath - 1] += _CHANNEL_SIGNS[ch]
+        if events is not None:
+            events.append(TrajectoryEvent(t_start + t, kind, bath))
+    return idx
+
+
+def _relax_amplitudes(
+    amps: np.ndarray,
+    duration: float,
+    t_start: float,
+    rng: np.random.Generator,
+    relax: _Relaxation,
+    events: list[TrajectoryEvent] | None,
+    heat: list[int],
+    eigenstate_shortcut: bool,
+) -> np.ndarray | int:
+    """Relax the amplitudes amps for `duration`, as evolve_between_pulses
+    describes; jumps are booked as in _relax_basis.
+
+    Returns the end amplitudes, or, with eigenstate_shortcut, the basis index
+    _relax_basis ends in once the state is a basis state.
+    """
+    gtot, energy = relax.gtot, relax.energy
+    amps = np.array(amps, dtype=complex)
+    t = 0.0
+    while True:
+        rem = duration - t
+        if rem <= 0:
+            break
+        pops = np.abs(amps) ** 2
+        pops = pops / pops.sum()
+        if eigenstate_shortcut and np.count_nonzero(pops > 1e-24) == 1:
+            return _relax_basis(int(np.argmax(pops)), t, duration, t_start, rng,
+                                relax, events, heat)
+        r = rng.random()
+        surv_end = float(pops @ np.exp(-gtot * rem))
+        if surv_end > r:
+            amps = amps * np.exp((-1j * energy - 0.5 * gtot) * rem)
+            amps = amps / np.linalg.norm(amps)
+            break
+        lo, hi = 0.0, rem
+        # survival is strictly decreasing from 1, so the root is bracketed
+        while hi - lo > _TIME_RTOL * max(hi, 1e-300):
+            mid = 0.5 * (lo + hi)
+            if float(pops @ np.exp(-gtot * mid)) > r:
+                lo = mid
+            else:
+                hi = mid
+        t_jump = 0.5 * (lo + hi)
+        amps = amps * np.exp((-1j * energy - 0.5 * gtot) * t_jump)
+        nrm = np.linalg.norm(amps)
+        if nrm == 0.0:
+            raise AssertionError("state annihilated before jump: rate bookkeeping broken")
+        amps = amps / nrm
+        weights = _channel_rates(relax.rates, amps)
+        ch = _pick_channel(weights, rng.random() * weights.sum())
+        # apply the jump operator: project onto the active sector, relabel
+        new = np.zeros(4, dtype=complex)
+        for src, dst in enumerate(_JUMP_MAPS[ch]):
+            if dst >= 0:
+                new[dst] = amps[src]
+        amps = new / np.linalg.norm(new)
+        t += t_jump
+        bath, kind = CHANNELS[ch]
+        heat[bath - 1] += _CHANNEL_SIGNS[ch]
+        if events is not None:
+            events.append(TrajectoryEvent(t_start + t, kind, bath))
+    return amps
 
 
 def evolve_between_pulses(
@@ -289,70 +434,10 @@ def evolve_between_pulses(
     """
     if duration < 0:
         raise ConfigError(f"duration must be nonnegative, got {duration}")
-    gtot, energy = _decay_constants(cfg)
-    em1, ab1, em2, ab2 = _dichotomic_rates(cfg)
-    rates_vec = np.array([em1, ab1, em2, ab2])
-    amps = np.array(state.amplitudes, dtype=complex)
     events: list[TrajectoryEvent] = []
-    t = 0.0
-    while True:
-        rem = duration - t
-        if rem <= 0:
-            break
-        pops = np.abs(amps) ** 2
-        pops = pops / pops.sum()
-        idx = int(np.argmax(pops)) if np.count_nonzero(pops > 1e-24) == 1 else None
-        r = rng.random()
-        if idx is not None and eigenstate_shortcut:
-            # single occupied basis state: survival is a pure exponential
-            wait = math.inf if gtot[idx] == 0.0 else -math.log(r) / gtot[idx]
-            if wait > rem:
-                amps = np.zeros(4, dtype=complex)
-                amps[idx] = 1.0
-                break
-            t_jump = wait
-        else:
-            surv_end = float(pops @ np.exp(-gtot * rem))
-            if surv_end > r:
-                amps = amps * np.exp((-1j * energy - 0.5 * gtot) * rem)
-                amps = amps / np.linalg.norm(amps)
-                break
-            lo, hi = 0.0, rem
-            # survival is strictly decreasing from 1, so the root is bracketed
-            while hi - lo > _TIME_RTOL * max(hi, 1e-300):
-                mid = 0.5 * (lo + hi)
-                if float(pops @ np.exp(-gtot * mid)) > r:
-                    lo = mid
-                else:
-                    hi = mid
-            t_jump = 0.5 * (lo + hi)
-        amps = amps * np.exp((-1j * energy - 0.5 * gtot) * t_jump)
-        nrm = np.linalg.norm(amps)
-        if nrm == 0.0:
-            raise AssertionError("state annihilated before jump: rate bookkeeping broken")
-        amps = amps / nrm
-        pops = np.abs(amps) ** 2
-        p1 = pops[0] + pops[1]
-        p2 = pops[0] + pops[2]
-        weights = rates_vec * np.array([p1, 1.0 - p1, p2, 1.0 - p2])
-        wsum = weights.sum()
-        u = rng.random() * wsum
-        ch = 0
-        acc = weights[0]
-        while acc < u and ch < 3:
-            ch += 1
-            acc += weights[ch]
-        # apply the jump operator: project onto the active sector, relabel
-        new = np.zeros(4, dtype=complex)
-        for src, dst in enumerate(_JUMP_MAPS[ch]):
-            if dst >= 0:
-                new[dst] = amps[src]
-        nrm = np.linalg.norm(new)
-        amps = new / nrm
-        t += t_jump
-        bath, kind = CHANNELS[ch]
-        events.append(TrajectoryEvent(time=t_start + t, kind=kind, bath=bath))
-    return JointState(amps), events
+    end = _relax_amplitudes(state.amplitudes, duration, t_start, rng, _relaxation(cfg),
+                            events, [0, 0], eigenstate_shortcut)
+    return (basis_state(end) if isinstance(end, int) else JointState(end)), events
 
 
 def apply_pulse(state: JointState, gate: Unitary4) -> tuple[JointState, int | None]:
@@ -380,6 +465,75 @@ def pick_lane(gate_spec: GateSpec, keep_events: bool) -> str:
     return "bits" if _is_swaplike(gate_spec) and not keep_events else "events"
 
 
+class _Ensemble(NamedTuple):
+    """What every trajectory of one ensemble shares, made once per ensemble:
+    the built gate, its basis permutation (swap-family gates only, None
+    otherwise) and the relaxation rates."""
+
+    params: RunParams
+    gate: Unitary4
+    perm: tuple[int, ...] | None
+    relax: _Relaxation
+
+
+def _ensemble(cfg: EngineConfig, protocol: Protocol, gate_spec: GateSpec) -> _Ensemble:
+    gate = build_gate(gate_spec)
+    # a swap-family gate sends basis state i to the one j with |U_ji| = 1
+    perm = (tuple(int(j) for j in np.argmax(np.abs(gate.entries), axis=0))
+            if _is_swaplike(gate_spec) else None)
+    return _Ensemble(RunParams(cfg, protocol, gate_spec), gate, perm, _relaxation(cfg))
+
+
+def _trajectory(
+    ens: _Ensemble,
+    rng: np.random.Generator,
+    keep_events: bool,
+    eigenstate_shortcut: bool,
+) -> TrajectoryRecord:
+    """run_trajectory on the shared constants of its ensemble.
+
+    With eigenstate_shortcut the state is carried as a basis index while it
+    is one, and a swap-family pulse is a lookup in the gate's permutation;
+    otherwise, and while the state is a superposition, it is carried as
+    amplitudes.
+    """
+    cfg, protocol, _ = ens.params
+    idx0 = sample_initial_state(cfg, rng)
+    state: int | np.ndarray = idx0 if eigenstate_shortcut else basis_state(idx0).amplitudes
+    events: list[TrajectoryEvent] | None = [] if keep_events else None
+    heat = [0, 0]
+    n_w = None if ens.perm is None else 0
+    for k in range(max(protocol.n_pulses, 1)):
+        t_pulse = k * protocol.tau2
+        if k < protocol.n_pulses:
+            if isinstance(state, int) and ens.perm is not None:
+                j = ens.perm[state]
+                n_w += BASIS_BITS[j][0] - BASIS_BITS[state][0]
+                state = j
+            else:
+                joint = basis_state(state) if isinstance(state, int) else JointState(state)
+                pulsed, transfer = apply_pulse(joint, ens.gate)
+                state = pulsed.amplitudes
+                if n_w is not None:
+                    n_w += transfer
+            if events is not None:
+                events.append(TrajectoryEvent(t_pulse, "P", 0, k))
+        if isinstance(state, int):
+            state = _relax_basis(state, 0.0, protocol.tau2, t_pulse, rng, ens.relax,
+                                 events, heat)
+        else:
+            state = _relax_amplitudes(state, protocol.tau2, t_pulse, rng, ens.relax,
+                                      events, heat, eigenstate_shortcut)
+    idx_f = state if isinstance(state, int) else JointState(state).basis_index
+    if idx_f is None:
+        pops = np.abs(state) ** 2
+        pops = pops / pops.sum()
+        idx_f = int(rng.choice(4, p=pops))
+    ledger = LedgerKey(heat[0], heat[1], BASIS_BITS[idx_f][0] - BASIS_BITS[idx0][0],
+                       BASIS_BITS[idx_f][1] - BASIS_BITS[idx0][1], n_w)
+    return TrajectoryRecord(ens.params, ledger, None if events is None else tuple(events))
+
+
 def run_trajectory(
     cfg: EngineConfig,
     protocol: Protocol,
@@ -395,40 +549,8 @@ def run_trajectory(
     final energy eigenstate (a read-off for basis states, a Born draw
     otherwise), and fills the integer ledger.
     """
-    gate = build_gate(gate_spec)
-    swaplike = _is_swaplike(gate_spec)
-    idx0 = sample_initial_state(cfg, rng)
-    state = basis_state(idx0)
-    events: list[TrajectoryEvent] = []
-    h1 = h2 = 0
-    n_w = 0 if swaplike else None
-    for k in range(max(protocol.n_pulses, 1)):
-        t_pulse = k * protocol.tau2
-        if k < protocol.n_pulses:
-            state, transfer = apply_pulse(state, gate)
-            if swaplike:
-                n_w += transfer
-            if keep_events:
-                events.append(TrajectoryEvent(time=t_pulse, kind="P", index=k))
-        state, evs = evolve_between_pulses(
-            state, protocol.tau2, cfg, rng, t_start=t_pulse,
-            eigenstate_shortcut=eigenstate_shortcut)
-        for ev in evs:
-            if ev.bath == 1:
-                h1 += 1 if ev.kind == "E" else -1
-            else:
-                h2 += 1 if ev.kind == "E" else -1
-        if keep_events:
-            events.extend(evs)
-    idx_f = state.basis_index
-    if idx_f is None:
-        pops = np.abs(state.amplitudes) ** 2
-        pops = pops / pops.sum()
-        idx_f = int(rng.choice(4, p=pops))
-    ledger = LedgerKey(h1, h2, BASIS_BITS[idx_f][0] - BASIS_BITS[idx0][0],
-                       BASIS_BITS[idx_f][1] - BASIS_BITS[idx0][1], n_w)
-    return TrajectoryRecord(RunParams(cfg, protocol, gate_spec), ledger,
-                            tuple(events) if keep_events else None)
+    return _trajectory(_ensemble(cfg, protocol, gate_spec), rng, keep_events,
+                       eigenstate_shortcut)
 
 
 def _bit_lane_chunks(
@@ -524,11 +646,11 @@ def run_ensemble(
             f"the {engine} lane needs finite jump rates within the jump budget of "
             f"{JUMP_BUDGET:.0e} per run, got a largest outflow rate of {rate!r} "
             f"over a run time of {protocol.total_time!r}")
+    ens = _ensemble(cfg, protocol, gate_spec)
     shortcut = engine == "events"
-    return (run_trajectory(
-                cfg, protocol, gate_spec,
-                np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, k)))),
-                keep_events=keep_events, eigenstate_shortcut=shortcut)
+    return (_trajectory(
+                ens, np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, k)))),
+                keep_events, shortcut)
             for k in range(sample_size))
 
 

@@ -356,6 +356,11 @@ def test_opt_gate_output_ignores_seed_and_restarts(monkeypatch, tmp_path):
         (["simulate", "--emit-logs", "--beta1", "1", "--beta2", "1",
           "--omega1", "1e-307", "--omega2", "1", "--gamma", "1e-307",
           "--samples", "5", "--pulses", "10"], 2, "no finite 0.01-wide bin"),
+        # a generic gate has no work lattice for the refinement to fill in;
+        # the run is refused before its log is read
+        (["analyze", "--gate", "generic:" + ",".join(
+            map(str, np.linspace(0.2, 2.0, 15))), "--pulses", "5", "--tau2",
+          "0.5", "trajectory_00000.log"], 2, "needs a swap-family gate"),
     ],
 )
 def test_error_exit_codes(capsys, monkeypatch, tmp_path, args, code,
@@ -365,7 +370,7 @@ def test_error_exit_codes(capsys, monkeypatch, tmp_path, args, code,
         monkeypatch.setattr(stats_module, "_bit_lane_chunks", _broken_chunks)
     assert cli.main(args) == code
     assert fragment in capsys.readouterr().err
-    if args[0] == "simulate" and code == 2:
+    if args[0] in ("simulate", "analyze") and code == 2:
         assert not (tmp_path / "out").exists()  # rejected before any output
 
 

@@ -89,6 +89,10 @@ def test_empty_log_parses_to_no_events(tmp_path):
         ("P x\n", 1, "bad pulse index 'x'"),
         ("P -1\n", 1, "negative pulse index -1"),
         ("P 1 2\n", 1, "pulse marker needs exactly one index"),
+        ("P 0\n1_0 1 E\n", 2, "bad time '1_0'"),
+        ("0.\u0665 1 E\n", 1, "bad time '0.\u0665'"),
+        ("P 1_0\n", 1, "bad pulse index '1_0'"),
+        ("P \u0661\n", 1, "bad pulse index '\u0661'"),
     ],
 )
 def test_malformed_lines_raise_parse_errors_with_location(tmp_path, text,

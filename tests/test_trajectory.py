@@ -257,7 +257,14 @@ def test_record_k_does_not_depend_on_sample_size():
         assert small == big[:m_small]
 
 
-@pytest.mark.parametrize("gate", [se.SwapFamily(), se.ISwap()])
+# the generic gate starts each interval in a superposition, which the
+# events lane carries as amplitudes until a jump collapses it to a basis state
+LANE_GATES = [se.SwapFamily(), se.ISwap(),
+              se.Generic(tuple(np.linspace(0.2, 2.0, 15))),
+              se.SwapFamily(0.3, -1.2, 2.0, 0.7)]
+
+
+@pytest.mark.parametrize("gate", LANE_GATES)
 def test_event_and_wavefunction_lanes_share_ledgers(gate):
     proto = se.Protocol(n_pulses=5, tau2=0.5)
     ev = list(se.run_ensemble(CFG, proto, gate, 50, seed=4, engine="events"))
@@ -265,11 +272,12 @@ def test_event_and_wavefunction_lanes_share_ledgers(gate):
     assert ev == wf
 
 
-def test_event_and_wavefunction_lanes_agree_on_jump_times():
+@pytest.mark.parametrize("gate", LANE_GATES)
+def test_event_and_wavefunction_lanes_agree_on_jump_times(gate):
     proto = se.Protocol(n_pulses=5, tau2=0.5)
-    ev = list(se.run_ensemble(CFG, proto, se.SwapFamily(), 10, seed=4,
+    ev = list(se.run_ensemble(CFG, proto, gate, 10, seed=4,
                               keep_events=True, engine="events"))
-    wf = list(se.run_ensemble(CFG, proto, se.SwapFamily(), 10, seed=4,
+    wf = list(se.run_ensemble(CFG, proto, gate, 10, seed=4,
                               keep_events=True, engine="mcwf"))
     for a, b in zip(ev, wf):
         assert len(a.events) == len(b.events)
