@@ -2,8 +2,8 @@
 Monte Carlo trajectories, and fluctuation-relation statistics."""
 
 from .eventlog import ParseError, format_event, parse_events, write_events
-from .gates import (BASIS_BITS, GateOptimum, GateSpec, Generic, ISwap,
-                    SwapFamily, Unitary4, build_gate, fit_to_matrix,
+from .gates import (BASIS_BITS, ISWAP, SWAP_PERMUTATION, GateOptimum, GateSpec,
+                    Generic, SwapFamily, Unitary4, build_gate, fit_to_matrix,
                     gibbs_populations, mean_energetics_for_gate, optimize_gate)
 from .pathft import (QubitPath, enumerate_paths, ft_log_ratio_exact,
                      heat_to_bath, joint_ft_log_ratio_exact, log_path_density,
@@ -22,7 +22,7 @@ from .trajectory import (BASIS_LABELS, JUMP_BUDGET, Energetics, JointState,
                          TrajectoryRecord, apply_pulse, basis_state,
                          evolve_between_pulses, jump_rates,
                          per_pulse_transfer_moments, run_ensemble,
-                         run_trajectory, sample_initial_state)
+                         sample_initial_state)
 
 __version__ = "0.1.0"
 

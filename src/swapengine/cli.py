@@ -29,8 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .eventlog import ParseError, parse_events, write_events
-from .gates import (Generic, GateSpec, ISwap, SwapFamily, build_gate,
-                    mean_energetics_for_gate, optimize_gate)
+from .gates import ISWAP, Generic, GateSpec, SwapFamily, optimize_gate
 from .stats import (EnsembleStats, FtLogRatio, PowerScanRow, check_eta_bins,
                     check_refinable, efficiency_distribution, fold_ensemble,
                     ft_log_ratio, power_scan, reconstruct_from_events)
@@ -102,7 +101,7 @@ def parse_gate_spec(text: str) -> GateSpec:
         if name == "swap" and not arg:
             return SwapFamily()
         if name == "iswap" and not arg:
-            return ISwap()
+            return ISWAP
         if name == "swap":
             phases = tuple(float(v) for v in arg.split(","))
             if len(phases) != 4:
@@ -254,8 +253,8 @@ def _eta_mp_scan(cfg: EngineConfig, scan: str) -> list[dict]:
             lo, hi, count = float(lo_s), float(hi_s), int(n_s)
         except ValueError:
             raise ConfigError(f"bad scan grid {scan!r}, expected lo:hi:count") from None
-        if not (cfg.beta1 < lo < hi and count >= 2):
-            raise ConfigError("scan grid must satisfy beta1 < lo < hi with count >= 2")
+        if not (cfg.beta1 < lo < hi < math.inf and count >= 2):
+            raise ConfigError("scan grid must satisfy beta1 < lo < hi < inf with count >= 2")
         beta2_grid = list(np.linspace(lo, hi, count))
     rows = []
     for beta2 in beta2_grid:
@@ -367,7 +366,7 @@ def cmd_power_scan(rc: RunConfig, t_op_multiple: float, n_list: str) -> int:
 def cmd_opt_gate(rc: RunConfig, restarts: int) -> int:
     result = optimize_gate(rc.engine)
     me_swap = mean_energetics(rc.engine)
-    best = mean_energetics_for_gate(build_gate(Generic(result.best_angles)), rc.engine)
+    best = result.optimum
     report = {
         "config": rc.echo(),
         "restarts": restarts,

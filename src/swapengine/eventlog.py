@@ -1,6 +1,7 @@
 """Event-log interchange format shared by the simulator and the analyzer.
 
-One UTF-8 line per event, trailing newline required:
+One UTF-8 line per event, each ending in "\n" (the last one too), with
+its fields separated by single ASCII spaces:
 
     <time> <bath> <kind>     a jump: decimal time in seconds, bath 1 or 2,
                              kind E (emission) or A (absorption)
@@ -10,7 +11,9 @@ One UTF-8 line per event, trailing newline required:
 Jump times must be strictly increasing through the file.  Times are printed
 with 17 significant digits, so float64 values round-trip exactly.  Numerals
 are ASCII decimals, as format_event writes them: no underscores, no other
-digits, no leading "+".
+digits, no leading "+".  Only "\n" ends a line ("\r\n" does not), and only
+one ASCII space separates two fields: tabs, other whitespace and leading,
+trailing or doubled spaces fail the parse.
 """
 
 from __future__ import annotations
@@ -60,15 +63,14 @@ def parse_events(path: str | Path) -> list[TrajectoryEvent]:
     name = str(path)
     events: list[TrajectoryEvent] = []
     last_time = -math.inf
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:   # no newline translation
         raw = fh.read()
     if raw and not raw.endswith("\n"):
         raise ParseError(name, raw.count("\n") + 1, "missing trailing newline")
-    for line_no, line in enumerate(raw.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
+    for line_no, line in enumerate(raw.split("\n")[:-1], start=1):
+        if not line:
             raise ParseError(name, line_no, "blank line")
-        fields = stripped.split()
+        fields = line.split(" ")
         if fields[0] == "P":
             if len(fields) != 2:
                 raise ParseError(name, line_no, f"pulse marker needs exactly one index, got {line!r}")

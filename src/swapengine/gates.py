@@ -5,10 +5,11 @@ factor; "+" marks the excited level.  The swap family
 
     U = diag-block(e^{i phi1}, e^{i phi4}) + off-block(e^{i phi2}, e^{i phi3})
 
-exchanges |+-> and |-+> up to phases; the iSWAP gate is the instance
-(0, pi/2, pi/2, 0).  A generic element of U(4) (up to global phase) is
-parametrized by 15 angles: three relative diagonal phases times a product of
-six two-level Givens rotations, each carrying a mixing angle and a phase.
+exchanges |+-> and |-+> up to phases, so every member permutes the basis
+by SWAP_PERMUTATION; ISWAP is the member (0, pi/2, pi/2, 0).  A generic
+element of U(4) (up to global phase) is parametrized by 15 angles: three
+relative diagonal phases times a product of six two-level Givens rotations,
+each carrying a mixing angle and a phase.
 Mean energetics of a gate acting on the product Gibbs state depend only on
 the doubly stochastic matrix B = |U_jk|^2, so every member of the swap family
 moves the same average energy, and a linear objective peaks at a vertex of the
@@ -31,6 +32,11 @@ from .thermo import ConfigError, EngineConfig, MeanEnergetics, Regime, classify_
 
 # (b1, b2) occupation bits for basis states |++>, |+->, |-+>, |-->
 BASIS_BITS = ((1, 1), (1, 0), (0, 1), (0, 0))
+_BITS = np.array(BASIS_BITS, dtype=float)
+
+# the basis permutation of every swap-family gate: basis state i goes to
+# SWAP_PERMUTATION[i], so |+-> and |-+> trade places
+SWAP_PERMUTATION = (0, 2, 1, 3)
 
 _UNITARITY_TOL = 1e-12
 
@@ -69,11 +75,6 @@ class SwapFamily:
 
 
 @dataclass(frozen=True)
-class ISwap:
-    """The swap-family member with phase i on the swap block."""
-
-
-@dataclass(frozen=True)
 class Generic:
     """15-angle parametrization of U(4) up to global phase.
 
@@ -90,7 +91,10 @@ class Generic:
         object.__setattr__(self, "angles", a)
 
 
-GateSpec = SwapFamily | ISwap | Generic
+# the swap-family member with phase i on the swap block
+ISWAP = SwapFamily(0.0, math.pi / 2, math.pi / 2, 0.0)
+
+GateSpec = SwapFamily | Generic
 
 
 def _generic_matrix(angles: tuple[float, ...]) -> np.ndarray:
@@ -112,8 +116,6 @@ def _generic_matrix(angles: tuple[float, ...]) -> np.ndarray:
 
 def build_gate(spec: GateSpec) -> Unitary4:
     """Realize a gate spec as a concrete 4x4 unitary."""
-    if isinstance(spec, ISwap):
-        spec = SwapFamily(0.0, math.pi / 2, math.pi / 2, 0.0)
     if isinstance(spec, SwapFamily):
         m = np.zeros((4, 4), dtype=complex)
         m[0, 0] = complex(math.cos(spec.phi1), math.sin(spec.phi1))
@@ -133,6 +135,23 @@ def gibbs_populations(cfg: EngineConfig) -> np.ndarray:
     return np.array([f1 * f2, f1 * (1 - f2), (1 - f1) * f2, (1 - f1) * (1 - f2)])
 
 
+def _centered_populations(cfg: EngineConfig) -> np.ndarray:
+    """gibbs_populations less 1/4, built from f = 1/2 + u, so that their
+    differences carry no rounding of the 1/4."""
+    u1 = excited_population(cfg.beta1, cfg.omega1) - 0.5
+    u2 = excited_population(cfg.beta2, cfg.omega2) - 0.5
+    s = 2.0 * _BITS - 1.0
+    return 0.5 * (s[:, 0] * u1 + s[:, 1] * u2) + s[:, 0] * s[:, 1] * (u1 * u2)
+
+
+def _energetics(b: np.ndarray, q: np.ndarray, cfg: EngineConfig) -> MeanEnergetics:
+    """Mean energetics of the transfer matrix b = |U|^2 acting on the
+    centered populations q: B p - p ignores a constant shift of p."""
+    dq1, dq2 = (b @ q - q) @ _BITS   # each qubit's change of excited population
+    dE1, dE2 = cfg.omega1 * float(dq1), cfg.omega2 * float(dq2)
+    return MeanEnergetics(dE1=dE1, dE2=dE2, w=dE1 + dE2)
+
+
 def mean_energetics_for_gate(U: Unitary4 | np.ndarray, cfg: EngineConfig) -> MeanEnergetics:
     """Mean per-application energetics of an arbitrary gate from the bi-Gibbs state.
 
@@ -140,36 +159,22 @@ def mean_energetics_for_gate(U: Unitary4 | np.ndarray, cfg: EngineConfig) -> Mea
     matrix B = |U|^2: row j of U collects basis state k with weight
     |U_jk|^2, so p'_j = sum_k B_jk p_k.
     """
-    if isinstance(U, Unitary4):
-        m = U.entries
-    else:
-        m = Unitary4(np.asarray(U, dtype=complex)).entries
-    p = gibbs_populations(cfg)
-    b = np.abs(m) ** 2
-    dp = b @ p - p
-    bits = np.array(BASIS_BITS, dtype=float)
-    dE1 = cfg.omega1 * float(bits[:, 0] @ dp)
-    dE2 = cfg.omega2 * float(bits[:, 1] @ dp)
-    return MeanEnergetics(dE1=dE1, dE2=dE2, w=dE1 + dE2)
+    m = U.entries if isinstance(U, Unitary4) else Unitary4(np.asarray(U, dtype=complex)).entries
+    return _energetics(np.abs(m) ** 2, _centered_populations(cfg), cfg)
 
 
 @dataclass(frozen=True)
 class GateOptimum:
-    """Exact best work output, the angles realizing it, and the gap to the swap gate."""
+    """Exact best gate: its angles, its mean energetics, and the gap to the swap gate."""
 
-    best_w: float
     best_angles: tuple[float, ...]
+    optimum: MeanEnergetics
     gap_to_swap: float
 
-
-def _work_output_of_angles(angles: tuple[float, ...], p: np.ndarray,
-                           omega1: float, omega2: float) -> float:
-    b = np.abs(_generic_matrix(angles)) ** 2
-    dp = b @ p - p
-    # work output = -(dE1 + dE2); bits pattern hard-coded for speed
-    dE1 = omega1 * (dp[0] + dp[1])
-    dE2 = omega2 * (dp[0] + dp[2])
-    return -(dE1 + dE2)
+    @property
+    def best_w(self) -> float:
+        """The best work output, -<w> of the winner."""
+        return -self.optimum.w
 
 
 def optimize_gate(cfg: EngineConfig) -> GateOptimum:
@@ -177,28 +182,21 @@ def optimize_gate(cfg: EngineConfig) -> GateOptimum:
 
     With all phases 0 and each Givens mixing angle 0 or pi/2, the 64 angle
     vectors give |U|^2 within 1e-30 of the 24 permutation matrices; the first
-    maximum in that order wins.  best_w is the work output -<w> of the winner;
-    gap_to_swap is the amount (zero up to rounding) by which the swap beats it.
+    maximum in that order wins.  gap_to_swap is the amount by which the
+    swap's work output exceeds the winner's, 0 when the swap wins.
     """
     if classify_regime(cfg) is not Regime.HEAT_ENGINE:
         raise ConfigError("gate optimization targets heat-engine configurations")
-    # B p - p ignores a constant shift of p, so the populations enter less 1/4,
-    # built from f = 1/2 + u: their differences carry no rounding of the 1/4
-    u1 = excited_population(cfg.beta1, cfg.omega1) - 0.5
-    u2 = excited_population(cfg.beta2, cfg.omega2) - 0.5
-    s = 2.0 * np.array(BASIS_BITS) - 1.0
-    q = 0.5 * (s[:, 0] * u1 + s[:, 1] * u2) + s[:, 0] * s[:, 1] * (u1 * u2)
-    # swap exchanges q[1] <-> q[2]; output -<w> = (q[1]-q[2])*(omega1-omega2)
-    swap_out = (q[1] - q[2]) * (cfg.omega1 - cfg.omega2)
-    best_out = -math.inf
+    q = _centered_populations(cfg)
+    best: MeanEnergetics | None = None
     best_angles: tuple[float, ...] = ()
     for thetas in itertools.product((0.0, math.pi / 2), repeat=6):
         angles = (0.0,) * 3 + thetas + (0.0,) * 6
-        out = _work_output_of_angles(angles, q, cfg.omega1, cfg.omega2)
-        if out > best_out:
-            best_out, best_angles = out, angles
-    return GateOptimum(best_w=float(best_out), best_angles=best_angles,
-                       gap_to_swap=float(swap_out - best_out))
+        me = _energetics(np.abs(_generic_matrix(angles)) ** 2, q, cfg)
+        if best is None or me.w < best.w:
+            best, best_angles = me, angles
+    swap = _energetics(np.eye(4)[list(SWAP_PERMUTATION)], q, cfg)
+    return GateOptimum(best_angles=best_angles, optimum=best, gap_to_swap=best.w - swap.w)
 
 
 def fit_to_matrix(target: np.ndarray) -> tuple[tuple[float, ...], float]:

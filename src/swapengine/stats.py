@@ -26,10 +26,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .gates import GateSpec, SwapFamily
-from .thermo import ConfigError, EngineConfig, excited_population, relaxation_time
-from .trajectory import (LedgerKey, Protocol, RunParams, TrajectoryEvent,
-                         TrajectoryRecord, _bit_lane_chunks, _is_swaplike,
+from .gates import BASIS_BITS, SWAP_PERMUTATION, GateSpec, SwapFamily, gibbs_populations
+from .thermo import ConfigError, EngineConfig, relaxation_time
+from .trajectory import (CHANNELS, LedgerKey, Protocol, RunParams, TrajectoryEvent,
+                         TrajectoryRecord, _JUMP_MAPS, _bit_lane_chunks, _is_swaplike,
                          pick_lane, run_ensemble)
 
 ETA_BIN_WIDTH = 0.01
@@ -425,7 +425,7 @@ class Reconstruction:
     is (h1, h2, 0, 0, None): its dE_i = q_i is off from the truth by exactly
     the unobservable -dU_i, bounded by one quantum per qubit.  When the
     pulse schedule is known, the refined ledger comes from exact candidate
-    propagation: all four initial bit pairs are evolved through the known
+    propagation: all four initial basis states are evolved through the known
     swap times, candidates inconsistent with any observed jump are pruned,
     and the largest-Gibbs-weight survivor's ledger is kept; survivors counts
     those left alive (0 means the log cannot come from the assumed schedule,
@@ -495,57 +495,54 @@ def reconstruct_from_events(
         injections=tuple(sorted(injections, key=lambda i: (i.t_lo, i.t_hi, i.bath))))
 
 
+# refinement steps, each (basis map, quanta moved into qubit 1 from each basis
+# state): SWAP_PERMUTATION at a pulse, the channel's jump map at a jump
+_PULSE_STEP = (SWAP_PERMUTATION, tuple(BASIS_BITS[j][0] - BASIS_BITS[i][0]
+                                      for i, j in enumerate(SWAP_PERMUTATION)))
+_JUMP_STEPS = {channel: (basis_map, (0, 0, 0, 0))
+               for channel, basis_map in zip(CHANNELS, _JUMP_MAPS)}
+
+
 def _refine_candidates(
     events: Sequence[TrajectoryEvent],
     cfg: EngineConfig,
     protocol: Protocol,
     naive: LedgerKey,
 ) -> tuple[LedgerKey | None, int]:
-    """Propagate all four initial bit pairs through the known swap schedule.
+    """Propagate all four initial basis states through the known swap schedule.
 
-    A swap-family pulse exchanges the bits; an observed emission requires
-    the jumping qubit excited (and grounds it), an absorption the reverse.
-    Candidates violating any jump die.  The survivor set is never empty for
-    a log actually generated by this schedule, and all survivors agree on
-    the pulse-transfer sum to within one quantum.  Returns the checked
-    ledger of the survivor with the largest initial Gibbs weight (None when
-    none survives) and the number of survivors.
+    A swap-family pulse is SWAP_PERMUTATION, and an observed jump is the
+    events lane's basis map of its channel, which kills a candidate it
+    annihilates.  The survivor set is never empty for a log actually
+    generated by this schedule, and all survivors agree on the
+    pulse-transfer sum to within one quantum.  Returns the checked ledger of
+    the survivor with the largest initial Gibbs weight (ties keep the start
+    order --, -+, +-, ++; None when none survives) and the number of
+    survivors.
     """
-    pulse_times = [k * protocol.tau2 for k in range(protocol.n_pulses)]
-    f1 = excited_population(cfg.beta1, cfg.omega1)
-    f2 = excited_population(cfg.beta2, cfg.omega2)
-    starts = sorted(
-        ((b1, b2) for b1 in (0, 1) for b2 in (0, 1)),
-        key=lambda b: (f1 if b[0] else 1.0 - f1) * (f2 if b[1] else 1.0 - f2),
-        reverse=True)
-    candidates = [
-        {"b1": b1, "b2": b2, "b1_0": b1, "b2_0": b2, "m": 0, "alive": True}
-        for b1, b2 in starts
-    ]
+    steps = []   # the log's jumps merged with the pulse schedule
     next_pulse = 0
-    for ev in list(events) + [None]:
-        t = math.inf if ev is None else ev.time
-        while next_pulse < len(pulse_times) and pulse_times[next_pulse] <= t:
-            for c in candidates:
-                if c["alive"]:
-                    c["m"] += c["b2"] - c["b1"]
-                    c["b1"], c["b2"] = c["b2"], c["b1"]
+    for ev in events:
+        while next_pulse < protocol.n_pulses and next_pulse * protocol.tau2 <= ev.time:
+            steps.append(_PULSE_STEP)
             next_pulse += 1
-        if ev is None:
-            break
-        key = "b1" if ev.bath == 1 else "b2"
-        needed = 1 if ev.kind == "E" else 0
-        for c in candidates:
-            if c["alive"]:
-                if c[key] != needed:
-                    c["alive"] = False
-                else:
-                    c[key] = 1 - needed
-    alive = [c for c in candidates if c["alive"]]
+        steps.append(_JUMP_STEPS[ev.bath, ev.kind])
+    steps += [_PULSE_STEP] * (protocol.n_pulses - next_pulse)
+    p = gibbs_populations(cfg)
+    alive = []   # (start, end, transfer) of each survivor, by falling Gibbs weight
+    for i0 in sorted((3, 2, 1, 0), key=lambda i: p[i], reverse=True):
+        i, m = i0, 0
+        for basis_map, transfer in steps:
+            m += transfer[i]
+            i = basis_map[i]
+            if i < 0:
+                break
+        else:
+            alive.append((i0, i, m))
     if not alive:
         return None, 0
-    best = alive[0]
-    ledger = naive._replace(db1=best["b1"] - best["b1_0"],
-                            db2=best["b2"] - best["b2_0"], n_w=best["m"])
+    i0, i, m = alive[0]
+    ledger = naive._replace(db1=BASIS_BITS[i][0] - BASIS_BITS[i0][0],
+                            db2=BASIS_BITS[i][1] - BASIS_BITS[i0][1], n_w=m)
     ledger.check()
     return ledger, len(alive)

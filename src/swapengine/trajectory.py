@@ -44,7 +44,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .gates import BASIS_BITS, GateSpec, ISwap, SwapFamily, Unitary4, build_gate
+from .gates import (BASIS_BITS, SWAP_PERMUTATION, GateSpec, SwapFamily, Unitary4,
+                    build_gate)
 from .thermo import ConfigError, EngineConfig, bose_occupation, excited_population
 
 BASIS_LABELS = ("++", "+-", "-+", "--")
@@ -420,23 +421,21 @@ def evolve_between_pulses(
     cfg: EngineConfig,
     rng: np.random.Generator,
     t_start: float = 0.0,
-    eigenstate_shortcut: bool = True,
 ) -> tuple[JointState, list[TrajectoryEvent]]:
     """Relax the joint state for `duration` against the two baths.
 
     Standard waiting-time unraveling: draw r uniform, decay the amplitudes
     under the diagonal no-jump generator until the squared norm hits r (the
     root is bisected to 1e-12 relative time tolerance; for a basis state the
-    closed form -ln(r)/rate is used instead unless eigenstate_shortcut is
-    off), apply the channel drawn from the instantaneous rates, renormalize,
-    repeat until the interval is exhausted.  Returned event times are
-    absolute (offset by t_start).
+    closed form -ln(r)/rate is used instead), apply the channel drawn from
+    the instantaneous rates, renormalize, repeat until the interval is
+    exhausted.  Returned event times are absolute (offset by t_start).
     """
     if duration < 0:
         raise ConfigError(f"duration must be nonnegative, got {duration}")
     events: list[TrajectoryEvent] = []
     end = _relax_amplitudes(state.amplitudes, duration, t_start, rng, _relaxation(cfg),
-                            events, [0, 0], eigenstate_shortcut)
+                            events, [0, 0], eigenstate_shortcut=True)
     return (basis_state(end) if isinstance(end, int) else JointState(end)), events
 
 
@@ -456,7 +455,7 @@ def apply_pulse(state: JointState, gate: Unitary4) -> tuple[JointState, int | No
 
 
 def _is_swaplike(spec: GateSpec) -> bool:
-    return isinstance(spec, (SwapFamily, ISwap))
+    return isinstance(spec, SwapFamily)
 
 
 def pick_lane(gate_spec: GateSpec, keep_events: bool) -> str:
@@ -477,11 +476,9 @@ class _Ensemble(NamedTuple):
 
 
 def _ensemble(cfg: EngineConfig, protocol: Protocol, gate_spec: GateSpec) -> _Ensemble:
-    gate = build_gate(gate_spec)
-    # a swap-family gate sends basis state i to the one j with |U_ji| = 1
-    perm = (tuple(int(j) for j in np.argmax(np.abs(gate.entries), axis=0))
-            if _is_swaplike(gate_spec) else None)
-    return _Ensemble(RunParams(cfg, protocol, gate_spec), gate, perm, _relaxation(cfg))
+    perm = SWAP_PERMUTATION if _is_swaplike(gate_spec) else None
+    return _Ensemble(RunParams(cfg, protocol, gate_spec), build_gate(gate_spec), perm,
+                     _relaxation(cfg))
 
 
 def _trajectory(
@@ -490,12 +487,15 @@ def _trajectory(
     keep_events: bool,
     eigenstate_shortcut: bool,
 ) -> TrajectoryRecord:
-    """run_trajectory on the shared constants of its ensemble.
+    """Simulate one full run on the shared constants of its ensemble.
 
-    With eigenstate_shortcut the state is carried as a basis index while it
-    is one, and a swap-family pulse is a lookup in the gate's permutation;
-    otherwise, and while the state is a superposition, it is carried as
-    amplitudes.
+    Samples the initial eigenstate, alternates pulse and relaxation interval
+    n_pulses times (a single bare interval when n_pulses = 0), measures the
+    final energy eigenstate (a read-off for basis states, a Born draw
+    otherwise), and fills the integer ledger.  With eigenstate_shortcut the
+    state is carried as a basis index while it is one, and a swap-family
+    pulse is a lookup in SWAP_PERMUTATION; otherwise, and while the state is
+    a superposition, it is carried as amplitudes.
     """
     cfg, protocol, _ = ens.params
     idx0 = sample_initial_state(cfg, rng)
@@ -532,25 +532,6 @@ def _trajectory(
     ledger = LedgerKey(heat[0], heat[1], BASIS_BITS[idx_f][0] - BASIS_BITS[idx0][0],
                        BASIS_BITS[idx_f][1] - BASIS_BITS[idx0][1], n_w)
     return TrajectoryRecord(ens.params, ledger, None if events is None else tuple(events))
-
-
-def run_trajectory(
-    cfg: EngineConfig,
-    protocol: Protocol,
-    gate_spec: GateSpec,
-    rng: np.random.Generator,
-    keep_events: bool = True,
-    eigenstate_shortcut: bool = True,
-) -> TrajectoryRecord:
-    """Simulate one full run and assemble its record.
-
-    Samples the initial eigenstate, alternates pulse and relaxation interval
-    n_pulses times (a single bare interval when n_pulses = 0), measures the
-    final energy eigenstate (a read-off for basis states, a Born draw
-    otherwise), and fills the integer ledger.
-    """
-    return _trajectory(_ensemble(cfg, protocol, gate_spec), rng, keep_events,
-                       eigenstate_shortcut)
 
 
 def _bit_lane_chunks(

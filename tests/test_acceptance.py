@@ -118,7 +118,8 @@ def test_work_per_operation_time_grows_with_pulse_count(omega2, eta_expected):
 def test_gate_search_never_beats_the_swap_and_reaches_it():
     """10 random heat-engine configurations, each optimized exactly over the
     24 permutation gates: the best unitary exceeds the swap work output by at
-    most 1e-9 and comes within 1e-6 of it."""
+    most 1e-9 and comes within 1e-6 of it; in fact the swap wins exactly, and
+    best_w is the winner's -<w>."""
     rng = np.random.default_rng(2024)
     checked = 0
     while checked < 10:
@@ -132,6 +133,8 @@ def test_gate_search_never_beats_the_swap_and_reaches_it():
         opt = se.optimize_gate(cfg)
         assert opt.gap_to_swap >= -1e-9, (b1, b2, o2)
         assert opt.gap_to_swap <= 1e-6, (b1, b2, o2)
+        assert opt.gap_to_swap == 0.0, (b1, b2, o2)
+        assert opt.best_w == -opt.optimum.w, (b1, b2, o2)
         checked += 1
 
 

@@ -290,6 +290,8 @@ def test_opt_gate_reports_the_swap_value(capsys, monkeypatch, tmp_path):
     assert printed["best_w"] == pytest.approx(swap_out, rel=1e-9)
     assert printed["swap_work_output"] == pytest.approx(swap_out, rel=1e-15)
     assert printed["gap_to_swap"] >= -1e-9
+    assert printed["gap_to_swap"] == 0.0
+    assert printed["best_w"] == -printed["optimum"]["w"]
     assert printed["optimum"]["eta"] == pytest.approx(1.0 / 6.0, rel=1e-9)
     assert len(printed["best_angles"]) == 15
 
@@ -361,6 +363,8 @@ def test_opt_gate_output_ignores_seed_and_restarts(monkeypatch, tmp_path):
         (["analyze", "--gate", "generic:" + ",".join(
             map(str, np.linspace(0.2, 2.0, 15))), "--pulses", "5", "--tau2",
           "0.5", "trajectory_00000.log"], 2, "needs a swap-family gate"),
+        # an infinite bound is refused before the grid is built
+        (["analytic", "--scan-eta-mp", "0.8:inf:3"], 2, "beta1 < lo < hi"),
     ],
 )
 def test_error_exit_codes(capsys, monkeypatch, tmp_path, args, code,
@@ -527,13 +531,17 @@ def _console_script(name: str) -> tuple[list[str], dict[str, str]]:
     return [sys.executable, "-c", code], env
 
 
-def test_bench_traced_mode_wraps_the_current_names(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["analytic", "--json"],
+    ["opt-gate", "--restarts", "6", "--seed", "1"],   # the gate-search argv
+])
+def test_bench_traced_mode_wraps_the_current_names(tmp_path, argv):
     # with TRACE 1 the benchmark's child wraps names that cli and gates look
     # up; a renamed or removed name breaks it here, not only in the benchmark
     child = Path(__file__).resolve().parents[1] / "bench" / "child.py"
     result = tmp_path / "result.json"
     run = subprocess.run([sys.executable, str(child), str(result), "1", "{}",
-                          "--", "analytic", "--json"],
+                          "--", *argv],
                          capture_output=True, text=True, cwd=tmp_path)
     assert run.returncode == 0, run.stderr
     assert json.loads(result.read_text())["rc"] == 0

@@ -93,6 +93,12 @@ def test_empty_log_parses_to_no_events(tmp_path):
         ("0.\u0665 1 E\n", 1, "bad time '0.\u0665'"),
         ("P 1_0\n", 1, "bad pulse index '1_0'"),
         ("P \u0661\n", 1, "bad pulse index '\u0661'"),
+        # only "\n" ends a line, and one ASCII space separates two fields
+        ("0.5\xa01 E\n0.7 2 A\n", 1, "expected '<time> <bath> <kind>'"),
+        ("0.5 1 E\x0c0.7 2 A\n", 1, "expected '<time> <bath> <kind>'"),
+        ("0.5 1 E\n0.7 2 A\r\n", 2, "unknown jump kind 'A\\r'"),
+        ("P 0\n0.5\t1 E\n", 2, "expected '<time> <bath> <kind>'"),
+        ("0.5 1 E\n0.7  2 A\n", 2, "expected '<time> <bath> <kind>'"),
     ],
 )
 def test_malformed_lines_raise_parse_errors_with_location(tmp_path, text,

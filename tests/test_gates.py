@@ -69,7 +69,7 @@ def test_generic_gates_are_unitary():
 
 
 def test_iswap_has_swap_transition_probabilities_with_quarter_phase():
-    U = se.build_gate(se.ISwap()).entries
+    U = se.build_gate(se.ISWAP).entries
     assert np.allclose(np.abs(U) ** 2, SWAP_MATRIX, atol=1e-15)
     assert U[1, 2] == pytest.approx(1.0j, abs=1e-12)
     assert U[2, 1] == pytest.approx(1.0j, abs=1e-12)
@@ -123,7 +123,7 @@ def test_swap_gate_energetics_match_the_closed_form():
 
 
 def test_gate_energetics_accept_wrapped_and_raw_matrices():
-    U = se.build_gate(se.ISwap())
+    U = se.build_gate(se.ISWAP)
     assert se.mean_energetics_for_gate(U, CFG) == se.mean_energetics_for_gate(
         U.entries, CFG
     )
@@ -134,15 +134,20 @@ def test_swap_family_energetics_ignore_phases():
     rng = np.random.default_rng(19)
     for _ in range(50):
         phis = tuple(rng.uniform(0.0, 2.0 * np.pi, size=4))
-        me = se.mean_energetics_for_gate(se.build_gate(se.SwapFamily(*phis)), CFG)
+        U = se.build_gate(se.SwapFamily(*phis))
+        me = se.mean_energetics_for_gate(U, CFG)
         assert me.dE1 == pytest.approx(base.dE1, rel=1e-12)
         assert me.dE2 == pytest.approx(base.dE2, rel=1e-12)
         assert me.w == pytest.approx(base.w, rel=1e-12)
+        # basis state i goes to the j with |U_ji| = 1
+        assert tuple(np.argmax(np.abs(U.entries), axis=0)) == se.SWAP_PERMUTATION
+    iswap = se.build_gate(se.ISWAP).entries
+    assert tuple(np.argmax(np.abs(iswap), axis=0)) == se.SWAP_PERMUTATION
 
 
 def test_iswap_energetics_equal_swap_energetics():
     swap = se.mean_energetics_for_gate(se.build_gate(se.SwapFamily()), CFG)
-    iswap = se.mean_energetics_for_gate(se.build_gate(se.ISwap()), CFG)
+    iswap = se.mean_energetics_for_gate(se.build_gate(se.ISWAP), CFG)
     assert iswap.w == pytest.approx(swap.w, rel=1e-12)
     assert iswap.dE1 == pytest.approx(swap.dE1, rel=1e-12)
 
@@ -186,7 +191,7 @@ def test_random_gates_never_beat_the_swap(cfg):
         assert -w <= best_out + 1e-12
 
 
-@pytest.mark.parametrize("spec", [se.ISwap(), se.SwapFamily()])
+@pytest.mark.parametrize("spec", [se.ISWAP, se.SwapFamily()])
 def test_fit_to_matrix_recovers_named_gates(spec):
     target = se.build_gate(spec).entries
     angles, dist = se.fit_to_matrix(target)
@@ -236,6 +241,9 @@ def test_optimize_gate_lands_on_the_swap_value():
     # the optimum may only exceed the swap value by rounding noise
     assert opt.gap_to_swap >= -1e-9
     assert opt.gap_to_swap <= 1e-6
+    # one route to both values: the swap wins, and best_w is its -<w>
+    assert opt.gap_to_swap == 0.0
+    assert opt.best_w == -opt.optimum.w
 
 
 def test_optimize_gate_rejects_non_engine_configurations():

@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swapengine as se
 from swapengine import stats as stats_module
@@ -349,9 +351,13 @@ def test_refined_reconstruction_recovers_simulated_work():
     quantum = CFG.omega1 - CFG.omega2
     recs = se.run_ensemble(CFG, proto, se.SwapFamily(), 30, seed=77,
                            keep_events=True, engine="events")
+    single = 0
     for rec in recs:
         stripped = [ev for ev in rec.events if ev.kind != "P"]
         out = se.reconstruct_from_events(stripped, CFG, proto)
+        if out.survivors == 1:   # the log pins the path: the whole ledger is exact
+            assert out.refined == rec.ledger
+            single += 1
         true = rec.energetics
         assert _naive(out).q1 == true.q1
         assert _naive(out).q2 == true.q2
@@ -364,6 +370,7 @@ def test_refined_reconstruction_recovers_simulated_work():
         assert abs(refined.w - true.w) <= quantum
         assert abs(refined.dE1 - true.dE1) <= CFG.omega1
         assert abs(refined.dE2 - true.dE2) <= CFG.omega2
+    assert single > 0
 
 
 def test_reconstructed_energy_changes_are_the_jump_sums():
@@ -379,6 +386,52 @@ def test_reconstructed_energy_changes_are_the_jump_sums():
         n1 = sum(i.quanta for i in out.injections if i.bath == 1)
         n2 = sum(i.quanta for i in out.injections if i.bath == 2)
         assert (n1 * CFG.omega1, n2 * CFG.omega2) == (e.q1, e.q2)
+
+
+def _bit_pair_refinement(events, cfg, protocol):
+    """Reference refinement: each start bit pair (b1, b2), by falling Gibbs
+    weight, walked through the swaps and jumps; (db1, db2, n_w) per survivor."""
+    f1 = se.excited_population(cfg.beta1, cfg.omega1)
+    f2 = se.excited_population(cfg.beta2, cfg.omega2)
+    starts = sorted(((b1, b2) for b1 in (0, 1) for b2 in (0, 1)), reverse=True,
+                    key=lambda b: (f1 if b[0] else 1 - f1) * (f2 if b[1] else 1 - f2))
+    survivors = []
+    for start in starts:
+        bits, n_w, pulses = list(start), 0, 0
+        for ev in [*events, None]:
+            t = math.inf if ev is None else ev.time
+            while pulses < protocol.n_pulses and pulses * protocol.tau2 <= t:
+                n_w += bits[1] - bits[0]
+                bits.reverse()
+                pulses += 1
+            if ev is None:
+                survivors.append((bits[0] - start[0], bits[1] - start[1], n_w))
+            elif bits[ev.bath - 1] != (ev.kind == "E"):
+                break
+            else:
+                bits[ev.bath - 1] = int(ev.kind == "A")
+    return survivors
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.sampled_from([CFG, se.EngineConfig(0.5, 1.0, 1.0, 0.5),   # tied weights
+                        se.EngineConfig(1.0, 1.0, 0.7, 0.7)]),
+       st.integers(1, 6),
+       st.lists(st.tuples(st.floats(0.0, 4.0), st.sampled_from("EA"),
+                          st.sampled_from((1, 2))),
+                max_size=10, unique_by=lambda j: j[0]))
+def test_refinement_matches_the_bit_pair_walk(cfg, n_pulses, jumps):
+    # drawn logs, most of them impossible: the same survivors, and the
+    # first of them by Gibbs weight gives the refined ledger
+    protocol = se.Protocol(n_pulses, 0.65)
+    events = [_jump(t, kind, bath) for t, kind, bath in sorted(jumps)]
+    out = se.reconstruct_from_events(events, cfg, protocol)
+    ref = _bit_pair_refinement(events, cfg, protocol)
+    assert out.survivors == len(ref)
+    if ref:
+        assert (out.refined.db1, out.refined.db2, out.refined.n_w) == ref[0]
+    else:
+        assert out.refined is None
 
 
 def test_refined_reconstruction_flags_impossible_logs():

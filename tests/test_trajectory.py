@@ -259,7 +259,7 @@ def test_record_k_does_not_depend_on_sample_size():
 
 # the generic gate starts each interval in a superposition, which the
 # events lane carries as amplitudes until a jump collapses it to a basis state
-LANE_GATES = [se.SwapFamily(), se.ISwap(),
+LANE_GATES = [se.SwapFamily(), se.ISWAP,
               se.Generic(tuple(np.linspace(0.2, 2.0, 15))),
               se.SwapFamily(0.3, -1.2, 2.0, 0.7)]
 
@@ -333,7 +333,7 @@ def small_runs(draw):
     assert se.classify_regime(cfg) is (
         se.Regime.HEAT_ENGINE if engine else se.Regime.REFRIGERATOR)
     proto = se.Protocol(draw(st.integers(0, 5)), draw(st.floats(0.05, 2.0)))
-    gate = draw(st.sampled_from([se.SwapFamily(), se.ISwap()]))
+    gate = draw(st.sampled_from([se.SwapFamily(), se.ISWAP]))
     return cfg, proto, gate, draw(st.integers(1, 20)), draw(st.integers(0, 2**32 - 1))
 
 
