@@ -9,18 +9,16 @@ from .pathft import (QubitPath, enumerate_paths, ft_log_ratio_exact,
                      heat_to_bath, joint_ft_log_ratio_exact, log_path_density,
                      reversed_path)
 from .stats import (EfficiencyDistribution, EnsembleStats, FtLogRatio,
-                    InferredInjection, PowerScanRow, Reconstruction,
-                    accumulate, efficiency_distribution, fold_ensemble,
-                    ft_log_ratio, power_scan, reconstruct_from_events)
+                    PowerScanRow, Reconstruction, accumulate,
+                    efficiency_distribution, fold_ensemble, ft_log_ratio,
+                    power_scan, reconstruct_from_events)
 from .thermo import (ConfigError, Efficiencies, EngineConfig, ExpansionFit,
                      MaxPowerPoint, MeanEnergetics, Regime, bose_occupation,
                      classify_regime, efficiencies, excited_population,
                      low_etaC_expansion, mean_energetics, omega_star,
                      post_swap_betas, relaxation_time)
-from .trajectory import (BASIS_LABELS, JUMP_BUDGET, Energetics, JointState,
-                         LedgerKey, Protocol, RunParams, TrajectoryEvent,
-                         TrajectoryRecord, apply_pulse, basis_state,
-                         evolve_between_pulses, jump_rates,
+from .trajectory import (BASIS_LABELS, JUMP_BUDGET, Energetics, LedgerKey,
+                         Protocol, RunParams, TrajectoryEvent, TrajectoryRecord,
                          per_pulse_transfer_moments, run_ensemble,
                          sample_initial_state)
 

@@ -401,60 +401,23 @@ def power_scan(
 
 
 @dataclass(frozen=True)
-class InferredInjection:
-    """One work-source injection deduced from the jump record of a bath.
-
-    quanta is +1 when two consecutive emissions in the same bath imply an
-    intervening re-excitation, -1 for two consecutive absorptions; boundary
-    segments use the ground-state convention (t_lo = 0 for the leading one,
-    t_hi = inf marking the open trailing one)."""
-
-    t_lo: float
-    t_hi: float
-    bath: int
-    quanta: int
-
-
-@dataclass(frozen=True)
 class Reconstruction:
     """Integer ledgers recovered from a pulse-marker-free jump log.
 
-    The jump sums give the net emission counts h1, h2 exactly.  The
-    consecutive-pair rule with ground boundaries infers the injections;
-    their net count per bath is the net emission count, so the naive ledger
-    is (h1, h2, 0, 0, None): its dE_i = q_i is off from the truth by exactly
-    the unobservable -dU_i, bounded by one quantum per qubit.  When the
-    pulse schedule is known, the refined ledger comes from exact candidate
-    propagation: all four initial basis states are evolved through the known
-    swap times, candidates inconsistent with any observed jump are pruned,
-    and the largest-Gibbs-weight survivor's ledger is kept; survivors counts
-    those left alive (0 means the log cannot come from the assumed schedule,
-    and refined stays None)."""
+    The jump sums give the net emission counts h1, h2 exactly, so the naive
+    ledger is (h1, h2, 0, 0, None), the ground-boundary convention: its
+    dE_i = q_i is off from the truth by exactly the unobservable -dU_i,
+    bounded by one quantum per qubit.  When the pulse schedule is known, the
+    refined ledger comes from exact candidate propagation: all four initial
+    basis states are evolved through the known swap times, candidates
+    inconsistent with any observed jump are pruned, and the
+    largest-Gibbs-weight survivor's ledger is kept; survivors counts those
+    left alive (0 means the log cannot come from the assumed schedule, and
+    refined stays None)."""
 
     naive: LedgerKey
     refined: LedgerKey | None
     survivors: int
-    injections: tuple[InferredInjection, ...]
-
-
-def _pair_rule(times: list[float], kinds: list[str], bath: int,
-               ) -> list[InferredInjection]:
-    """Injections into the qubit implied by its bath's jump record alone;
-    their quanta sum to the net emission count #E - #A."""
-    injections: list[InferredInjection] = []
-    if not kinds:
-        return injections
-    # leading boundary, ground start: an opening emission needs a prior quantum
-    if kinds[0] == "E":
-        injections.append(InferredInjection(0.0, times[0], bath, +1))
-    for j in range(len(kinds) - 1):
-        if kinds[j] == kinds[j + 1]:
-            q = 1 if kinds[j] == "E" else -1
-            injections.append(InferredInjection(times[j], times[j + 1], bath, q))
-    # trailing boundary, ground end: a closing absorption must be undone
-    if kinds[-1] == "A":
-        injections.append(InferredInjection(times[-1], math.inf, bath, -1))
-    return injections
 
 
 def reconstruct_from_events(
@@ -468,7 +431,7 @@ def reconstruct_from_events(
     pulse markers); passing a known pulse schedule enables the exact
     candidate refinement of n_w described on Reconstruction.
     """
-    per_bath: dict[int, tuple[list[float], list[str]]] = {1: ([], []), 2: ([], [])}
+    h = {1: 0, 2: 0}   # net emission count per bath
     last = -math.inf
     for ev in events:
         if ev.kind == "P":
@@ -480,19 +443,12 @@ def reconstruct_from_events(
         if ev.time <= last:
             raise ConfigError("jump times must be strictly increasing")
         last = ev.time
-        per_bath[ev.bath][0].append(ev.time)
-        per_bath[ev.bath][1].append(ev.kind)
-    t1, k1 = per_bath[1]
-    t2, k2 = per_bath[2]
-    naive = LedgerKey(k1.count("E") - k1.count("A"), k2.count("E") - k2.count("A"),
-                      0, 0, None)
-    injections = _pair_rule(t1, k1, 1) + _pair_rule(t2, k2, 2)
+        h[ev.bath] += 1 if ev.kind == "E" else -1
+    naive = LedgerKey(h[1], h[2], 0, 0, None)
     refined, survivors = None, 0
     if protocol is not None and protocol.n_pulses > 0:
         refined, survivors = _refine_candidates(events, cfg, protocol, naive)
-    return Reconstruction(
-        naive=naive, refined=refined, survivors=survivors,
-        injections=tuple(sorted(injections, key=lambda i: (i.t_lo, i.t_hi, i.bath))))
+    return Reconstruction(naive, refined, survivors)
 
 
 # refinement steps, each (basis map, quanta moved into qubit 1 from each basis

@@ -94,31 +94,6 @@ class Protocol:
         return self.n_pulses * self.tau2 if self.n_pulses else self.tau2
 
 
-@dataclass(frozen=True)
-class JointState:
-    """Pure state of the qubit pair: 4 amplitudes over {|++>,|+->,|-+>,|-->}."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.amplitudes, dtype=complex)
-        if a.shape != (4,):
-            raise ValueError(f"expected 4 amplitudes, got shape {a.shape}")
-        object.__setattr__(self, "amplitudes", a)
-
-    @property
-    def basis_index(self) -> int | None:
-        """Index of the occupied basis state, or None for a superposition."""
-        nz = np.flatnonzero(np.abs(self.amplitudes) > 1e-12)
-        return int(nz[0]) if len(nz) == 1 else None
-
-
-def basis_state(index: int) -> JointState:
-    a = np.zeros(4, dtype=complex)
-    a[index] = 1.0
-    return JointState(a)
-
-
 class TrajectoryEvent(NamedTuple):
     """One record line: a jump ("E"/"A" with bath 1|2) or a pulse ("P" with index)."""
 
@@ -243,22 +218,19 @@ def _dichotomic_rates(cfg: EngineConfig) -> tuple[float, float, float, float]:
     return g * (n1 + 1.0), g * n1, g * (n2 + 1.0), g * n2
 
 
-def jump_rates(state: JointState, cfg: EngineConfig) -> np.ndarray:
-    """Instantaneous rates of the four jump channels for a normalized state.
-
-    Channel order follows CHANNELS; for a basis state exactly two channels
-    are active (the emission channel of an excited qubit, the absorption
-    channel of a ground one) with the dichotomic rates.
-    """
-    return _channel_rates(np.array(_dichotomic_rates(cfg)), state.amplitudes)
-
-
 def _channel_rates(rates: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """The dichotomic rates weighted by the normalized amplitudes' occupations."""
     pops = np.abs(amps) ** 2
     p1 = pops[0] + pops[1]     # qubit 1 excited weight
     p2 = pops[0] + pops[2]
     return rates * np.array([p1, 1.0 - p1, p2, 1.0 - p2])
+
+
+def _basis_index(amps: np.ndarray) -> int | None:
+    """Index of the one basis state the amplitudes occupy (all others below
+    1e-12 in modulus), or None for a superposition."""
+    nz = np.flatnonzero(np.abs(amps) > 1e-12)
+    return int(nz[0]) if len(nz) == 1 else None
 
 
 def sample_initial_state(cfg: EngineConfig, rng: np.random.Generator) -> int:
@@ -361,11 +333,15 @@ def _relax_amplitudes(
     heat: list[int],
     eigenstate_shortcut: bool,
 ) -> np.ndarray | int:
-    """Relax the amplitudes amps for `duration`, as evolve_between_pulses
-    describes; jumps are booked as in _relax_basis.
+    """Relax the amplitudes amps (not mutated) for `duration` by the
+    waiting-time unraveling: draw r uniform, decay the amplitudes under the
+    diagonal no-jump generator until the squared norm hits r (the root is
+    bisected to _TIME_RTOL relative time tolerance), apply the channel drawn
+    from the instantaneous rates, renormalize, and repeat until the interval
+    is exhausted.  Jumps are booked as in _relax_basis.
 
     Returns the end amplitudes, or, with eigenstate_shortcut, the basis index
-    _relax_basis ends in once the state is a basis state.
+    _relax_basis ends in once _basis_index finds a basis state.
     """
     gtot, energy = relax.gtot, relax.energy
     amps = np.array(amps, dtype=complex)
@@ -374,11 +350,10 @@ def _relax_amplitudes(
         rem = duration - t
         if rem <= 0:
             break
+        if eigenstate_shortcut and (idx := _basis_index(amps)) is not None:
+            return _relax_basis(idx, t, duration, t_start, rng, relax, events, heat)
         pops = np.abs(amps) ** 2
         pops = pops / pops.sum()
-        if eigenstate_shortcut and np.count_nonzero(pops > 1e-24) == 1:
-            return _relax_basis(int(np.argmax(pops)), t, duration, t_start, rng,
-                                relax, events, heat)
         r = rng.random()
         surv_end = float(pops @ np.exp(-gtot * rem))
         if surv_end > r:
@@ -413,45 +388,6 @@ def _relax_amplitudes(
         if events is not None:
             events.append(TrajectoryEvent(t_start + t, kind, bath))
     return amps
-
-
-def evolve_between_pulses(
-    state: JointState,
-    duration: float,
-    cfg: EngineConfig,
-    rng: np.random.Generator,
-    t_start: float = 0.0,
-) -> tuple[JointState, list[TrajectoryEvent]]:
-    """Relax the joint state for `duration` against the two baths.
-
-    Standard waiting-time unraveling: draw r uniform, decay the amplitudes
-    under the diagonal no-jump generator until the squared norm hits r (the
-    root is bisected to 1e-12 relative time tolerance; for a basis state the
-    closed form -ln(r)/rate is used instead), apply the channel drawn from
-    the instantaneous rates, renormalize, repeat until the interval is
-    exhausted.  Returned event times are absolute (offset by t_start).
-    """
-    if duration < 0:
-        raise ConfigError(f"duration must be nonnegative, got {duration}")
-    events: list[TrajectoryEvent] = []
-    end = _relax_amplitudes(state.amplitudes, duration, t_start, rng, _relaxation(cfg),
-                            events, [0, 0], eigenstate_shortcut=True)
-    return (basis_state(end) if isinstance(end, int) else JointState(end)), events
-
-
-def apply_pulse(state: JointState, gate: Unitary4) -> tuple[JointState, int | None]:
-    """Apply an instantaneous gate; also return the quanta it moved into qubit 1.
-
-    For swap-family gates basis states map to basis states, so the transfer
-    is a read-off (the change of qubit 1's bit).  When either endpoint is a
-    superposition no transfer is assigned and None is returned.
-    """
-    new = JointState(gate.entries @ state.amplitudes)
-    i = state.basis_index
-    j = new.basis_index
-    if i is None or j is None:
-        return new, None
-    return new, BASIS_BITS[j][0] - BASIS_BITS[i][0]
 
 
 def _is_swaplike(spec: GateSpec) -> bool:
@@ -499,7 +435,7 @@ def _trajectory(
     """
     cfg, protocol, _ = ens.params
     idx0 = sample_initial_state(cfg, rng)
-    state: int | np.ndarray = idx0 if eigenstate_shortcut else basis_state(idx0).amplitudes
+    state: int | np.ndarray = idx0 if eigenstate_shortcut else np.eye(4, dtype=complex)[idx0]
     events: list[TrajectoryEvent] | None = [] if keep_events else None
     heat = [0, 0]
     n_w = None if ens.perm is None else 0
@@ -511,11 +447,10 @@ def _trajectory(
                 n_w += BASIS_BITS[j][0] - BASIS_BITS[state][0]
                 state = j
             else:
-                joint = basis_state(state) if isinstance(state, int) else JointState(state)
-                pulsed, transfer = apply_pulse(joint, ens.gate)
-                state = pulsed.amplitudes
-                if n_w is not None:
-                    n_w += transfer
+                amps = np.eye(4, dtype=complex)[state] if isinstance(state, int) else state
+                state = ens.gate.entries @ amps
+                if n_w is not None:   # a swap-family pulse on amplitudes (the mcwf lane)
+                    n_w += BASIS_BITS[_basis_index(state)][0] - BASIS_BITS[_basis_index(amps)][0]
             if events is not None:
                 events.append(TrajectoryEvent(t_pulse, "P", 0, k))
         if isinstance(state, int):
@@ -524,7 +459,7 @@ def _trajectory(
         else:
             state = _relax_amplitudes(state, protocol.tau2, t_pulse, rng, ens.relax,
                                       events, heat, eigenstate_shortcut)
-    idx_f = state if isinstance(state, int) else JointState(state).basis_index
+    idx_f = state if isinstance(state, int) else _basis_index(state)
     if idx_f is None:
         pops = np.abs(state) ** 2
         pops = pops / pops.sum()
