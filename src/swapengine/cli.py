@@ -31,7 +31,7 @@ import numpy as np
 from .eventlog import ParseError, parse_events, write_events
 from .gates import ISWAP, Generic, GateSpec, SwapFamily, optimize_gate
 from .stats import (EnsembleStats, FtLogRatio, PowerScanRow, check_eta_bins,
-                    check_refinable, efficiency_distribution, fold_ensemble,
+                    check_swap_family, efficiency_distribution, fold_ensemble,
                     ft_log_ratio, power_scan, reconstruct_from_events)
 from .thermo import (ConfigError, EngineConfig, classify_regime, efficiencies,
                      mean_energetics, omega_star, post_swap_betas, relaxation_time)
@@ -344,6 +344,7 @@ def cmd_simulate(rc: RunConfig) -> int:
 
 
 def cmd_power_scan(rc: RunConfig, t_op_multiple: float, n_list: str) -> int:
+    check_swap_family(rc.gate, "the power scan")
     try:
         n_values = [int(n) for n in n_list.split(",")]
     except ValueError:
@@ -391,7 +392,7 @@ def cmd_opt_gate(rc: RunConfig, restarts: int) -> int:
 
 def cmd_analyze(rc: RunConfig, paths: list[str], naive: bool) -> int:
     if not naive:
-        check_refinable(rc.gate)
+        check_swap_family(rc.gate, "the schedule-aware refinement", "; use --naive")
     protocol = None if naive else rc.protocol
     omegas = rc.engine.omega1, rc.engine.omega2
     rows = []

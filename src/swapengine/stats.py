@@ -11,6 +11,9 @@ no rounding can break it, the work value is tested for exact membership of
 the (omega1-omega2) lattice, and violations are counted rather than
 silently rebinned.
 
+path_log_ratio scores the path-level relation on one run's own pulsed
+events, with the step tables and rates the refinement and the lanes use.
+
 Work-quanta sign convention: n_w = w/(omega1 - omega2) counts quanta
 injected by the work source, so engine operation has negative mean n_w and
 the log-ratio slope (beta1*omega1 - beta2*omega2) is negative there.
@@ -29,8 +32,8 @@ import numpy as np
 from .gates import BASIS_BITS, SWAP_PERMUTATION, GateSpec, SwapFamily, gibbs_populations
 from .thermo import ConfigError, EngineConfig, relaxation_time
 from .trajectory import (CHANNELS, LedgerKey, Protocol, RunParams, TrajectoryEvent,
-                         TrajectoryRecord, _JUMP_MAPS, _bit_lane_chunks, _is_swaplike,
-                         pick_lane, run_ensemble)
+                         TrajectoryRecord, _JUMP_MAPS, _Relaxation, _bit_lane_chunks,
+                         _is_swaplike, _relaxation, pick_lane, run_ensemble)
 
 ETA_BIN_WIDTH = 0.01
 
@@ -55,13 +58,13 @@ def check_eta_bins(cfg: EngineConfig, protocol: Protocol, gate_spec: GateSpec) -
         _eta_bin((cfg.omega1 - cfg.omega2) * protocol.n_pulses, cfg.omega1)
 
 
-def check_refinable(gate_spec: GateSpec) -> None:
-    """Refuse, before any log is read, the schedule-aware refinement of
-    reconstruct_from_events for a gate with no work lattice: it propagates
-    swap-family pulses, which a generic gate is not."""
+def check_swap_family(gate_spec: GateSpec, task: str, hint: str = "") -> None:
+    """Refuse, before it runs, a task that needs a swap-family gate: the
+    schedule-aware refinement of reconstruct_from_events and path_log_ratio
+    walk SWAP_PERMUTATION, and power_scan folds the swap on the bit lane."""
     if not _is_swaplike(gate_spec):
-        raise ConfigError("the schedule-aware refinement needs a swap-family gate, "
-                          "since a generic gate has no work lattice; use --naive")
+        raise ConfigError(f"{task} needs a swap-family gate, since a generic gate "
+                          f"has no work lattice{hint}")
 
 
 @dataclass
@@ -502,3 +505,63 @@ def _refine_candidates(
                             db2=BASIS_BITS[i][1] - BASIS_BITS[i0][1], n_w=m)
     ledger.check()
     return ledger, len(alive)
+
+
+def path_log_ratio(
+    params: RunParams,
+    start: int,
+    events: Sequence[TrajectoryEvent],
+) -> tuple[float, LedgerKey] | None:
+    """Log ratio of a path's density from basis state start to its time
+    reverse's, on a swap-family record's own events, pulse markers included.
+
+    Steps follow the refinement's tables (a pulse is SWAP_PERMUTATION, its
+    own inverse; a jump its channel's basis map), and the density is each
+    jump's channel rate times exp(-outflow*dt) for each stay, at the rates
+    of _relaxation.  The reverse walks the events backwards from the end
+    state at times T - t, E and A swapped.  Returns (ln p(start)*P[path] -
+    ln p(end)*P[reverse], the walked ledger), p the product Gibbs weights,
+    or None when a jump annihilates the state.  Microreversibility makes the
+    ratio beta1*dE1 + beta2*dE2 of that ledger (Campisi, Pekola & Fazio,
+    NJP 17, 035012 (2015)).
+    """
+    cfg, protocol, gate = params
+    check_swap_family(gate, "the path log ratio")
+    relax, total = _relaxation(cfg), protocol.total_time
+    forward = [(ev.time, ev.bath, ev.kind) for ev in events]
+    walked = _log_path_density(relax, start, forward, total)
+    if walked is None:
+        return None
+    log_p, end, h, n_w = walked
+    backward = [(total - t, bath, {"E": "A", "A": "E"}.get(kind, kind))
+                for t, bath, kind in reversed(forward)]
+    log_p -= _log_path_density(relax, end, backward, total)[0]
+    p = gibbs_populations(cfg)
+    (s1, s2), (e1, e2) = BASIS_BITS[start], BASIS_BITS[end]
+    return (math.log(p[start]) - math.log(p[end]) + log_p,
+            LedgerKey(h[0], h[1], e1 - s1, e2 - s2, n_w))
+
+
+def _log_path_density(
+    relax: _Relaxation,
+    i: int,
+    steps: Sequence[tuple[float, int, str]],
+    total_time: float,
+) -> tuple[float, int, list[int], int] | None:
+    """(ln P[steps | i], end state, net emissions per bath, pulse transfer sum)
+    of the (time, bath, kind) steps walked from basis state i to total_time,
+    or None when a jump annihilates the state."""
+    log_p, last, h, n_w = 0.0, 0.0, [0, 0], 0
+    for t, bath, kind in steps:
+        log_p -= relax.outflow[i] * (t - last)
+        last = t
+        if kind == "P":
+            n_w += _PULSE_STEP[1][i]
+            i = _PULSE_STEP[0][i]
+        elif (j := _JUMP_STEPS[bath, kind][0][i]) < 0:
+            return None
+        else:
+            log_p += math.log(relax.weights[i][CHANNELS.index((bath, kind))])
+            h[bath - 1] += 1 if kind == "E" else -1
+            i = j
+    return log_p - relax.outflow[i] * (total_time - last), i, h, n_w

@@ -139,17 +139,27 @@ def test_gate_search_never_beats_the_swap_and_reaches_it():
 
 
 def test_path_density_ratios_obey_the_detailed_fluctuation_theorem():
-    """Every enumerated path with at most 2 jumps, for both baths and for
-    joint two-qubit pairs: |log ratio - beta*heat| <= 1e-10."""
-    for beta, omega in ((CFG.beta1, CFG.omega1), (CFG.beta2, CFG.omega2)):
-        for path in se.enumerate_paths(1.0, 2):
-            lhs, rhs = se.ft_log_ratio_exact(path, beta, omega, CFG.gamma)
-            assert abs(lhs - rhs) <= 1e-10
-    paths = list(se.enumerate_paths(1.0, 2))
-    for p1 in paths:
-        for p2 in paths:
-            lhs, rhs = se.joint_ft_log_ratio_exact(p1, p2, CFG)
-            assert abs(lhs - rhs) <= 1e-10
+    """Events-lane records, each scored from every start consistent with
+    its own pulsed events: ln p(start)*P[path] - ln p(end)*P[reversed path]
+    = beta1*dE1 + beta2*dE2 within 1e-10, and one such start walks to the
+    record's own ledger.  500 records of 25 pulses at the working point and
+    60 of 100 pulses at beta1 = 0.05, beta2 = 30, omega2 = 0.5, where the
+    sampled integral-FT estimate collapses and the ratio reaches hundreds."""
+    largest = 0.0
+    for cfg, protocol, size in (
+            (CFG, se.Protocol(25, 0.65), 500),
+            (se.EngineConfig(0.05, 30.0, 1.0, 0.5), se.Protocol(100, 0.65), 60)):
+        params = se.RunParams(cfg, protocol, se.SwapFamily())
+        for record in se.run_ensemble(cfg, protocol, params.gate, size, seed=2024,
+                                      keep_events=True, engine="events"):
+            walks = [se.path_log_ratio(params, s, record.events) for s in range(4)]
+            walks = [walk for walk in walks if walk is not None]
+            assert record.ledger in [ledger for _, ledger in walks]
+            for ratio, ledger in walks:
+                e = ledger.energetics(cfg.omega1, cfg.omega2)
+                assert abs(ratio - (cfg.beta1 * e.dE1 + cfg.beta2 * e.dE2)) <= 1e-10
+                largest = max(largest, abs(ratio))
+    assert largest > 100.0
 
 
 @pytest.mark.parametrize("beta2", [0.5, 1.0, 2.0])

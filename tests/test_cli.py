@@ -278,6 +278,24 @@ def test_power_scan_writes_one_row_per_pulse_count(monkeypatch, tmp_path):
     assert etas == {"0.16666666666666663"}
 
 
+def test_power_scan_refuses_a_generic_gate_and_runs_the_swap_family(
+        capsys, monkeypatch, tmp_path):
+    # the scan folds the swap on the bit lane, whose law every swap-family
+    # gate shares; a generic gate is refused before out/ is made
+    monkeypatch.chdir(tmp_path)
+    argv = ["power-scan", "--n-list", "1,2", "--samples", "10", "--json"]
+    assert cli.main([*argv, "--gate", "generic:" + ",".join(["1"] * 15)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "swap-family" in err
+    assert not (tmp_path / "out").exists()
+    rows = []
+    for gate in ("swap", "iswap", "swap:0.3,-1.2,2,0.7"):
+        assert cli.main([*argv, "--gate", gate]) == 0
+        rows.append(json.loads(capsys.readouterr().out)["rows"])
+    assert rows[1] == rows[0] and rows[2] == rows[0]
+
+
 def test_opt_gate_reports_the_swap_value(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["opt-gate", "--restarts", "2", "--seed", "0",

@@ -3,13 +3,15 @@
 Hand-built records with known integer ledgers pin the bookkeeping exactly;
 simulated ensembles then check the statistical estimators against their
 defining formulas (weighted least squares, jackknife) recomputed inline,
-and the columnar fold of the bit lane against the record-by-record one.
+the columnar fold of the bit lane against the record-by-record one, and
+the path-level fluctuation relation on the events lane's own records.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 import swapengine as se
 from swapengine import stats as stats_module
+from swapengine import trajectory
 
 CFG = se.EngineConfig(beta1=2.0 / 3.0, beta2=1.0, omega1=1.0, omega2=5.0 / 6.0)
 PARAMS = se.RunParams(CFG, se.Protocol(10, 0.65), se.SwapFamily())
@@ -438,3 +441,80 @@ def test_refined_reconstruction_flags_impossible_logs():
     assert out.survivors == 0
     assert out.refined is None
     assert _naive(out).q1 == 2.0 * CFG.omega1  # naive bookkeeping still reported
+
+
+@pytest.mark.parametrize("gamma", [0.25, 1.0, 3.5])
+def test_path_log_ratio_of_a_hand_path(gamma):
+    # |+-> swaps to |-+> at t = 0, and bath 2 takes the quantum at 0.3; the
+    # survival factors cancel and the rate ratios carry no gamma
+    cfg = dataclasses.replace(CFG, gamma=gamma)
+    params = se.RunParams(cfg, se.Protocol(1, 1.0), se.SwapFamily())
+    ratio, ledger = se.path_log_ratio(params, 1, [
+        se.TrajectoryEvent(0.0, "P", 0, 0), _jump(0.3, "E", 2)])
+    assert ratio == pytest.approx(CFG.beta2 * CFG.omega2 - CFG.beta1 * CFG.omega1,
+                                  rel=0, abs=1e-14)
+    assert ledger == se.LedgerKey(0, 1, -1, 0, -1)
+
+
+def test_path_log_ratio_is_none_where_a_jump_annihilates():
+    # after the swap |++> stays |++>, which bath 2 cannot excite further
+    params = se.RunParams(CFG, se.Protocol(1, 1.0), se.SwapFamily())
+    assert se.path_log_ratio(params, 0, [
+        se.TrajectoryEvent(0.0, "P", 0, 0), _jump(0.3, "A", 2)]) is None
+
+
+def test_path_log_ratio_refuses_a_generic_gate():
+    params = se.RunParams(CFG, se.Protocol(1, 1.0),
+                          se.Generic(tuple(np.linspace(0.2, 2.0, 15))))
+    with pytest.raises(se.ConfigError, match="swap-family"):
+        se.path_log_ratio(params, 0, [se.TrajectoryEvent(0.0, "P", 0, 0)])
+
+
+def test_path_log_ratio_breaks_without_detailed_balance(monkeypatch):
+    # bath 1 absorbs 10% too fast, so the reversal of a bath-1 emission is
+    # 10% too likely and the relation misses by ln 1.1
+    honest = trajectory._dichotomic_rates
+
+    def unbalanced(cfg):
+        em1, ab1, em2, ab2 = honest(cfg)
+        return em1, 1.1 * ab1, em2, ab2
+    monkeypatch.setattr(trajectory, "_dichotomic_rates", unbalanced)
+    params = se.RunParams(CFG, se.Protocol(1, 1.0), se.SwapFamily())
+    ratio, ledger = se.path_log_ratio(params, 2, [
+        se.TrajectoryEvent(0.0, "P", 0, 0), _jump(0.3, "E", 1)])
+    e = ledger.energetics(CFG.omega1, CFG.omega2)
+    gap = ratio - (CFG.beta1 * e.dE1 + CFG.beta2 * e.dE2)
+    assert gap == pytest.approx(-math.log(1.1), rel=0, abs=1e-12)
+    assert abs(gap) > 1e-3
+
+
+def _worst_path_ratio_gap(params: se.RunParams, records) -> float:
+    """Largest |path log ratio - (beta1*dE1 + beta2*dE2)| over every start
+    consistent with each record; asserts that one of them walks to the
+    record's own ledger."""
+    cfg = params.cfg
+    worst = 0.0
+    for record in records:
+        walks = [se.path_log_ratio(params, start, record.events) for start in range(4)]
+        walks = [walk for walk in walks if walk is not None]
+        assert record.ledger in [ledger for _, ledger in walks]
+        for ratio, ledger in walks:
+            e = ledger.energetics(cfg.omega1, cfg.omega2)
+            worst = max(worst, abs(ratio - (cfg.beta1 * e.dE1 + cfg.beta2 * e.dE2)))
+    return worst
+
+
+@pytest.mark.parametrize("gate", [se.SwapFamily(), se.ISWAP,
+                                  se.SwapFamily(0.3, -1.2, 2.0, 0.7)],
+                         ids=["swap", "iswap", "phased-swap"])
+@pytest.mark.parametrize("n_pulses,tau2", [(5, 0.5), (25, 0.65), (0, 0.7)])
+def test_events_lane_records_obey_the_path_fluctuation_relation(gate, n_pulses, tau2):
+    protocol = se.Protocol(n_pulses, tau2)
+    records = se.run_ensemble(CFG, protocol, gate, 60, seed=4, keep_events=True,
+                              engine="events")
+    assert _worst_path_ratio_gap(se.RunParams(CFG, protocol, gate), records) < 1e-10
+
+
+def test_the_package_exports_names_not_modules():
+    for name in se.__all__:
+        assert not isinstance(getattr(se, name), types.ModuleType), name
