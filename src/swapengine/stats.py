@@ -520,25 +520,27 @@ def path_log_ratio(
     jump's channel rate times exp(-outflow*dt) for each stay, at the rates
     of _relaxation.  The reverse walks the events backwards from the end
     state at times T - t, E and A swapped.  Returns (ln p(start)*P[path] -
-    ln p(end)*P[reverse], the walked ledger), p the product Gibbs weights,
-    or None when a jump annihilates the state.  Microreversibility makes the
-    ratio beta1*dE1 + beta2*dE2 of that ledger (Campisi, Pekola & Fazio,
+    ln p(end)*P[reverse], the walked ledger), p the product Gibbs weights;
+    the ratio is +inf when only the reverse has density 0.  Returns None
+    when the path itself has density 0: p(start) is 0, or a jump annihilates
+    the state or takes a channel of rate 0.  Microreversibility makes the ratio
+    beta1*dE1 + beta2*dE2 of that ledger (Campisi, Pekola & Fazio,
     NJP 17, 035012 (2015)).
     """
     cfg, protocol, gate = params
     check_swap_family(gate, "the path log ratio")
     relax, total = _relaxation(cfg), protocol.total_time
     forward = [(ev.time, ev.bath, ev.kind) for ev in events]
+    p = gibbs_populations(cfg)
     walked = _log_path_density(relax, start, forward, total)
-    if walked is None:
+    if walked is None or walked[0] == -math.inf or p[start] == 0:
         return None
     log_p, end, h, n_w = walked
     backward = [(total - t, bath, {"E": "A", "A": "E"}.get(kind, kind))
                 for t, bath, kind in reversed(forward)]
     log_p -= _log_path_density(relax, end, backward, total)[0]
-    p = gibbs_populations(cfg)
     (s1, s2), (e1, e2) = BASIS_BITS[start], BASIS_BITS[end]
-    return (math.log(p[start]) - math.log(p[end]) + log_p,
+    return (math.log(p[start]) - _ln(p[end]) + log_p,
             LedgerKey(h[0], h[1], e1 - s1, e2 - s2, n_w))
 
 
@@ -550,7 +552,8 @@ def _log_path_density(
 ) -> tuple[float, int, list[int], int] | None:
     """(ln P[steps | i], end state, net emissions per bath, pulse transfer sum)
     of the (time, bath, kind) steps walked from basis state i to total_time,
-    or None when a jump annihilates the state."""
+    or None when a jump annihilates the state; a jump on a channel of rate 0
+    makes ln P = -inf."""
     log_p, last, h, n_w = 0.0, 0.0, [0, 0], 0
     for t, bath, kind in steps:
         log_p -= relax.outflow[i] * (t - last)
@@ -561,7 +564,12 @@ def _log_path_density(
         elif (j := _JUMP_STEPS[bath, kind][0][i]) < 0:
             return None
         else:
-            log_p += math.log(relax.weights[i][CHANNELS.index((bath, kind))])
+            log_p += _ln(relax.weights[i][CHANNELS.index((bath, kind))])
             h[bath - 1] += 1 if kind == "E" else -1
             i = j
     return log_p - relax.outflow[i] * (total_time - last), i, h, n_w
+
+
+def _ln(x: float) -> float:
+    """ln x of a rate or a weight, -inf where it underflowed to 0."""
+    return math.log(x) if x > 0 else -math.inf

@@ -4,7 +4,8 @@ Exit code contract: 0 success, 2 configuration errors, 3 I/O errors,
 4 event-log parse errors, 5 broken internal checks.  Most tests drive main()
 in process; one runs the entry point declared in pyproject.toml as a
 subprocess, through the installed console script when this interpreter has
-one.
+one.  Fresh interpreters also check that plain runs import no SciPy and that
+the benchmark's traced mode still finds the names it wraps.
 """
 
 from __future__ import annotations
@@ -563,6 +564,36 @@ def test_bench_traced_mode_wraps_the_current_names(tmp_path, argv):
                          capture_output=True, text=True, cwd=tmp_path)
     assert run.returncode == 0, run.stderr
     assert json.loads(result.read_text())["rc"] == 0
+
+
+_NO_SCIPY_RUN = """
+import contextlib, io, json, os, sys
+sys.path.insert(0, sys.argv[1])
+from swapengine.cli import main
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["analytic", "--json"], ["opt-gate"],
+                 ["simulate", "--samples", "3", "--pulses", "2", "--emit-logs",
+                  "--out-dir", "sim"]):
+        codes.append(main(argv))
+    logs = sorted(os.path.join("sim", "events", f)
+                  for f in os.listdir(os.path.join("sim", "events")))
+    codes.append(main(["analyze", *logs, "--pulses", "2", "--out-dir", "ana"]))
+print(json.dumps([codes, sorted(m for m in sys.modules
+                                if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_cli_runs_import_no_scipy(tmp_path):
+    # SciPy serves the tests and the benchmark's traced mode alone; a fresh
+    # interpreter that runs every kind of command must never load it
+    src = str(Path(se.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, src],
+                         capture_output=True, text=True, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    codes, scipy_modules = json.loads(run.stdout)
+    assert codes == [0, 0, 0, 0]
+    assert scipy_modules == []
 
 
 def test_console_script_matches_in_process_behavior(tmp_path):

@@ -463,6 +463,32 @@ def test_path_log_ratio_is_none_where_a_jump_annihilates():
         se.TrajectoryEvent(0.0, "P", 0, 0), _jump(0.3, "A", 2)]) is None
 
 
+@pytest.mark.parametrize("start", [0, 1])
+def test_path_log_ratio_is_infinite_where_only_the_reverse_needs_a_zero_rate(start):
+    # at beta2 = 700 and gamma = 1e-20 bath 2's absorption rate underflows to
+    # 0.0: its emission after the swap has a density, its reversal none
+    cfg = se.EngineConfig(0.5, 700, 1, 1, gamma=1e-20)
+    params = se.RunParams(cfg, se.Protocol(1, 1.0), se.SwapFamily())
+    ratio, ledger = se.path_log_ratio(params, start, [
+        se.TrajectoryEvent(0.0, "P", 0, 0), _jump(0.3, "E", 2)])
+    assert ratio == math.inf
+    assert ledger.h2 == 1
+    # the absorption itself has density 0 forwards
+    assert se.path_log_ratio(params, 3, [
+        se.TrajectoryEvent(0.0, "P", 0, 0), _jump(0.3, "A", 2)]) is None
+
+
+def test_path_log_ratio_where_a_gibbs_weight_underflows():
+    # at beta1 = beta2 = 700 the weight of |++> is 0.0 though no rate is 0
+    cfg = se.EngineConfig(700, 700, 1, 1)
+    params = se.RunParams(cfg, se.Protocol(1, 1.0), se.SwapFamily())
+    pulse = se.TrajectoryEvent(0.0, "P", 0, 0)
+    assert se.path_log_ratio(params, 0, [pulse]) is None
+    ratio, ledger = se.path_log_ratio(params, 1, [pulse, _jump(0.3, "A", 1)])
+    assert ratio == math.inf
+    assert ledger == se.LedgerKey(-1, 0, 0, 1, -1)
+
+
 def test_path_log_ratio_refuses_a_generic_gate():
     params = se.RunParams(CFG, se.Protocol(1, 1.0),
                           se.Generic(tuple(np.linspace(0.2, 2.0, 15))))
