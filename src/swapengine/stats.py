@@ -256,10 +256,21 @@ def fold_ensemble(cfg: EngineConfig, protocol: Protocol, gate_spec: GateSpec,
         raise ConfigError(f"sample_size must be at least 1, got {sample_size}")
     stats = EnsembleStats(params=RunParams(cfg, protocol, gate_spec))
     for ledgers, _ in _bit_lane_chunks(cfg, protocol, sample_size, seed):
-        keys, counts = np.unique(ledgers, axis=0, return_counts=True)
+        keys, counts = _distinct_rows(ledgers)
         for key, count in zip(keys.tolist(), counts.tolist()):
             stats._insert(LedgerKey(*key), count)
     return stats
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d integer array in lexicographic order, and
+    how often each occurs: np.unique(rows, axis=0, return_counts=True) by one
+    lexsort and a mask of the rows that differ from their predecessor."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    new = np.ones(len(rows), dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+    firsts = np.flatnonzero(new)
+    return rows[firsts], np.diff(firsts, append=len(rows))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,9 @@ Three engines realize the same trajectory law:
   "bits"    vectorized sampling of the occupation bits at interval
             boundaries from the exact two-state propagator; reproduces the
             exact joint law of the whole integer ledger but carries no event
-            times; default for large swap-family ensembles.
+            times; default for large swap-family ensembles.  Each chunk of
+            rows is drawn in row blocks that split one sequential stream,
+            so the block size is not part of the determinism contract.
 
 Every engine records each run's integer ledger as one LedgerKey, and
 derives trajectory k's random stream from (seed, stream index) with a
@@ -469,6 +471,27 @@ def _trajectory(
     return TrajectoryRecord(ens.params, ledger, None if events is None else tuple(events))
 
 
+# The bit lane walks each chunk in row blocks of about this many uniforms
+# (8 MiB of float64) and of at least _BLOCK_FLOOR rows, so that its memory
+# stays bounded at any pulse count while each of the walk's two numpy calls
+# per interval covers enough rows.  Of 2**18, 2**19 and 2**20, this timed
+# best at 100, 1000 and 20000 pulses (2-core x86-64, 2 MiB L2 per core).
+_BLOCK_UNIFORMS = 1 << 20
+_BLOCK_FLOOR = 128
+
+
+def _walk_bits(bits: np.ndarray, pulsed: bool) -> None:
+    """Turn a block's classes, one int8 row per column, into its boundary
+    bits in place: the initial bits are class >> 1, and each interval's end
+    bit is (class + start bit) >> 1, the start bits being the previous
+    boundary's, swapped between the qubits by the pulse when pulsed."""
+    pairs = bits.reshape(-1, 2, bits.shape[1])   # (boundary, qubit, row)
+    pairs[0] >>= 1
+    for start, end in zip(pairs[:-1, ::-1] if pulsed else pairs[:1], pairs[1:]):
+        end += start
+        end >>= 1
+
+
 def _bit_lane_chunks(
     cfg: EngineConfig,
     protocol: Protocol,
@@ -482,6 +505,14 @@ def _bit_lane_chunks(
     pulses swap the bits and bank the transfer.  Chunk size depends only on
     the pulse count, and each chunk draws its rows from the start of its own
     (seed, chunk) stream, so row k is a function of (seed, k, protocol) alone.
+
+    Each row holds 2 + 2*max(n_pulses, 1) uniforms: the two initial bits,
+    then the end bits of qubits 1 and 2 per interval.  A chunk is drawn and
+    walked in row blocks, which split its one sequential stream, so the
+    block size is not part of the determinism contract.  A block's uniforms
+    become int8 classes in one pass, (u < lo) + (u < hi), with lo and hi
+    p_end for a ground and an excited start bit; the end bit is then
+    (class + start bit) >> 1, the same comparison for either start.
 
     Yields (ledgers, pulse_sums) per chunk: ledgers is the (rows, 5) int64
     array of the rows' ledgers in LedgerKey field order, pulse_sums the
@@ -498,31 +529,53 @@ def _bit_lane_chunks(
     intervals = max(n_pulses, 1)
     cols = 2 + 2 * intervals
     chunk_rows = max(256, min(32768, (1 << 23) // cols))
+    lo = np.empty(cols)
+    hi = np.empty(cols)
+    lo[0] = hi[0] = f1   # an initial bit has no start bit: u < f
+    lo[1] = hi[1] = f2
+    lo[2::2], hi[2::2] = f1 + (0.0 - f1) * dec1, f1 + (1.0 - f1) * dec1
+    lo[3::2], hi[3::2] = f2 + (0.0 - f2) * dec2, f2 + (1.0 - f2) * dec2
+    block = min(chunk_rows, max(_BLOCK_FLOOR, _BLOCK_UNIFORMS // cols))
+    u = np.empty((block, cols))
+    classes = np.empty((block, cols), dtype=np.int8)
+    below_hi = np.empty((block, cols), dtype=bool)
+    bits = np.empty((cols, block), dtype=np.int8)   # one contiguous row per column
     n_chunks = -(-sample_size // chunk_rows)
     for c in range(n_chunks):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, c))))
         rows = min(chunk_rows, sample_size - c * chunk_rows)
-        u = rng.random((rows, cols))   # filled row-major
-        b1 = b1_0 = (u[:, 0] < f1).astype(np.int64)
-        b2 = b2_0 = (u[:, 1] < f2).astype(np.int64)
-        h1 = np.zeros(rows, dtype=np.int64)
-        h2 = np.zeros(rows, dtype=np.int64)
-        n_w = np.zeros(rows, dtype=np.int64)
+        ledgers = np.empty((rows, 5), dtype=np.int64)
         pulse_sums = np.zeros((2, n_pulses), dtype=np.int64)
-        for k in range(intervals):
-            if k < n_pulses:
-                m = b2 - b1
-                n_w += m
-                pulse_sums[:, k] = m.sum(), np.count_nonzero(m)   # m is -1, 0 or 1
-                b1, b2 = b2, b1
-            p1_end = f1 + (b1 - f1) * dec1
-            p2_end = f2 + (b2 - f2) * dec2
-            e1 = (u[:, 2 + 2 * k] < p1_end).astype(np.int64)
-            e2 = (u[:, 3 + 2 * k] < p2_end).astype(np.int64)
-            h1 += b1 - e1
-            h2 += b2 - e2
-            b1, b2 = e1, e2
-        yield np.stack([h1, h2, b1 - b1_0, b2 - b2_0, n_w], axis=1), pulse_sums
+        for start in range(0, rows, block):
+            r = min(block, rows - start)
+            rng.random(out=u[:r])
+            np.less(u[:r], lo, out=classes[:r].view(bool))
+            np.less(u[:r], hi, out=below_hi[:r])
+            classes[:r] += below_hi[:r].view(np.int8)
+            b = bits[:, :r]
+            b[...] = classes[:r].T
+            _walk_bits(b, n_pulses > 0)
+            first = b[:2].astype(np.int64)
+            last = b[-2:].astype(np.int64)
+            if n_pulses:
+                # each qubit starts an interval on the other's previous
+                # boundary bit, so its summed start bits are the other's
+                # boundary total less its last bit
+                totals = b.reshape(intervals + 1, 2, r).sum(axis=0, dtype=np.int64)
+                starts = totals[::-1] - last[::-1]
+                ends = totals - first
+                pairs = b[:-2].reshape(n_pulses, 2, r)   # the bits each pulse meets
+                ones = pairs.sum(axis=2, dtype=np.int64)
+                pulse_sums[0] += ones[:, 1] - ones[:, 0]
+                pulse_sums[1] += np.count_nonzero(pairs[:, 0] != pairs[:, 1], axis=1)
+            else:
+                starts, ends = first, last
+            out = ledgers[start:start + r]
+            out[:, 0:2] = (starts - ends).T
+            out[:, 2:4] = (last - first).T
+            # a pulse moves b2 - b1 quanta into qubit 1, its start bits after it
+            out[:, 4] = starts[0] - starts[1] if n_pulses else 0
+        yield ledgers, pulse_sums
 
 
 def run_ensemble(

@@ -262,6 +262,71 @@ def test_record_k_does_not_depend_on_sample_size():
         assert small == big[:m_small]
 
 
+def _scalar_bit_lane(cfg, protocol, sample_size, seed):
+    """The bit lane one row at a time in Python floats: each chunk's
+    uniforms redrawn as one row-major matrix from its own (seed, chunk)
+    stream, and each row walked interval by interval through
+    p_end = f + (b - f)*dec.  Returns the ledgers and the pulse sums."""
+    f1 = se.excited_population(cfg.beta1, cfg.omega1)
+    f2 = se.excited_population(cfg.beta2, cfg.omega2)
+    dec1 = math.exp(-cfg.gamma * (2.0 * se.bose_occupation(cfg.beta1, cfg.omega1) + 1.0)
+                    * protocol.tau2)
+    dec2 = math.exp(-cfg.gamma * (2.0 * se.bose_occupation(cfg.beta2, cfg.omega2) + 1.0)
+                    * protocol.tau2)
+    n_pulses = protocol.n_pulses
+    intervals = max(n_pulses, 1)
+    cols = 2 + 2 * intervals
+    chunk_rows = max(256, min(32768, (1 << 23) // cols))
+    ledgers = []
+    pulse_sums = [[0] * n_pulses, [0] * n_pulses]
+    for c in range(-(-sample_size // chunk_rows)):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, c))))
+        rows = min(chunk_rows, sample_size - c * chunk_rows)
+        for u in rng.random((rows, cols)).tolist():
+            b1 = b1_0 = int(u[0] < f1)
+            b2 = b2_0 = int(u[1] < f2)
+            h1 = h2 = n_w = 0
+            for k in range(intervals):
+                if k < n_pulses:
+                    m = b2 - b1
+                    n_w += m
+                    pulse_sums[0][k] += m
+                    pulse_sums[1][k] += m * m
+                    b1, b2 = b2, b1
+                e1 = int(u[2 + 2 * k] < f1 + (b1 - f1) * dec1)
+                e2 = int(u[3 + 2 * k] < f2 + (b2 - f2) * dec2)
+                h1 += b1 - e1
+                h2 += b2 - e2
+                b1, b2 = e1, e2
+            ledgers.append([h1, h2, b1 - b1_0, b2 - b2_0, n_w])
+    return ledgers, pulse_sums
+
+
+@pytest.mark.parametrize("pulses,samples", [
+    # chunks of 32768 rows, walked as one block; 33000 ends mid-chunk
+    (0, 33000), (1, 33000), (2, 33000), (7, 33000),
+    # several row blocks per chunk; 6000 ends mid-block
+    (100, 6000),
+    # 16384 pulses drop the chunk to its 256-row floor; 130 rows end mid-block
+    (16384, 130),
+])
+def test_bit_lane_equals_a_scalar_walk_bit_for_bit(pulses, samples):
+    proto = se.Protocol(pulses, 0.65 if pulses < 1000 else 0.01)
+    chunks = list(trajectory._bit_lane_chunks(CFG, proto, samples, seed=31))
+    ledgers = np.concatenate([ledger for ledger, _ in chunks])
+    pulse_sums = sum(sums for _, sums in chunks)
+    assert all(ledger.dtype == sums.dtype == np.int64 for ledger, sums in chunks)
+    assert pulse_sums.shape == (2, pulses)
+    want_ledgers, want_sums = _scalar_bit_lane(CFG, proto, samples, seed=31)
+    assert ledgers.tolist() == want_ledgers
+    assert pulse_sums.tolist() == want_sums
+    # record k does not depend on the sample size
+    fewer = samples // 3
+    head = np.concatenate([ledger for ledger, _ in
+                           trajectory._bit_lane_chunks(CFG, proto, fewer, seed=31)])
+    assert head.tolist() == want_ledgers[:fewer]
+
+
 # the generic gate starts each interval in a superposition, which the
 # events lane carries as amplitudes until a jump collapses it to a basis state
 LANE_GATES = [se.SwapFamily(), se.ISWAP,
