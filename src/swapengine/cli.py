@@ -12,13 +12,15 @@ defaults.  The table KEYS is the home of every key: its type, its default
 (the documented two-bath engine example: beta1=2/3, beta2=1, omega1=1,
 omega2=5/6, 100 pulses at tau2=0.65) and its flag's help.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O failure, 4 event-log
-parse error, 5 broken internal check (such as work-lattice rigidity).
+Exit codes: 0 success, 2 configuration error, 3 I/O failure or exhausted
+memory, 4 event-log parse error, 5 broken internal check (such as
+work-lattice rigidity).
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -70,7 +72,16 @@ def _parse_bool(text: str) -> bool:
 def parse_config_file(path: str | Path) -> dict:
     """Read a flat `key = value` config file, rejecting unknown keys."""
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # count lines as the loop below splits them, by universal newlines
+        head = io.StringIO(data[:exc.start].decode("utf-8"), newline=None).getvalue()
+        line_no = head.count("\n") + 1
+        raise ConfigError(f"{path}:{line_no}: invalid UTF-8 byte "
+                          f"{data[exc.start]:#04x}") from None
+    with io.StringIO(text, newline=None) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -488,6 +499,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 4
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 3
     except AssertionError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)

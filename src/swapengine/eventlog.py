@@ -63,8 +63,13 @@ def parse_events(path: str | Path) -> list[TrajectoryEvent]:
     name = str(path)
     events: list[TrajectoryEvent] = []
     last_time = -math.inf
-    with open(path, "r", encoding="utf-8", newline="") as fh:   # no newline translation
-        raw = fh.read()
+    with open(path, "rb") as fh:   # decoded whole: no newline translation
+        data = fh.read()
+    try:
+        raw = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(name, data.count(b"\n", 0, exc.start) + 1,
+                         f"invalid UTF-8 byte {data[exc.start]:#04x}") from None
     if raw and not raw.endswith("\n"):
         raise ParseError(name, raw.count("\n") + 1, "missing trailing newline")
     for line_no, line in enumerate(raw.split("\n")[:-1], start=1):

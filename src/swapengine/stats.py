@@ -1,9 +1,10 @@
 """Ensemble statistics, fluctuation-relation estimators, and event-log analysis.
 
-The accumulator is a mergeable exact histogram over each record's integer
-ledger key, so shard order can never change a count, and every statistic is
-read off the counts: means and errors from exact integer moments (the level
-spacings multiply in only then), the integral-FT sum over the sorted keys.
+The accumulator is an exact histogram over each record's integer ledger
+key, so the order in which records are folded can never change a count, and
+every statistic is read off the counts: means and errors from exact integer
+moments (the level spacings multiply in only then), the integral-FT sum over
+the sorted keys.
 Swap-family runs additionally carry rigidity checks, deterministic in the
 key and counted per record: the energy-proportionality identity
 dE2 = -(omega2/omega1)*dE1 is tested on the integer ledger, as y = -x, so
@@ -69,7 +70,7 @@ def check_swap_family(gate_spec: GateSpec, task: str, hint: str = "") -> None:
 
 @dataclass
 class EnsembleStats:
-    """Exact, mergeable histogram of one homogeneous ensemble over LedgerKey.
+    """Exact histogram of one homogeneous ensemble over LedgerKey.
 
     hist_joint is keyed by exact quantum counts (q1/omega1, w/(omega1-omega2))
     = (h1, n_w); hist_eta bins eta = w/q1 (work output over heat drawn from
@@ -103,15 +104,6 @@ class EnsembleStats:
                 raise ConfigError("a swap-family ledger needs n_w and a generic-gate one "
                                   f"none, got n_w={key.n_w} for gate {self.params.gate}")
         self.counts[key] += count
-
-    def merge(self, other: EnsembleStats) -> EnsembleStats:
-        """Associative combination of two shards of the same ensemble."""
-        if self.params is None:
-            self.params = other.params
-        elif other.params not in (None, self.params):
-            raise ConfigError("cannot merge stats from different runs")
-        self.counts.update(other.counts)
-        return self
 
     @property
     def sample_size(self) -> int:
@@ -247,9 +239,10 @@ def fold_ensemble(cfg: EngineConfig, protocol: Protocol, gate_spec: GateSpec,
                   sample_size: int, seed: int) -> EnsembleStats:
     """Fold an ensemble run without event logs on the lane pick_lane picks.
 
-    Equal to accumulate(run_ensemble(...)) on the same arguments, but the bit
-    lane is folded by columns: each chunk's rows collapse to distinct ledger
-    keys with counts, and no per-trajectory record is built."""
+    This is the only way into the bit lane, which is folded by columns: each
+    chunk's ledger rows collapse to distinct ledger keys with counts, and no
+    per-trajectory record is built, so the counts are the Counter of the
+    rows' LedgerKeys.  The events lane is accumulate(run_ensemble(...))."""
     if pick_lane(gate_spec, keep_events=False) != "bits":
         return accumulate(run_ensemble(cfg, protocol, gate_spec, sample_size, seed))
     if sample_size < 1:

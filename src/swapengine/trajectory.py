@@ -27,11 +27,13 @@ Three engines realize the same trajectory law:
   "bits"    vectorized sampling of the occupation bits at interval
             boundaries from the exact two-state propagator; reproduces the
             exact joint law of the whole integer ledger but carries no event
-            times; default for large swap-family ensembles.  Each chunk of
-            rows is drawn in row blocks that split one sequential stream,
-            so the block size is not part of the determinism contract.
+            times, and makes no records: stats.fold_ensemble folds its
+            chunks' ledger rows by columns.  It runs swap-family ensembles
+            without event logs.  Each chunk of rows is drawn in row blocks
+            that split one sequential stream, so the block size is not part
+            of the determinism contract.
 
-Every engine records each run's integer ledger as one LedgerKey, and
+Every engine keeps each run's integer ledger as one LedgerKey, and
 derives trajectory k's random stream from (seed, stream index) with a
 counter-based generator, so record k is independent of the sample size and
 reruns are bit-identical.  The events and mcwf lanes draw the same uniforms
@@ -194,22 +196,6 @@ class TrajectoryRecord:
     def energetics(self) -> Energetics:
         cfg = self.params.cfg
         return self.ledger.energetics(cfg.omega1, cfg.omega2)
-
-    def validate(self) -> None:
-        """Assert that the events, when kept, are time-ordered and sum to the
-        ledger's net emission counts."""
-        if self.events is not None:
-            counts = {(1, "E"): 0, (1, "A"): 0, (2, "E"): 0, (2, "A"): 0}
-            last = -math.inf
-            for ev in self.events:
-                if ev.time <= last:
-                    raise AssertionError("event times not strictly increasing")
-                last = ev.time
-                if ev.kind in ("E", "A"):
-                    counts[(ev.bath, ev.kind)] += 1
-            if counts[(1, "E")] - counts[(1, "A")] != self.ledger.h1 \
-                    or counts[(2, "E")] - counts[(2, "A")] != self.ledger.h2:
-                raise AssertionError("event counts disagree with the net ledger")
 
 
 def _dichotomic_rates(cfg: EngineConfig) -> tuple[float, float, float, float]:
@@ -397,8 +383,8 @@ def _is_swaplike(spec: GateSpec) -> bool:
 
 
 def pick_lane(gate_spec: GateSpec, keep_events: bool) -> str:
-    """The lane engine "auto" runs: "bits" for swap-family gates without
-    event recording, "events" otherwise."""
+    """The lane a run is folded on and labelled with: "bits" for swap-family
+    gates without event recording, "events" otherwise."""
     return "bits" if _is_swaplike(gate_spec) and not keep_events else "events"
 
 
@@ -476,6 +462,7 @@ def _trajectory(
 # stays bounded at any pulse count while each of the walk's two numpy calls
 # per interval covers enough rows.  Of 2**18, 2**19 and 2**20, this timed
 # best at 100, 1000 and 20000 pulses (2-core x86-64, 2 MiB L2 per core).
+# A block never holds more rows than the run samples.
 _BLOCK_UNIFORMS = 1 << 20
 _BLOCK_FLOOR = 128
 
@@ -535,7 +522,7 @@ def _bit_lane_chunks(
     lo[1] = hi[1] = f2
     lo[2::2], hi[2::2] = f1 + (0.0 - f1) * dec1, f1 + (1.0 - f1) * dec1
     lo[3::2], hi[3::2] = f2 + (0.0 - f2) * dec2, f2 + (1.0 - f2) * dec2
-    block = min(chunk_rows, max(_BLOCK_FLOOR, _BLOCK_UNIFORMS // cols))
+    block = min(chunk_rows, sample_size, max(_BLOCK_FLOOR, _BLOCK_UNIFORMS // cols))
     u = np.empty((block, cols))
     classes = np.empty((block, cols), dtype=np.int8)
     below_hi = np.empty((block, cols), dtype=bool)
@@ -585,27 +572,19 @@ def run_ensemble(
     sample_size: int,
     seed: int,
     keep_events: bool = False,
-    engine: str = "auto",
+    engine: str = "events",
 ) -> Iterator[TrajectoryRecord]:
-    """Stream sample_size independent trajectory records.
+    """Stream sample_size independent trajectory records of a jump lane.
 
-    engine "bits" needs a swap-family gate and cannot keep events; "events"
-    and "mcwf" loop full per-trajectory simulations ("mcwf" disables the
-    eigenstate shortcut and is the slow oracle); they refuse a run whose
-    largest total outflow rate times its duration exceeds JUMP_BUDGET.
-    "auto" runs the lane pick_lane picks.  The arguments are checked when
-    this is called, before the first record is drawn.
+    engine "events" or "mcwf" loops full per-trajectory simulations ("mcwf"
+    disables the eigenstate shortcut and is the slow oracle); either refuses
+    a run whose largest total outflow rate times its duration exceeds
+    JUMP_BUDGET.  The bit lane makes no records; stats.fold_ensemble folds
+    it.  The arguments are checked when this is called, before the first
+    record is drawn.
     """
     if sample_size < 1:
         raise ConfigError(f"sample_size must be at least 1, got {sample_size}")
-    if engine == "auto":
-        engine = pick_lane(gate_spec, keep_events)
-    if engine == "bits":
-        if not _is_swaplike(gate_spec):
-            raise ConfigError("the bit lane only runs swap-family gates")
-        if keep_events:
-            raise ConfigError("the bit lane does not resolve event times; use engine='events'")
-        return _bit_lane_records(cfg, protocol, gate_spec, sample_size, seed)
     if engine not in ("events", "mcwf"):
         raise ConfigError(f"unknown engine {engine!r}")
     em1, _, em2, _ = _dichotomic_rates(cfg)
@@ -621,19 +600,6 @@ def run_ensemble(
                 ens, np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, k)))),
                 keep_events, shortcut)
             for k in range(sample_size))
-
-
-def _bit_lane_records(
-    cfg: EngineConfig,
-    protocol: Protocol,
-    gate_spec: GateSpec,
-    sample_size: int,
-    seed: int,
-) -> Iterator[TrajectoryRecord]:
-    params = RunParams(cfg, protocol, gate_spec)
-    for ledgers, _ in _bit_lane_chunks(cfg, protocol, sample_size, seed):
-        for row in ledgers.tolist():
-            yield TrajectoryRecord(params, LedgerKey(*row))
 
 
 def per_pulse_transfer_moments(

@@ -384,6 +384,9 @@ def test_opt_gate_output_ignores_seed_and_restarts(monkeypatch, tmp_path):
           "0.5", "trajectory_00000.log"], 2, "needs a swap-family gate"),
         # an infinite bound is refused before the grid is built
         (["analytic", "--scan-eta-mp", "0.8:inf:3"], 2, "beta1 < lo < hi"),
+        # bad.log below holds a byte that is not UTF-8
+        (["analyze", "bad.log", "--naive"], 4, "bad.log:1: invalid UTF-8 byte 0xff"),
+        (["simulate", "--config", "bad.log"], 2, "bad.log:1: invalid UTF-8 byte 0xff"),
     ],
 )
 def test_error_exit_codes(capsys, monkeypatch, tmp_path, args, code,
@@ -391,6 +394,7 @@ def test_error_exit_codes(capsys, monkeypatch, tmp_path, args, code,
     monkeypatch.chdir(tmp_path)
     if args[0] == "power-scan":
         monkeypatch.setattr(stats_module, "_bit_lane_chunks", _broken_chunks)
+    (tmp_path / "bad.log").write_bytes(b"\xff\xfe 1 E\n")
     assert cli.main(args) == code
     assert fragment in capsys.readouterr().err
     if args[0] in ("simulate", "analyze") and code == 2:
@@ -421,6 +425,18 @@ def test_out_dir_under_a_file_is_an_io_error(capsys, monkeypatch, tmp_path):
     assert cli.main(["simulate", "--samples", "5", "--pulses", "2",
                      "--tau2", "0.5", "--out-dir", "blocker/sub"]) == 3
     assert "I/O error" in capsys.readouterr().err
+
+
+def test_running_out_of_memory_is_one_line_and_exit_3(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 1.49 GiB for an array")
+    monkeypatch.setattr(cli, "fold_ensemble", exhausted)
+    assert cli.main(["simulate", "--samples", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == "out of memory: Unable to allocate 1.49 GiB for an array\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_event_log_is_a_parse_error(capsys, monkeypatch, tmp_path):

@@ -3,8 +3,9 @@
 Hand-built records with known integer ledgers pin the bookkeeping exactly;
 simulated ensembles then check the statistical estimators against their
 defining formulas (weighted least squares, jackknife) recomputed inline,
-the columnar fold of the bit lane against the record-by-record one, and
-the path-level fluctuation relation on the events lane's own records.
+the columnar fold of the bit lane against the Counter of its ledger rows
+and against folding those rows record by record, and the path-level
+fluctuation relation on the events lane's own records.
 """
 
 from __future__ import annotations
@@ -113,19 +114,11 @@ def test_rigidity_counter_ignores_last_bit_float_rounding():
     assert st.quantization_violations == 0
 
 
-def test_merge_combines_shards_in_any_order():
-    proto = se.Protocol(n_pulses=5, tau2=0.65)
-    records = list(se.run_ensemble(CFG, proto, se.SwapFamily(), 120, seed=14,
-                                   engine="bits"))
-    whole = se.accumulate(records)
-    chunks = (records[:40], records[40:80], records[80:])
-    for order in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
-        merged = se.EnsembleStats()
-        for i in order:
-            out = merged.merge(se.accumulate(chunks[i]))
-            assert out is merged  # in-place accumulation, returns self
-        assert merged == whole
-        assert merged.integral_ft_estimate == whole.integral_ft_estimate
+def _bit_lane_rows(cfg, protocol, sample_size, seed):
+    """The bit lane's ledger rows, in row order, as LedgerKeys."""
+    return [se.LedgerKey(*row) for ledgers, _ in
+            trajectory._bit_lane_chunks(cfg, protocol, sample_size, seed)
+            for row in ledgers.tolist()]
 
 
 @pytest.mark.parametrize("cfg,pulses,samples", [
@@ -138,9 +131,14 @@ def test_merge_combines_shards_in_any_order():
 def test_columnar_fold_equals_the_record_fold(cfg, pulses, samples):
     proto = se.Protocol(pulses, 0.65)
     folded = se.fold_ensemble(cfg, proto, se.SwapFamily(), samples, seed=21)
-    by_record = se.accumulate(se.run_ensemble(cfg, proto, se.SwapFamily(),
-                                              samples, seed=21, engine="bits"))
+    rows = _bit_lane_rows(cfg, proto, samples, seed=21)
+    assert folded.counts == Counter(rows)
+    # the rows folded one record at a time, last row first: the order in
+    # which records are folded changes no statistic
+    params = se.RunParams(cfg, proto, se.SwapFamily())
+    by_record = se.accumulate(se.TrajectoryRecord(params, key) for key in reversed(rows))
     assert folded == by_record
+    assert folded.integral_ft_estimate == by_record.integral_ft_estimate
     assert folded.sample_size == samples
     assert folded.rigidity_violations == 0
 
@@ -212,17 +210,18 @@ def test_columnar_fold_memory_at_a_large_pulse_count():
     assert peak < 80 * 2 ** 20
 
 
-def test_merge_with_a_fresh_accumulator_is_the_identity():
-    st = se.accumulate(HAND_RECORDS)
-    assert se.EnsembleStats().merge(st) == st
-    assert st.merge(se.EnsembleStats()) == st
-
-
-def test_merge_rejects_mismatched_runs():
-    other = PARAMS._replace(protocol=se.Protocol(10, 0.5))
-    with pytest.raises(se.ConfigError, match="cannot merge"):
-        se.accumulate(HAND_RECORDS).merge(se.accumulate([_rec(0, 0,
-                                                              params=other)]))
+def test_one_sample_fold_draws_one_row():
+    # at 20000 pulses a row block floors at 128 rows of 40002 uniforms, and
+    # a fold that draws them all peaks near 56 MiB; a one-sample run's
+    # block holds its one row (tracemalloc sees numpy's buffers)
+    tracemalloc.start()
+    try:
+        folded = se.fold_ensemble(CFG, se.Protocol(20000, 0.65), se.SwapFamily(), 1, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert folded.sample_size == 1
+    assert peak < 5 * 2 ** 20
 
 
 def test_ft_log_ratio_on_exact_geometric_counts():
@@ -253,8 +252,7 @@ def test_ft_log_ratio_needs_three_paired_counts():
 def test_ft_log_ratio_slope_matches_the_thermal_affinity():
     # slope of ln[P(n)/P(-n)] against n estimates beta1*omega1 - beta2*omega2
     proto = se.Protocol(n_pulses=10, tau2=0.65)
-    st = se.accumulate(se.run_ensemble(CFG, proto, se.SwapFamily(), 30000,
-                                       seed=71, engine="bits"))
+    st = se.fold_ensemble(CFG, proto, se.SwapFamily(), 30000, seed=71)
     fr = se.ft_log_ratio(st)
     affinity = CFG.beta1 * CFG.omega1 - CFG.beta2 * CFG.omega2
     assert abs(fr.slope - affinity) < 4.0 * fr.slope_se
@@ -264,8 +262,7 @@ def test_ft_log_ratio_slope_matches_the_thermal_affinity():
 def test_ft_log_ratio_slope_vanishes_at_zero_affinity():
     cfg = se.EngineConfig(0.8, 1.0, 1.0, 0.8)  # beta1*omega1 == beta2*omega2
     proto = se.Protocol(n_pulses=20, tau2=0.5)
-    st = se.accumulate(se.run_ensemble(cfg, proto, se.SwapFamily(), 20000,
-                                       seed=72, engine="bits"))
+    st = se.fold_ensemble(cfg, proto, se.SwapFamily(), 20000, seed=72)
     fr = se.ft_log_ratio(st)
     assert abs(fr.slope) < 4.0 * fr.slope_se
 
@@ -280,15 +277,16 @@ def test_integral_ft_is_exactly_one_for_reversible_null_protocols():
 
 def test_integral_ft_matches_explicit_leave_one_out_jackknife():
     proto = se.Protocol(n_pulses=10, tau2=0.65)
-    records = list(se.run_ensemble(CFG, proto, se.SwapFamily(), 1500, seed=16,
-                                   engine="bits"))
-    vals = np.array([math.exp((r.params.cfg.beta2 - r.params.cfg.beta1) * r.energetics.dE1
-                              - r.params.cfg.beta2 * r.energetics.w) for r in records])
+    energies = [key.energetics(CFG.omega1, CFG.omega2)
+                for key in _bit_lane_rows(CFG, proto, 1500, seed=16)]
+    vals = np.array([math.exp((CFG.beta2 - CFG.beta1) * e.dE1 - CFG.beta2 * e.w)
+                     for e in energies])
     n = len(vals)
     mean = vals.mean()
     loo = (vals.sum() - vals) / (n - 1)
     jk_se = math.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2))
-    value, std_err = se.accumulate(records).integral_ft_estimate
+    value, std_err = se.fold_ensemble(CFG, proto, se.SwapFamily(), 1500,
+                                      seed=16).integral_ft_estimate
     assert value == pytest.approx(mean, rel=1e-12)
     assert std_err == pytest.approx(jk_se, rel=1e-10)
 

@@ -11,6 +11,7 @@ must agree record for record.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -169,11 +170,28 @@ def test_first_jump_time_from_a_superposition_matches_norm_decay():
     assert res.pvalue > 1e-3
 
 
+def _check_events(rec: se.TrajectoryRecord) -> None:
+    """The record's events are strictly time-ordered, and its jumps sum to
+    the ledger's net emission counts as the log analyzer counts them."""
+    times = [ev.time for ev in rec.events]
+    assert all(a < b for a, b in zip(times, times[1:]))
+    jumps = [ev for ev in rec.events if ev.kind != "P"]
+    assert se.reconstruct_from_events(jumps, rec.params.cfg).naive[:2] == rec.ledger[:2]
+
+
+def _bit_lane_rows(cfg, protocol, sample_size, seed):
+    """The bit lane's ledger rows, in row order, as LedgerKeys."""
+    return [se.LedgerKey(*row) for ledgers, _ in
+            trajectory._bit_lane_chunks(cfg, protocol, sample_size, seed)
+            for row in ledgers.tolist()]
+
+
 def _ledger_checks(rec: se.TrajectoryRecord) -> None:
     p = rec.params.cfg
     led = rec.ledger
     e = rec.energetics
-    rec.validate()
+    if rec.events is not None:
+        _check_events(rec)
     led.check()
     assert led.n_w == led.h1 + led.db1 == -(led.h2 + led.db2)
     assert abs(led.db1) <= 1 and abs(led.db2) <= 1
@@ -208,9 +226,11 @@ def test_bit_lane_work_lattice_is_exact_for_dyadic_gaps():
     # quotient below is a single exact float operation
     cfg = se.EngineConfig(2.0 / 3.0, 1.0, 1.0, 0.75)
     proto = se.Protocol(n_pulses=50, tau2=0.65)
+    params = se.RunParams(cfg, proto, se.SwapFamily())
     seen_nonzero = 0
-    for rec in se.run_ensemble(cfg, proto, se.SwapFamily(), 2000, seed=21,
-                               engine="bits"):
+    for key, count in se.fold_ensemble(cfg, proto, se.SwapFamily(), 2000,
+                                       seed=21).counts.items():
+        rec = se.TrajectoryRecord(params, key)
         _ledger_checks(rec)
         e = rec.energetics
         assert e.w == 0.25 * rec.ledger.n_w
@@ -218,7 +238,7 @@ def test_bit_lane_work_lattice_is_exact_for_dyadic_gaps():
         assert e.dE2 == -0.75 * e.dE1
         if e.dE1 != 0.0:
             assert e.w / e.dE1 == 0.25  # 1 - omega2/omega1, exactly
-            seen_nonzero += 1
+            seen_nonzero += count
     assert seen_nonzero > 1000
 
 
@@ -227,7 +247,7 @@ def test_pulse_free_protocol_exchanges_heat_but_no_work():
     moved = 0
     for rec in se.run_ensemble(CFG, proto, se.SwapFamily(), 400, seed=33,
                                keep_events=True, engine="events"):
-        rec.validate()
+        _check_events(rec)
         rec.ledger.check()
         assert rec.ledger.n_w == 0
         e = rec.energetics
@@ -242,24 +262,22 @@ def test_pulse_free_protocol_exchanges_heat_but_no_work():
 
 def test_same_seed_reproduces_identical_records():
     proto = se.Protocol(n_pulses=7, tau2=0.65)
-    for engine in ("bits", "events"):
-        a = list(se.run_ensemble(CFG, proto, se.SwapFamily(), 40, seed=9,
-                                 engine=engine))
-        b = list(se.run_ensemble(CFG, proto, se.SwapFamily(), 40, seed=9,
-                                 engine=engine))
-        assert a == b
+    assert _bit_lane_rows(CFG, proto, 40, seed=9) == _bit_lane_rows(CFG, proto, 40, seed=9)
+    a = list(se.run_ensemble(CFG, proto, se.SwapFamily(), 40, seed=9, engine="events"))
+    b = list(se.run_ensemble(CFG, proto, se.SwapFamily(), 40, seed=9, engine="events"))
+    assert a == b
 
 
 def test_record_k_does_not_depend_on_sample_size():
     # per-record streams are keyed by (seed, index), so growing the
     # ensemble must extend it without disturbing earlier records
     proto = se.Protocol(n_pulses=7, tau2=0.65)
-    for engine, m_small, m_big in (("bits", 50, 37000), ("events", 20, 150)):
-        small = list(se.run_ensemble(CFG, proto, se.SwapFamily(), m_small,
-                                     seed=9, engine=engine))
-        big = list(se.run_ensemble(CFG, proto, se.SwapFamily(), m_big,
-                                   seed=9, engine=engine))
-        assert small == big[:m_small]
+    # 37000 bit-lane rows cross a chunk
+    assert _bit_lane_rows(CFG, proto, 50, seed=9) == _bit_lane_rows(CFG, proto, 37000,
+                                                                    seed=9)[:50]
+    small = list(se.run_ensemble(CFG, proto, se.SwapFamily(), 20, seed=9, engine="events"))
+    big = list(se.run_ensemble(CFG, proto, se.SwapFamily(), 150, seed=9, engine="events"))
+    assert small == big[:20]
 
 
 def _scalar_bit_lane(cfg, protocol, sample_size, seed):
@@ -360,8 +378,7 @@ def test_event_and_wavefunction_lanes_agree_on_jump_times(gate):
 def test_bit_and_event_lanes_draw_from_the_same_law():
     proto = se.Protocol(n_pulses=3, tau2=0.5)
     m = 4000
-    bits = [r.ledger.n_w for r in se.run_ensemble(CFG, proto, se.SwapFamily(),
-                                                  m, seed=51, engine="bits")]
+    bits = [key.n_w for key in _bit_lane_rows(CFG, proto, m, seed=51)]
     evs = [r.ledger.n_w for r in se.run_ensemble(CFG, proto, se.SwapFamily(),
                                                  m, seed=52, engine="events")]
     lo, hi = -3, 3  # clip tails so every expected cell count stays above 5
@@ -377,10 +394,10 @@ def test_bit_and_event_lanes_draw_from_the_same_law():
 def test_generic_gate_records_are_unquantized_but_conserving():
     gen = se.Generic(tuple(np.linspace(0.2, 2.0, 15)))
     proto = se.Protocol(n_pulses=4, tau2=0.5)
-    recs = list(se.run_ensemble(CFG, proto, gen, 80, seed=3))
+    recs = list(se.run_ensemble(CFG, proto, gen, 80, seed=3, keep_events=True))
     assert len(recs) == 80
     for rec in recs:
-        rec.validate()
+        _check_events(rec)
         rec.ledger.check()
         assert rec.ledger.n_w is None
         assert rec.energetics.w == rec.energetics.dE1 + rec.energetics.dE2
@@ -416,22 +433,23 @@ def test_every_lane_makes_checked_ledgers_that_agree(run):
     for rec in ev + wf:
         rec.ledger.check()
     assert [r.ledger for r in ev] == [r.ledger for r in wf]
-    assert se.fold_ensemble(cfg, proto, gate, samples, seed) == se.accumulate(
-        se.run_ensemble(cfg, proto, gate, samples, seed, engine="bits"))
+    folded = se.fold_ensemble(cfg, proto, gate, samples, seed)
+    rows = _bit_lane_rows(cfg, proto, samples, seed)
+    assert folded.counts == Counter(rows)
+    params = se.RunParams(cfg, proto, gate)
+    by_record = se.accumulate(se.TrajectoryRecord(params, key) for key in reversed(rows))
+    assert folded == by_record
+    assert folded.integral_ft_estimate == by_record.integral_ft_estimate
 
 
 def test_run_ensemble_rejects_bad_requests():
     # every request is checked when run_ensemble is called, before a record
     # is drawn, so no list() is needed to see the error
     proto = se.Protocol(n_pulses=2, tau2=0.5)
-    gen = se.Generic(tuple(np.linspace(0.2, 2.0, 15)))
-    with pytest.raises(se.ConfigError, match="only runs swap-family"):
-        se.run_ensemble(CFG, proto, gen, 5, seed=0, engine="bits")
-    with pytest.raises(se.ConfigError, match="does not resolve event times"):
-        se.run_ensemble(CFG, proto, se.SwapFamily(), 5, seed=0,
-                        keep_events=True, engine="bits")
-    with pytest.raises(se.ConfigError, match="unknown engine"):
-        se.run_ensemble(CFG, proto, se.SwapFamily(), 5, seed=0, engine="nope")
+    # the bit lane makes no records: only fold_ensemble runs it
+    for engine in ("bits", "auto", "nope"):
+        with pytest.raises(se.ConfigError, match="unknown engine"):
+            se.run_ensemble(CFG, proto, se.SwapFamily(), 5, seed=0, engine=engine)
     with pytest.raises(se.ConfigError, match="sample_size"):
         se.run_ensemble(CFG, proto, se.SwapFamily(), 0, seed=0)
     # gamma*(n1+1) overflows; n2 = 1/expm1(beta2*omega2) is inf at subnormal
@@ -445,8 +463,7 @@ def test_run_ensemble_rejects_bad_requests():
                 se.run_ensemble(cfg, proto, se.SwapFamily(), 3, seed=0,
                                 engine=engine)
         # the bit lane draws from the propagator and needs no rate
-        assert len(list(se.run_ensemble(cfg, proto, se.SwapFamily(), 3, seed=0,
-                                        engine="bits"))) == 3
+        assert se.fold_ensemble(cfg, proto, se.SwapFamily(), 3, 0).sample_size == 3
 
 
 def test_jump_budget_bounds_the_rate_times_the_run_time():
