@@ -13,7 +13,7 @@ the (omega1-omega2) lattice, and violations are counted rather than
 silently rebinned.
 
 path_log_ratio scores the path-level relation on one run's own pulsed
-events, with the step tables and rates the refinement and the lanes use.
+events, with the integer walker the refinement uses and the lanes' rates.
 
 Work-quanta sign convention: n_w = w/(omega1 - omega2) counts quanta
 injected by the work source, so engine operation has negative mean n_w and
@@ -33,8 +33,8 @@ import numpy as np
 from .gates import BASIS_BITS, SWAP_PERMUTATION, GateSpec, SwapFamily, gibbs_populations
 from .thermo import ConfigError, EngineConfig, relaxation_time
 from .trajectory import (CHANNELS, LedgerKey, Protocol, RunParams, TrajectoryEvent,
-                         TrajectoryRecord, _JUMP_MAPS, _Relaxation, _bit_lane_chunks,
-                         _is_swaplike, _relaxation, pick_lane, run_ensemble)
+                         TrajectoryRecord, _JUMP_MAPS, _bit_lane_chunks, _is_swaplike,
+                         _relaxation, pick_lane, run_ensemble)
 
 ETA_BIN_WIDTH = 0.01
 
@@ -414,13 +414,13 @@ class Reconstruction:
     The jump sums give the net emission counts h1, h2 exactly, so the naive
     ledger is (h1, h2, 0, 0, None), the ground-boundary convention: its
     dE_i = q_i is off from the truth by exactly the unobservable -dU_i,
-    bounded by one quantum per qubit.  When the pulse schedule is known, the
-    refined ledger comes from exact candidate propagation: all four initial
-    basis states are evolved through the known swap times, candidates
-    inconsistent with any observed jump are pruned, and the
-    largest-Gibbs-weight survivor's ledger is kept; survivors counts those
-    left alive (0 means the log cannot come from the assumed schedule, and
-    refined stays None)."""
+    bounded by one quantum per qubit.  When the pulse schedule is known
+    (a pulse-free one too), the refined ledger comes from exact candidate
+    propagation: all four initial basis states are walked through the
+    log's jumps and the known swap times, candidates a jump annihilates are
+    pruned, and the largest-Gibbs-weight survivor's ledger is kept;
+    survivors counts those left alive (0 means the log cannot come from the
+    assumed schedule, and refined stays None)."""
 
     naive: LedgerKey
     refined: LedgerKey | None
@@ -453,17 +453,48 @@ def reconstruct_from_events(
         h[ev.bath] += 1 if ev.kind == "E" else -1
     naive = LedgerKey(h[1], h[2], 0, 0, None)
     refined, survivors = None, 0
-    if protocol is not None and protocol.n_pulses > 0:
+    if protocol is not None:
         refined, survivors = _refine_candidates(events, cfg, protocol, naive)
     return Reconstruction(naive, refined, survivors)
 
 
-# refinement steps, each (basis map, quanta moved into qubit 1 from each basis
-# state): SWAP_PERMUTATION at a pulse, the channel's jump map at a jump
+# walker steps, each (basis map, quanta moved into qubit 1 from each basis
+# state, jump channel or None): SWAP_PERMUTATION at a pulse, the channel's
+# jump map at a jump.  CHANNELS runs (1 E, 1 A, 2 E, 2 A), so channel ch ^ 1
+# is channel ch with E and A swapped.
 _PULSE_STEP = (SWAP_PERMUTATION, tuple(BASIS_BITS[j][0] - BASIS_BITS[i][0]
-                                      for i, j in enumerate(SWAP_PERMUTATION)))
-_JUMP_STEPS = {channel: (basis_map, (0, 0, 0, 0))
-               for channel, basis_map in zip(CHANNELS, _JUMP_MAPS)}
+                                      for i, j in enumerate(SWAP_PERMUTATION)), None)
+_JUMP_STEPS = {channel: (basis_map, (0, 0, 0, 0), ch)
+               for ch, (channel, basis_map) in enumerate(zip(CHANNELS, _JUMP_MAPS))}
+
+
+def _steps(events: Sequence[TrajectoryEvent], protocol: Protocol | None = None) -> list:
+    """The walker's steps for a record's own events, pulse markers included,
+    or for a marker-free log merged with protocol's schedule: pulse k at
+    k*tau2, placed before any jump at or after that time."""
+    if protocol is None:
+        return [_PULSE_STEP if ev.kind == "P" else _JUMP_STEPS[ev.bath, ev.kind]
+                for ev in events]
+    steps, next_pulse = [], 0
+    for ev in events:
+        while next_pulse < protocol.n_pulses and next_pulse * protocol.tau2 <= ev.time:
+            steps.append(_PULSE_STEP)
+            next_pulse += 1
+        steps.append(_JUMP_STEPS[ev.bath, ev.kind])
+    steps += [_PULSE_STEP] * (protocol.n_pulses - next_pulse)
+    return steps
+
+
+def _walk(i: int, steps: Sequence[tuple]) -> tuple[int, int] | None:
+    """(end state, pulse-transfer sum) of basis state i walked through steps,
+    or None when a jump annihilates it."""
+    m = 0
+    for basis_map, transfer, _ in steps:
+        m += transfer[i]
+        i = basis_map[i]
+        if i < 0:
+            return None
+    return i, m
 
 
 def _refine_candidates(
@@ -472,7 +503,8 @@ def _refine_candidates(
     protocol: Protocol,
     naive: LedgerKey,
 ) -> tuple[LedgerKey | None, int]:
-    """Propagate all four initial basis states through the known swap schedule.
+    """Walk all four initial basis states through the log and the known swap
+    schedule.
 
     A swap-family pulse is SWAP_PERMUTATION, and an observed jump is the
     events lane's basis map of its channel, which kills a candidate it
@@ -483,25 +515,12 @@ def _refine_candidates(
     order --, -+, +-, ++; None when none survives) and the number of
     survivors.
     """
-    steps = []   # the log's jumps merged with the pulse schedule
-    next_pulse = 0
-    for ev in events:
-        while next_pulse < protocol.n_pulses and next_pulse * protocol.tau2 <= ev.time:
-            steps.append(_PULSE_STEP)
-            next_pulse += 1
-        steps.append(_JUMP_STEPS[ev.bath, ev.kind])
-    steps += [_PULSE_STEP] * (protocol.n_pulses - next_pulse)
+    steps = _steps(events, protocol)
     p = gibbs_populations(cfg)
     alive = []   # (start, end, transfer) of each survivor, by falling Gibbs weight
     for i0 in sorted((3, 2, 1, 0), key=lambda i: p[i], reverse=True):
-        i, m = i0, 0
-        for basis_map, transfer in steps:
-            m += transfer[i]
-            i = basis_map[i]
-            if i < 0:
-                break
-        else:
-            alive.append((i0, i, m))
+        if (walked := _walk(i0, steps)) is not None:
+            alive.append((i0, *walked))
     if not alive:
         return None, 0
     i0, i, m = alive[0]
@@ -519,59 +538,37 @@ def path_log_ratio(
     """Log ratio of a path's density from basis state start to its time
     reverse's, on a swap-family record's own events, pulse markers included.
 
-    Steps follow the refinement's tables (a pulse is SWAP_PERMUTATION, its
-    own inverse; a jump its channel's basis map), and the density is each
-    jump's channel rate times exp(-outflow*dt) for each stay, at the rates
-    of _relaxation.  The reverse walks the events backwards from the end
-    state at times T - t, E and A swapped.  Returns (ln p(start)*P[path] -
-    ln p(end)*P[reverse], the walked ledger), p the product Gibbs weights;
-    the ratio is +inf when only the reverse has density 0.  Returns None
-    when the path itself has density 0: p(start) is 0, or a jump annihilates
-    the state or takes a channel of rate 0.  Microreversibility makes the ratio
+    The reverse walks the events backwards from the end state, E and A
+    swapped, and stays in each basis state as long as the path does, so the
+    survival factors exp(-outflow*dt) cancel and the jump times drop out:
+    the ratio is ln p(start)/p(end) plus ln(rate/reverse rate) of each jump,
+    p the product Gibbs weights and the rates those of _relaxation (Seifert,
+    PRL 95, 040602 (2005)).  Returns (that ratio, the walked ledger); the
+    ratio is +inf when only the reverse has density 0.  Returns None when
+    the path itself has density 0: p(start) is 0, or a jump annihilates the
+    state or takes a channel of rate 0.  Microreversibility makes the ratio
     beta1*dE1 + beta2*dE2 of that ledger (Campisi, Pekola & Fazio,
     NJP 17, 035012 (2015)).
     """
-    cfg, protocol, gate = params
+    cfg, _, gate = params
     check_swap_family(gate, "the path log ratio")
-    relax, total = _relaxation(cfg), protocol.total_time
-    forward = [(ev.time, ev.bath, ev.kind) for ev in events]
+    steps = _steps(events)
+    walked = _walk(start, steps)
+    jumps = Counter(ch for _, _, ch in steps if ch is not None)   # by channel
+    ln_rates = [_ln(rate) for rate in _relaxation(cfg).rates.tolist()]
     p = gibbs_populations(cfg)
-    walked = _log_path_density(relax, start, forward, total)
-    if walked is None or walked[0] == -math.inf or p[start] == 0:
+    if walked is None or p[start] == 0 or any(ln_rates[ch] == -math.inf for ch in jumps):
         return None
-    log_p, end, h, n_w = walked
-    backward = [(total - t, bath, {"E": "A", "A": "E"}.get(kind, kind))
-                for t, bath, kind in reversed(forward)]
-    log_p -= _log_path_density(relax, end, backward, total)[0]
+    end, n_w = walked
+    reverse = [_PULSE_STEP if ch is None else _JUMP_STEPS[CHANNELS[ch ^ 1]]
+               for _, _, ch in reversed(steps)]
+    if _walk(end, reverse) != (start, -n_w):
+        raise AssertionError("the reversed events do not retrace the path: "
+                             "jump maps broken")
     (s1, s2), (e1, e2) = BASIS_BITS[start], BASIS_BITS[end]
-    return (math.log(p[start]) - _ln(p[end]) + log_p,
-            LedgerKey(h[0], h[1], e1 - s1, e2 - s2, n_w))
-
-
-def _log_path_density(
-    relax: _Relaxation,
-    i: int,
-    steps: Sequence[tuple[float, int, str]],
-    total_time: float,
-) -> tuple[float, int, list[int], int] | None:
-    """(ln P[steps | i], end state, net emissions per bath, pulse transfer sum)
-    of the (time, bath, kind) steps walked from basis state i to total_time,
-    or None when a jump annihilates the state; a jump on a channel of rate 0
-    makes ln P = -inf."""
-    log_p, last, h, n_w = 0.0, 0.0, [0, 0], 0
-    for t, bath, kind in steps:
-        log_p -= relax.outflow[i] * (t - last)
-        last = t
-        if kind == "P":
-            n_w += _PULSE_STEP[1][i]
-            i = _PULSE_STEP[0][i]
-        elif (j := _JUMP_STEPS[bath, kind][0][i]) < 0:
-            return None
-        else:
-            log_p += _ln(relax.weights[i][CHANNELS.index((bath, kind))])
-            h[bath - 1] += 1 if kind == "E" else -1
-            i = j
-    return log_p - relax.outflow[i] * (total_time - last), i, h, n_w
+    return (math.log(p[start]) - _ln(p[end])
+            + sum(n * (ln_rates[ch] - ln_rates[ch ^ 1]) for ch, n in jumps.items()),
+            LedgerKey(jumps[0] - jumps[1], jumps[2] - jumps[3], e1 - s1, e2 - s2, n_w))
 
 
 def _ln(x: float) -> float:

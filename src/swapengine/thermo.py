@@ -22,8 +22,6 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 
 class ConfigError(ValueError):
     """Invalid physical configuration."""
@@ -227,22 +225,17 @@ def omega_star(beta1: float, beta2: float) -> MaxPowerPoint:
                          w_max=_work_output(lo, beta1, beta2))
 
 
-def low_etaC_expansion(beta2: float, etaC_grid: list[float]) -> ExpansionFit:
+def low_etaC_expansion(beta2: float) -> ExpansionFit:
     """Expansion of the efficiency at maximum power for small Carnot efficiency.
 
-    For each eta_C on the grid, set beta1 = beta2*(1 - eta_C), find eta* via
-    omega_star, and least-squares fit eta*/eta_C = a + b*eta_C.  The linear
-    coefficient a is universal (1/2); b depends on beta2.
+    At beta1 = beta2*(1 - eta_C), expanding omega_star's slope condition to
+    second order in eta_C gives, in its omega1 = 1 units,
+
+        eta*/eta_C = 1/2 + (beta2/16)*tanh(beta2/2)*eta_C + O(eta_C^2).
+
+    The 1/2 is universal (Esposito, Lindenberg & Van den Broeck, PRL 102,
+    130602 (2009)); the second coefficient depends on beta2.
     """
-    if beta2 <= 0:
-        raise ConfigError(f"beta2 must be positive, got {beta2}")
-    grid = [float(x) for x in etaC_grid]
-    if len(grid) < 3:
-        raise ConfigError("need at least 3 grid points for a two-parameter fit")
-    if any(not (0.0 < x <= 0.2) for x in grid):
-        raise ConfigError("etaC grid points must lie in (0, 0.2]")
-    xs = np.array(grid)
-    ys = np.array([
-        omega_star(beta2 * (1.0 - ec), beta2).eta_star / ec for ec in grid])
-    b, a = np.polyfit(xs, ys, 1)
-    return ExpansionFit(linear_coeff=float(a), quad_coeff=float(b))
+    if not 0 < beta2 < math.inf:
+        raise ConfigError(f"beta2 must be a finite positive number, got {beta2}")
+    return ExpansionFit(linear_coeff=0.5, quad_coeff=beta2 / 16.0 * math.tanh(beta2 / 2.0))

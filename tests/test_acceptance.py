@@ -164,11 +164,14 @@ def test_path_density_ratios_obey_the_detailed_fluctuation_theorem():
 
 @pytest.mark.parametrize("beta2", [0.5, 1.0, 2.0])
 def test_efficiency_at_max_power_expands_to_half_carnot(beta2):
-    """Linear coefficient of eta*(etaC) fitted on etaC in (0, 0.15] equals
-    0.500 within 0.02 for beta2 in {0.5, 1, 2}."""
-    grid = list(np.linspace(0.01, 0.15, 15))
-    fit = se.low_etaC_expansion(beta2, grid)
-    assert abs(fit.linear_coeff - 0.5) <= 0.02
+    """eta* = etaC/2 + b*etaC^2 + O(etaC^3) with b = (beta2/16)*tanh(beta2/2):
+    omega_star meets the series within 0.2*etaC^3 on etaC in (0, 0.15] for
+    beta2 in {0.5, 1, 2}, so the linear coefficient is 1/2."""
+    fit = se.low_etaC_expansion(beta2)
+    assert fit.linear_coeff == 0.5
+    for etaC in np.linspace(0.01, 0.15, 15):
+        eta_star = se.omega_star(beta2 * (1.0 - etaC), beta2).eta_star
+        assert abs(eta_star - 0.5 * etaC - fit.quad_coeff * etaC ** 2) <= 0.2 * etaC ** 3
 
 
 def test_event_logs_alone_recover_the_work_within_one_quantum(tmp_path,

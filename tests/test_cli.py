@@ -267,6 +267,25 @@ def test_analyze_naive_mode_skips_the_refinement(capsys, monkeypatch,
         assert row["n_w"] is None
 
 
+def test_analyze_refines_pulse_free_logs(capsys, monkeypatch, tmp_path):
+    # with no pulse no work is done: every log keeps a survivor and refines
+    # to w = 0, though the naive w = q1 + q2 need not vanish
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["simulate", "--samples", "20", "--pulses", "0",
+                     "--tau2", "0.7", "--seed", "5", "--emit-logs",
+                     "--out-dir", "sim"]) == 0
+    logs = sorted(str(p) for p in (tmp_path / "sim" / "events").iterdir())
+    capsys.readouterr()
+    assert cli.main(["analyze", *logs, "--pulses", "0", "--tau2", "0.7",
+                     "--json", "--out-dir", "ana"]) == 0
+    rows = json.loads(capsys.readouterr().out)["trajectories"]
+    assert len(rows) == 20
+    for row in rows:
+        assert row["survivors"] >= 1
+        assert row["w_refined"] == 0
+        assert row["n_w"] == 0
+
+
 def test_power_scan_writes_one_row_per_pulse_count(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["power-scan", "--samples", "200", "--n-list", "1,2,5",

@@ -471,7 +471,7 @@ def _bit_pair_refinement(events, cfg, protocol):
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(st.sampled_from([CFG, se.EngineConfig(0.5, 1.0, 1.0, 0.5),   # tied weights
                         se.EngineConfig(1.0, 1.0, 0.7, 0.7)]),
-       st.integers(1, 6),
+       st.integers(0, 6),
        st.lists(st.tuples(st.floats(0.0, 4.0), st.sampled_from("EA"),
                           st.sampled_from((1, 2))),
                 max_size=10, unique_by=lambda j: j[0]))
@@ -544,6 +544,30 @@ def test_path_log_ratio_where_a_gibbs_weight_underflows():
     ratio, ledger = se.path_log_ratio(params, 1, [pulse, _jump(0.3, "A", 1)])
     assert ratio == math.inf
     assert ledger == se.LedgerKey(-1, 0, 0, 1, -1)
+
+
+def test_path_log_ratio_does_not_depend_on_jump_times():
+    # the survival factors cancel against the reverse's, so moving every
+    # jump, in the same order, moves no result by a single bit
+    protocol = se.Protocol(25, 0.65)
+    params = se.RunParams(CFG, protocol, se.SwapFamily())
+    for record in se.run_ensemble(CFG, protocol, params.gate, 200, seed=6,
+                                  keep_events=True, engine="events"):
+        moved = [ev if ev.kind == "P" else ev._replace(time=0.999 * ev.time)
+                 for ev in record.events]
+        for start in range(4):
+            walk = se.path_log_ratio(params, start, record.events)
+            assert se.path_log_ratio(params, start, moved) == walk
+
+
+def test_path_log_ratio_checks_that_the_reverse_retraces_the_path(monkeypatch):
+    # a bath-1 absorption map that is not the inverse of the emission's
+    # sends the reversed walk from |-+> to |+-> instead of back to |++>
+    monkeypatch.setitem(stats_module._JUMP_STEPS, (1, "A"),
+                        ((-1, -1, 1, 0), (0, 0, 0, 0), 1))
+    params = se.RunParams(CFG, se.Protocol(0, 1.0), se.SwapFamily())
+    with pytest.raises(AssertionError, match="retrace"):
+        se.path_log_ratio(params, 0, [_jump(0.3, "E", 1)])
 
 
 def test_path_log_ratio_refuses_a_generic_gate():

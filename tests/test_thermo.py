@@ -245,29 +245,20 @@ def test_omega_star_rejects_degenerate_bath_ordering():
 
 
 def test_low_etaC_expansion_coefficients():
-    # eta* / etaC = 1/2 + O(etaC): intercept pinned near one half
-    grid = list(np.linspace(0.01, 0.15, 8))
-    expected = {
-        0.5: (0.5000214829638615, 0.0068548603791041595),
-        1.0: (0.5000768006856944, 0.02603963720186995),
-        2.0: (0.5002142201705485, 0.08733615543353651),
-    }
-    for beta2, (a_ref, b_ref) in expected.items():
-        fit = se.low_etaC_expansion(beta2, grid)
-        assert fit.linear_coeff == pytest.approx(a_ref, abs=1e-5)
-        assert fit.quad_coeff == pytest.approx(b_ref, abs=1e-3)
-        assert abs(fit.linear_coeff - 0.5) < 0.01
+    # eta*/eta_C = 1/2 + b*eta_C + O(eta_C^2), checked against omega_star
+    for beta2 in (0.5, 1.0, 2.0, 5.0):
+        fit = se.low_etaC_expansion(beta2)
+        assert fit.linear_coeff == 0.5
+        assert fit.quad_coeff == beta2 / 16 * math.tanh(beta2 / 2)
+        for etaC in np.geomspace(1e-3, 0.15, 40):
+            ratio = se.omega_star(beta2 * (1.0 - etaC), beta2).eta_star / etaC
+            assert abs(ratio - 0.5 - fit.quad_coeff * etaC) <= 0.2 * etaC ** 2
 
 
 def test_low_etaC_expansion_rejects_bad_grids():
-    with pytest.raises(se.ConfigError, match="positive"):
-        se.low_etaC_expansion(0.0, [0.05, 0.1, 0.15])
-    with pytest.raises(se.ConfigError, match="at least 3"):
-        se.low_etaC_expansion(1.0, [0.05, 0.1])
-    with pytest.raises(se.ConfigError, match=r"\(0, 0.2\]"):
-        se.low_etaC_expansion(1.0, [0.05, 0.1, 0.25])
-    with pytest.raises(se.ConfigError, match=r"\(0, 0.2\]"):
-        se.low_etaC_expansion(1.0, [0.0, 0.1, 0.15])
+    for beta2 in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(se.ConfigError, match="finite positive"):
+            se.low_etaC_expansion(beta2)
 
 
 @pytest.mark.parametrize(
