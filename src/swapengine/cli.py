@@ -32,9 +32,10 @@ import numpy as np
 
 from .eventlog import ParseError, parse_events, write_events
 from .gates import ISWAP, Generic, GateSpec, SwapFamily, optimize_gate
-from .stats import (EnsembleStats, FtLogRatio, PowerScanRow, check_eta_bins,
-                    check_swap_family, efficiency_distribution, fold_ensemble,
-                    ft_log_ratio, power_scan, reconstruct_from_events)
+from .stats import (ETA_BIN_WIDTH, EfficiencyDistribution, EnsembleStats, FtLogRatio,
+                    PowerScanRow, check_eta_bins, check_swap_family,
+                    efficiency_distribution, fold_ensemble, ft_log_ratio, power_scan,
+                    reconstruct_from_events)
 from .thermo import (ConfigError, EngineConfig, classify_regime, efficiencies,
                      mean_energetics, omega_star, post_swap_betas, relaxation_time)
 from .trajectory import Protocol, pick_lane, run_ensemble
@@ -281,8 +282,8 @@ def _eta_mp_scan(cfg: EngineConfig, scan: str) -> list[dict]:
     return rows
 
 
-def _stats_summary(rc: RunConfig, stats: EnsembleStats,
-                   ratio: FtLogRatio | None, lane: str) -> dict:
+def _stats_summary(rc: RunConfig, stats: EnsembleStats, ratio: FtLogRatio | None,
+                   dist: EfficiencyDistribution | None, lane: str) -> dict:
     mean_dE1, se_dE1 = stats.mean_dE1
     mean_dE2, se_dE2 = stats.mean_dE2
     mean_w, se_w = stats.mean_w
@@ -299,8 +300,8 @@ def _stats_summary(rc: RunConfig, stats: EnsembleStats,
         },
         "integral_ft": [ift, ift_se],
         "log_ratio_slope": None if ratio is None else [ratio.slope, ratio.slope_se],
-        "eta_infinite": stats.eta_infinite,
-        "eta_undefined": stats.eta_undefined,
+        "eta_infinite": None if dist is None else dist.infinite,
+        "eta_undefined": None if dist is None else dist.undefined,
         "rigidity_violations": stats.rigidity_violations,
         "quantization_violations": stats.quantization_violations,
     }
@@ -331,20 +332,20 @@ def cmd_simulate(rc: RunConfig) -> int:
         ratio = ft_log_ratio(stats)
     except ConfigError:
         ratio = None
+    dist = efficiency_distribution(stats) if stats.quantized else None
     tables = []
-    if stats.quantized:
-        dist = efficiency_distribution(stats)
+    if dist is not None:
         tables += [
             ("hist_nw.csv", ("n_w", "count"), sorted(stats.hist_nw.items())),
             ("hist_joint.csv", ("q1_quanta", "w_quanta", "count"),
              [(h, m, c) for (h, m), c in sorted(stats.hist_joint.items())]),
             ("hist_eta.csv", ("eta_lo", "eta_hi", "count"),
-             [(i * dist.bin_width, (i + 1) * dist.bin_width, c) for i, c in dist.bins]),
+             [(i * ETA_BIN_WIDTH, (i + 1) * ETA_BIN_WIDTH, c) for i, c in dist.bins]),
         ]
     if ratio is not None:
         tables.append(("log_ratio.csv", ("n_w", "log_ratio", "std_error"),
                        list(ratio.points)))
-    summary_text = _json_text(_stats_summary(rc, stats, ratio, lane))
+    summary_text = _json_text(_stats_summary(rc, stats, ratio, dist, lane))
     out.mkdir(parents=True, exist_ok=True)
     for name, header, rows in tables:
         _write_csv(out / name, header, rows)

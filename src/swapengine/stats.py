@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -51,9 +50,13 @@ def check_eta_bins(cfg: EngineConfig, protocol: Protocol, gate_spec: GateSpec) -
     """Refuse, before it runs, a swap-family run with an efficiency bin that
     is not finite.
 
-    The largest |w/q1| a run can reach is hist_eta's float steps at
-    |n_w| = n_pulses and |h1| = 1; rounding is monotone, so if that bin is
-    finite, every bin is, whatever the lane and the seed.
+    No record has |n_w| > n_pulses, and a finite eta has |h1| >= 1, so
+    efficiency_distribution's float steps at |n_w| = n_pulses and |h1| = 1
+    bound every bin; rounding is monotone, so if that bin is finite, every
+    bin is, whatever the lane and the seed.  The bound is conservative:
+    n_w = h1 + db1 keeps |w/q1| within twice the Otto value, so no ledger
+    reaches it once n_pulses >= 3.  It also keeps w = (omega1-omega2)*n_w
+    finite for quantization_violations' round(w/d).
     """
     if _is_swaplike(gate_spec):
         _eta_bin((cfg.omega1 - cfg.omega2) * protocol.n_pulses, cfg.omega1)
@@ -73,11 +76,8 @@ class EnsembleStats:
     """Exact histogram of one homogeneous ensemble over LedgerKey.
 
     hist_joint is keyed by exact quantum counts (q1/omega1, w/(omega1-omega2))
-    = (h1, n_w); hist_eta bins eta = w/q1 (work output over heat drawn from
-    the hot bath) with width 0.01, infinity (q1 = 0, w != 0) and undefined
-    (q1 = w = 0) tallied separately so all counts still sum to sample_size;
-    eta_exact tallies the reduced rational n_w/h1 so the discrete peaks are
-    located without binning error.  Below two records an error is None.
+    = (h1, n_w), and efficiency_distribution reads the statistics of
+    eta = w/q1 off it.  Below two records an error is None.
     """
 
     params: RunParams | None = None
@@ -190,29 +190,6 @@ class EnsembleStats:
         return self._swap_tally(lambda k: (k.h1, k.n_w))
 
     @property
-    def hist_eta(self) -> Counter:
-        p = self.params.cfg
-
-        def eta_bin(k: LedgerKey) -> int | None:
-            if k.h1 == 0:
-                return None
-            e = k.energetics(p.omega1, p.omega2)
-            return _eta_bin(e.w, e.q1)
-        return self._swap_tally(eta_bin)
-
-    @property
-    def eta_exact(self) -> Counter:
-        return self._swap_tally(lambda k: Fraction(k.n_w, k.h1) if k.h1 else None)
-
-    @property
-    def eta_infinite(self) -> int:
-        return self._swap_tally(lambda k: k.h1 == 0 and k.n_w != 0)[True]
-
-    @property
-    def eta_undefined(self) -> int:
-        return self._swap_tally(lambda k: k.h1 == 0 and k.n_w == 0)[True]
-
-    @property
     def rigidity_violations(self) -> int:
         return self._swap_tally(lambda k: k.y != -k.x)[True]
 
@@ -315,43 +292,45 @@ def ft_log_ratio(stats: EnsembleStats) -> FtLogRatio:
 
 @dataclass(frozen=True)
 class EfficiencyDistribution:
-    """P(eta) histogram: 0.01-wide bins keyed by floor(eta/0.01), plus the
-    infinity bin (finite work at zero hot-bath heat) and the undefined count
-    (zero work at zero heat), plus the exact rational tally of n_w/h1 whose
-    value times (omega1-omega2)/omega1 is the record's eta."""
+    """P(eta) histogram: ETA_BIN_WIDTH-wide bins keyed by
+    floor(eta/ETA_BIN_WIDTH), plus the infinity bin (finite work at zero
+    hot-bath heat) and the undefined count (zero work at zero heat)."""
 
     bins: tuple[tuple[int, int], ...]
-    bin_width: float
     infinite: int
     undefined: int
-    exact: tuple[tuple[Fraction, int], ...]
-    sample_size: int
 
     def modal_bin(self) -> tuple[float, float]:
         """(lo, hi) edges of the most populated finite bin."""
         idx = max(self.bins, key=lambda kv: kv[1])[0]
-        return idx * self.bin_width, (idx + 1) * self.bin_width
+        return idx * ETA_BIN_WIDTH, (idx + 1) * ETA_BIN_WIDTH
 
 
 def efficiency_distribution(stats: EnsembleStats) -> EfficiencyDistribution:
-    """Stochastic-efficiency histogram of a swap-family ensemble.
+    """Stochastic-efficiency histogram of a swap-family ensemble, read off
+    hist_joint.
 
-    eta is the per-record work output over the heat drawn from the hot
-    bath; no scalar mean is exposed because the infinity bin carries finite
+    eta = w/q1 is the per-record work output over the heat drawn from the
+    hot bath, (omega1-omega2)*n_w over omega1*h1: the same two products
+    LedgerKey.energetics forms, so each cell's bin is the record's.  No
+    scalar mean is exposed because the infinity bin carries finite
     probability, making the ensemble average ill-defined.
     """
     if not stats.quantized:
         raise ConfigError("the efficiency distribution is defined for swap-family runs only")
     if stats.sample_size == 0:
         raise ConfigError("empty ensemble")
-    return EfficiencyDistribution(
-        bins=tuple(sorted(stats.hist_eta.items())),
-        bin_width=ETA_BIN_WIDTH,
-        infinite=stats.eta_infinite,
-        undefined=stats.eta_undefined,
-        exact=tuple(sorted(stats.eta_exact.items())),
-        sample_size=stats.sample_size,
-    )
+    p = stats.params.cfg
+    bins: Counter = Counter()
+    infinite = undefined = 0
+    for (h1, n_w), c in stats.hist_joint.items():
+        if h1:
+            bins[_eta_bin((p.omega1 - p.omega2) * n_w, p.omega1 * h1)] += c
+        elif n_w:
+            infinite += c
+        else:
+            undefined += c
+    return EfficiencyDistribution(tuple(sorted(bins.items())), infinite, undefined)
 
 
 @dataclass(frozen=True)

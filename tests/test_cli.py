@@ -180,6 +180,9 @@ def test_simulate_lane_selection_follows_the_gate(monkeypatch, tmp_path):
     assert sorted(p.name for p in gen_dir.iterdir()) == ["summary.json"]
     summary = json.loads((gen_dir / "summary.json").read_text())
     assert summary["log_ratio_slope"] is None
+    # nor efficiency tallies: a generic-gate ledger has no n_w to count
+    assert summary["eta_infinite"] is None
+    assert summary["eta_undefined"] is None
 
 
 def test_config_file_values_yield_to_explicit_flags(monkeypatch, tmp_path):
@@ -592,13 +595,32 @@ def _console_script(name: str) -> tuple[list[str], dict[str, str]]:
 def test_bench_traced_mode_wraps_the_current_names(tmp_path, argv):
     # with TRACE 1 the benchmark's child wraps names that cli and gates look
     # up; a renamed or removed name breaks it here, not only in the benchmark
+    assert _traced_child(tmp_path, {}, argv)["rc"] == 0
+
+
+def test_bench_traced_probes_run_on_emitted_logs(tmp_path):
+    # the log-roundtrip workload's probes: the bit-lane sampling rate, and a
+    # replay of the first logs on the mcwf lane that must match them
+    engine = [2.0 / 3.0, 1.0, 1.0, 5.0 / 6.0, 1.0]   # the CLI defaults
+    probes = {"bits": {"engine": engine, "pulses": 3, "tau2": 0.65, "samples": 20, "seed": 1},
+              "mcwf": {"engine": engine, "pulses": 3, "tau2": 0.65, "seed": 1, "count": 5,
+                       "log_dir": "sim/events"}}
+    result = _traced_child(tmp_path, probes, ["simulate", "--samples", "20", "--pulses", "3",
+                                              "--emit-logs", "--out-dir", "sim"])
+    assert result["rc"] == 0
+    assert result["bits_rate"] > 0
+    assert result["mcwf_rate"] > 0
+
+
+def _traced_child(tmp_path, probes, argv):
+    """The benchmark child's result for argv run with TRACE 1 and probes."""
     child = Path(__file__).resolve().parents[1] / "bench" / "child.py"
     result = tmp_path / "result.json"
-    run = subprocess.run([sys.executable, str(child), str(result), "1", "{}",
+    run = subprocess.run([sys.executable, str(child), str(result), "1", json.dumps(probes),
                           "--", *argv],
                          capture_output=True, text=True, cwd=tmp_path)
     assert run.returncode == 0, run.stderr
-    assert json.loads(result.read_text())["rc"] == 0
+    return json.loads(result.read_text())
 
 
 _NO_SCIPY_RUN = """

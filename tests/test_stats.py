@@ -15,7 +15,6 @@ import math
 import tracemalloc
 import types
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,19 +58,17 @@ def test_hand_records_accumulate_to_exact_counts_and_means():
     assert dict(st.hist_nw) == {-1: 2, 0: 1, 1: 1}
     assert dict(st.hist_joint) == {(-1, -1): 1, (0, 0): 1, (-2, -1): 1,
                                    (1, 1): 1}
-    assert dict(st.hist_eta) == {16: 2, 8: 1}
-    assert dict(st.eta_exact) == {Fraction(1, 1): 2, Fraction(1, 2): 1}
-    assert st.eta_undefined == 1
-    assert st.eta_infinite == 0
+    assert se.efficiency_distribution(st) == se.EfficiencyDistribution(
+        bins=((8, 1), (16, 2)), infinite=0, undefined=1)
     assert st.rigidity_violations == 0
     assert st.quantization_violations == 0
 
 
 def test_work_without_hot_heat_counts_as_infinite_efficiency():
-    st = se.accumulate([_rec(0, 0, db1=-1, db2=1), _rec(0, 0)])
-    assert st.eta_infinite == 1
-    assert st.eta_undefined == 1
-    assert not st.hist_eta
+    dist = se.efficiency_distribution(se.accumulate([_rec(0, 0, db1=-1, db2=1), _rec(0, 0)]))
+    assert dist.infinite == 1
+    assert dist.undefined == 1
+    assert not dist.bins
 
 
 def test_ft_weight_sum_follows_the_definition():
@@ -127,6 +124,8 @@ def _bit_lane_rows(cfg, protocol, sample_size, seed):
     (se.EngineConfig(0.2, 0.3, 2.8510833966980074, 1.0043112108304078), 20, 3000),
     # 4000 pulses make the bit lane's chunks 1048 rows long, so this crosses one
     (CFG, 4000, 1500),
+    # omega2 > omega1 makes every nonzero efficiency negative
+    (se.EngineConfig(2.0 / 3.0, 1.0, 5.0 / 6.0, 1.0), 10, 3000),
 ])
 def test_columnar_fold_equals_the_record_fold(cfg, pulses, samples):
     proto = se.Protocol(pulses, 0.65)
@@ -141,6 +140,18 @@ def test_columnar_fold_equals_the_record_fold(cfg, pulses, samples):
     assert folded.integral_ft_estimate == by_record.integral_ft_estimate
     assert folded.sample_size == samples
     assert folded.rigidity_violations == 0
+    # P(eta) read off hist_joint is the per-record tally of w/q1
+    bins, infinite, undefined = Counter(), 0, 0
+    for key in rows:
+        e = key.energetics(cfg.omega1, cfg.omega2)
+        if e.q1 != 0:
+            bins[stats_module._eta_bin(e.w, e.q1)] += 1
+        elif e.w != 0:
+            infinite += 1
+        else:
+            undefined += 1
+    assert se.efficiency_distribution(folded) == se.EfficiencyDistribution(
+        tuple(sorted(bins.items())), infinite, undefined)
 
 
 def test_columnar_fold_asserts_the_integer_ledger(monkeypatch):
@@ -294,12 +305,10 @@ def test_integral_ft_matches_explicit_leave_one_out_jackknife():
 def test_efficiency_distribution_structure_and_modal_bin():
     records = HAND_RECORDS + [_rec(0, 0, db1=-1, db2=1)]
     dist = se.efficiency_distribution(se.accumulate(records))
+    assert [f.name for f in dataclasses.fields(dist)] == ["bins", "infinite", "undefined"]
     assert dist.bins == ((8, 1), (16, 2))
-    assert dist.bin_width == 0.01
     assert dist.infinite == 1
     assert dist.undefined == 1
-    assert dist.exact == ((Fraction(1, 2), 1), (Fraction(1, 1), 2))
-    assert dist.sample_size == 5
     assert sum(c for _, c in dist.bins) + dist.infinite + dist.undefined == 5
     assert dist.modal_bin() == (0.16, 0.17)
 
