@@ -32,7 +32,7 @@ import numpy as np
 from .gates import BASIS_BITS, SWAP_PERMUTATION, GateSpec, SwapFamily, gibbs_populations
 from .thermo import ConfigError, EngineConfig, relaxation_time
 from .trajectory import (CHANNELS, LedgerKey, Protocol, RunParams, TrajectoryEvent,
-                         TrajectoryRecord, _JUMP_MAPS, _bit_lane_chunks, _is_swaplike,
+                         TrajectoryRecord, _JUMP_MAPS, _bit_lane_ledgers, _is_swaplike,
                          _relaxation, pick_lane, run_ensemble)
 
 ETA_BIN_WIDTH = 0.01
@@ -47,19 +47,22 @@ def _eta_bin(w: float, q1: float) -> int:
 
 
 def check_eta_bins(cfg: EngineConfig, protocol: Protocol, gate_spec: GateSpec) -> None:
-    """Refuse, before it runs, a swap-family run with an efficiency bin that
-    is not finite.
+    """Refuse, before it runs, a swap-family run with a work or an
+    efficiency bin that is not finite.
 
-    No record has |n_w| > n_pulses, and a finite eta has |h1| >= 1, so
-    efficiency_distribution's float steps at |n_w| = n_pulses and |h1| = 1
-    bound every bin; rounding is monotone, so if that bin is finite, every
-    bin is, whatever the lane and the seed.  The bound is conservative:
-    n_w = h1 + db1 keeps |w/q1| within twice the Otto value, so no ledger
-    reaches it once n_pulses >= 3.  It also keeps w = (omega1-omega2)*n_w
-    finite for quantization_violations' round(w/d).
+    No record has |n_w| > n_pulses, so w = (omega1-omega2)*n_w is finite for
+    quantization_violations' round(w/d) if it is at n_w = n_pulses.  A
+    finite eta has |h1| >= 1, and n_w = h1 + db1 with |db1| <= 1, so
+    |n_w/h1| reaches 2 at (n_w, h1) = +-(2, 1) alone and is at most 3/2 on
+    every other ledger.  So the bin of efficiency_distribution's float steps
+    at n_w = min(n_pulses, 2) and h1 = 1 bounds every bin, whatever the lane
+    and the seed: no rounding closes the gap to the other ratios.
     """
     if _is_swaplike(gate_spec):
-        _eta_bin((cfg.omega1 - cfg.omega2) * protocol.n_pulses, cfg.omega1)
+        w = (cfg.omega1 - cfg.omega2) * protocol.n_pulses
+        if not math.isfinite(w):
+            raise ConfigError(f"the work (omega1-omega2)*n_pulses = {w!r} is not finite")
+        _eta_bin((cfg.omega1 - cfg.omega2) * min(protocol.n_pulses, 2), cfg.omega1)
 
 
 def check_swap_family(gate_spec: GateSpec, task: str, hint: str = "") -> None:
@@ -225,7 +228,7 @@ def fold_ensemble(cfg: EngineConfig, protocol: Protocol, gate_spec: GateSpec,
     if sample_size < 1:
         raise ConfigError(f"sample_size must be at least 1, got {sample_size}")
     stats = EnsembleStats(params=RunParams(cfg, protocol, gate_spec))
-    for ledgers, _ in _bit_lane_chunks(cfg, protocol, sample_size, seed):
+    for ledgers in _bit_lane_ledgers(cfg, protocol, sample_size, seed):
         keys, counts = _distinct_rows(ledgers)
         for key, count in zip(keys.tolist(), counts.tolist()):
             stats._insert(LedgerKey(*key), count)
@@ -312,9 +315,11 @@ def efficiency_distribution(stats: EnsembleStats) -> EfficiencyDistribution:
 
     eta = w/q1 is the per-record work output over the heat drawn from the
     hot bath, (omega1-omega2)*n_w over omega1*h1: the same two products
-    LedgerKey.energetics forms, so each cell's bin is the record's.  No
-    scalar mean is exposed because the infinity bin carries finite
-    probability, making the ensemble average ill-defined.
+    LedgerKey.energetics forms, so each cell's bin is the record's.  A cell
+    with h1 = 0 is infinite where its w is not 0, and undefined where it is,
+    as on every such cell at omega1 = omega2.  No scalar mean is exposed
+    because the infinity bin carries finite probability, making the
+    ensemble average ill-defined.
     """
     if not stats.quantized:
         raise ConfigError("the efficiency distribution is defined for swap-family runs only")
@@ -326,7 +331,7 @@ def efficiency_distribution(stats: EnsembleStats) -> EfficiencyDistribution:
     for (h1, n_w), c in stats.hist_joint.items():
         if h1:
             bins[_eta_bin((p.omega1 - p.omega2) * n_w, p.omega1 * h1)] += c
-        elif n_w:
+        elif (p.omega1 - p.omega2) * n_w:
             infinite += c
         else:
             undefined += c

@@ -24,14 +24,18 @@ Three engines realize the same trajectory law:
             closed-form exponential waiting times, and as amplitudes with
             root-found ones while it is a superposition; emits the full
             time-stamped event record;
-  "bits"    vectorized sampling of the occupation bits at interval
-            boundaries from the exact two-state propagator; reproduces the
-            exact joint law of the whole integer ledger but carries no event
-            times, and makes no records: stats.fold_ensemble folds its
-            chunks' ledger rows by columns.  It runs swap-family ensembles
-            without event logs.  Each chunk of rows is drawn in row blocks
-            that split one sequential stream, so the block size is not part
-            of the determinism contract.
+  "bits"    vectorized sampling of the whole integer ledger without event
+            times, for swap-family ensembles without event logs.  A swap
+            pulse swaps the occupation bits and each qubit relaxes in its
+            own bath, so the ledger is the sum of two independent excitation
+            tracks.  Up to _LAW_MAX_PULSES pulses each row is drawn from the
+            tracks' exact law with two uniforms; above it the boundary-bit
+            chain walks each row through the exact two-state propagator with
+            2 + 2N uniforms, in row blocks that split one sequential stream,
+            so the block size is not part of the determinism contract.  The
+            chain draws the same law, and the choice depends on the protocol
+            alone.  The lane makes no records: stats.fold_ensemble folds its
+            chunks' ledger rows by columns.
 
 Every engine keeps each run's integer ledger as one LedgerKey, and
 derives trajectory k's random stream from (seed, stream index) with a
@@ -467,6 +471,19 @@ _BLOCK_UNIFORMS = 1 << 20
 _BLOCK_FLOOR = 128
 
 
+def _bit_propagator(cfg: EngineConfig, tau2: float) -> tuple[tuple[float, float, float], ...]:
+    """Each qubit's excited probability (f, lo, hi): f in its Gibbs state,
+    and lo and hi at the end of an interval of tau2 started in the ground
+    and in the excited state, p_end = f + (b - f)*exp(-R*tau2) with
+    R = gamma*(2n+1).  The chain and the track law both read these."""
+    odds = []
+    for beta, omega in ((cfg.beta1, cfg.omega1), (cfg.beta2, cfg.omega2)):
+        f = excited_population(beta, omega)
+        dec = math.exp(-cfg.gamma * (2.0 * bose_occupation(beta, omega) + 1.0) * tau2)
+        odds.append((f, f + (0.0 - f) * dec, f + (1.0 - f) * dec))
+    return tuple(odds)
+
+
 def _walk_bits(bits: np.ndarray, pulsed: bool) -> None:
     """Turn a block's classes, one int8 row per column, into its boundary
     bits in place: the initial bits are class >> 1, and each interval's end
@@ -506,12 +523,7 @@ def _bit_lane_chunks(
     (2, n_pulses) int64 sums over the rows of each pulse's transfer and of
     its square.
     """
-    f1 = excited_population(cfg.beta1, cfg.omega1)
-    f2 = excited_population(cfg.beta2, cfg.omega2)
-    n1 = bose_occupation(cfg.beta1, cfg.omega1)
-    n2 = bose_occupation(cfg.beta2, cfg.omega2)
-    dec1 = math.exp(-cfg.gamma * (2.0 * n1 + 1.0) * protocol.tau2)
-    dec2 = math.exp(-cfg.gamma * (2.0 * n2 + 1.0) * protocol.tau2)
+    (f1, lo1, hi1), (f2, lo2, hi2) = _bit_propagator(cfg, protocol.tau2)
     n_pulses = protocol.n_pulses
     intervals = max(n_pulses, 1)
     cols = 2 + 2 * intervals
@@ -520,8 +532,8 @@ def _bit_lane_chunks(
     hi = np.empty(cols)
     lo[0] = hi[0] = f1   # an initial bit has no start bit: u < f
     lo[1] = hi[1] = f2
-    lo[2::2], hi[2::2] = f1 + (0.0 - f1) * dec1, f1 + (1.0 - f1) * dec1
-    lo[3::2], hi[3::2] = f2 + (0.0 - f2) * dec2, f2 + (1.0 - f2) * dec2
+    lo[2::2], hi[2::2] = lo1, hi1
+    lo[3::2], hi[3::2] = lo2, hi2
     block = min(chunk_rows, sample_size, max(_BLOCK_FLOOR, _BLOCK_UNIFORMS // cols))
     u = np.empty((block, cols))
     classes = np.empty((block, cols), dtype=np.int8)
@@ -563,6 +575,134 @@ def _bit_lane_chunks(
             # a pulse moves b2 - b1 quanta into qubit 1, its start bits after it
             out[:, 4] = starts[0] - starts[1] if n_pulses else 0
         yield ledgers, pulse_sums
+
+
+# Up to this many pulses the bit lane draws each row from the exact track
+# law, two uniforms a row; above it, from the chain, 2 + 2N uniforms a row.
+# Building the law takes 0.5 ms at 100 pulses, 2.3 ms at 1024, 37 ms at
+# 4096 and 0.37 s at 16384, while the chain has no set-up.  In simulate's
+# main() (2-core x86-64) the law is 8x faster at 1024 pulses and the
+# default 10^4 samples and 15x at 16384, but a one-sample run is as fast on
+# either only up to about 1024 pulses: 29 ms on both there, 49 against 33
+# at 2048 and 0.48 against 0.09 s at 16384.  So runs of one trajectory at
+# 10^4 pulses and more stay cheap on the chain.
+_LAW_MAX_PULSES = 1024
+_LAW_CHUNK_ROWS = 1 << 15
+
+
+def _interval(odds: tuple[float, float, float], shift: int) -> np.ndarray:
+    """One pulse and interval of a track as a 2x2 matrix of polynomials in
+    its share m, [start bit, end bit, m + 1] over m = -1, 0, 1: the pulse
+    adds shift*start bit to m, then the track relaxes under the propagator
+    (f, lo, hi) of the bath it enters."""
+    _, lo, hi = odds
+    step = np.zeros((2, 2, 3))
+    step[0, :, 1] = 1.0 - lo, lo
+    step[1, :, 1 + shift] = 1.0 - hi, hi
+    return step
+
+
+def _then(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The walk a then b, for walks as 2x2 matrices of polynomials in m:
+    the matrix product with each entry product a convolution."""
+    return np.array([[np.convolve(a[i, 0], b[0, k]) + np.convolve(a[i, 1], b[1, k])
+                      for k in (0, 1)] for i in (0, 1)])
+
+
+def _track_laws(cfg: EngineConfig, protocol: Protocol) -> np.ndarray:
+    """The exact law of each excitation track, L[track, initial bit, final
+    bit, m + N + 1], of shape (2, 2, 2, 2N+3).
+
+    A swap-family pulse swaps the qubits' bits and each qubit relaxes in its
+    own bath, so the two bits stay independent: the ledger is the sum of two
+    excitation tracks.  Track A starts in qubit 1 and track B in qubit 2,
+    each in its qubit's Gibbs state, and every pulse moves each track to the
+    other qubit.  m is the track's share of n_w: a track leaving qubit 1
+    adds -bit, one entering it adds +bit, then it relaxes in the bath it
+    enters (_bit_propagator's lo and hi), so the law is the chain's exactly.
+    Pulses alternate between the two moves, so a track's walk over N pulses
+    is the walk over a pulse pair raised to the power N // 2 (times one more
+    pulse at odd N); it is built by repeated squaring, each product costing
+    eight np.convolve calls.  |m| stays within ceil(N/2).
+    """
+    odds = _bit_propagator(cfg, protocol.tau2)
+    n_pulses = protocol.n_pulses
+    law = np.zeros((2, 2, 2, 2 * n_pulses + 3))
+    for track, (f, _, _) in enumerate(odds):
+        if n_pulses == 0:
+            walk = _interval(odds[track], 0)
+        else:
+            shift = 2 * track - 1   # the first pulse's: track A leaves qubit 1
+            first = _interval(odds[1 - track], shift)
+            # a pulse pair moves m by -bit then +bit, or the reverse: within 1
+            pair = _then(first, _interval(odds[track], -shift))[:, :, 1:-1]
+            walk = np.eye(2)[:, :, None]
+            for bit in bin(n_pulses // 2)[2:]:
+                walk = _then(walk, walk)
+                if bit == "1":
+                    walk = _then(walk, pair)
+            if n_pulses % 2:
+                walk = _then(walk, first)
+        at = n_pulses + 1 - walk.shape[2] // 2
+        law[track, :, :, at:at + walk.shape[2]] = np.array([1.0 - f, f])[:, None, None] * walk
+    return law
+
+
+def _track_ledgers(n_pulses: int) -> np.ndarray:
+    """Each track cell's share of the ledger, (2, 4*(2N+3), 5) int64 in
+    LedgerKey field order over _track_laws' flattened cells: the row of a
+    run is the sum of its two tracks' shares.  A track's initial bit is its
+    start qubit's, and its final bit the end qubit's, which at odd N is the
+    other one; h1 = n_w - db1 and h2 = -n_w - db2."""
+    initial, final, m = (a.ravel() for a in np.indices((2, 2, 2 * n_pulses + 3)))
+    shares = np.zeros((2, len(m), 5), dtype=np.int64)
+    for track in (0, 1):
+        shares[track, :, 2 + track] -= initial
+        shares[track, :, 2 + (track ^ n_pulses % 2)] += final
+    shares[:, :, 4] = m - (n_pulses + 1)
+    shares[:, :, 0] = shares[:, :, 4] - shares[:, :, 2]
+    shares[:, :, 1] = -shares[:, :, 4] - shares[:, :, 3]
+    return shares
+
+
+def _law_lane_chunks(
+    cfg: EngineConfig,
+    protocol: Protocol,
+    sample_size: int,
+    seed: int,
+) -> Iterator[np.ndarray]:
+    """Chunked exact sampling of the bit lane from the track law.
+
+    Chunk c holds rows [c*2**15, ...) and draws rng.random((rows, 2)) from
+    the start of its own (seed, c) stream, so row k is a function of
+    (seed, k, protocol) alone.  Column 0 picks track A's cell and column 1
+    track B's, each by inverting the track's cumulative law on u*cdf[-1]
+    (the law sums to 1 only to rounding).  Yields each chunk's (rows, 5)
+    int64 ledgers in LedgerKey field order, as _bit_lane_chunks does.
+    """
+    cdfs = np.cumsum(_track_laws(cfg, protocol).reshape(2, -1), axis=1)
+    shares = _track_ledgers(protocol.n_pulses)
+    for c in range(-(-sample_size // _LAW_CHUNK_ROWS)):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, c))))
+        u = rng.random((min(_LAW_CHUNK_ROWS, sample_size - c * _LAW_CHUNK_ROWS), 2))
+        cells = [cdf.searchsorted(u[:, t] * cdf[-1], side="right")
+                 for t, cdf in enumerate(cdfs)]
+        yield shares[0, cells[0]] + shares[1, cells[1]]
+
+
+def _bit_lane_ledgers(
+    cfg: EngineConfig,
+    protocol: Protocol,
+    sample_size: int,
+    seed: int,
+) -> Iterator[np.ndarray]:
+    """The bit lane's ledger rows, one (rows, 5) int64 array per chunk: drawn
+    from the track law up to _LAW_MAX_PULSES pulses, and by the chain above.
+    The choice depends on the protocol alone, so row k stays a function of
+    (seed, k, protocol)."""
+    if protocol.n_pulses <= _LAW_MAX_PULSES:
+        return _law_lane_chunks(cfg, protocol, sample_size, seed)
+    return (ledgers for ledgers, _ in _bit_lane_chunks(cfg, protocol, sample_size, seed))
 
 
 def run_ensemble(

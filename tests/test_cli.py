@@ -393,8 +393,8 @@ def test_opt_gate_output_ignores_seed_and_restarts(monkeypatch, tmp_path):
         # w/q1 is about 1e318, whose 0.01-wide bin index is infinite
         (["simulate", "--omega1", "1e-320", "--omega2", "0.01", "--beta2", "100",
           "--samples", "5"], 2, "no finite 0.01-wide bin"),
-        # at n_w = N and h1 = 1, |w/q1| = (omega1 - omega2)*N/omega1 is about
-        # 1e308, whose bin index overflows: the run is refused before it
+        # at n_w = 2 and h1 = 1, |w/q1| = 2*(omega1 - omega2)/omega1 is about
+        # 2e307, whose bin index overflows: the run is refused before it
         # writes a log, whichever trajectories the seed draws
         (["simulate", "--emit-logs", "--beta1", "1", "--beta2", "1",
           "--omega1", "1e-307", "--omega2", "1", "--gamma", "1e-307",
@@ -409,13 +409,16 @@ def test_opt_gate_output_ignores_seed_and_restarts(monkeypatch, tmp_path):
         # bad.log below holds a byte that is not UTF-8
         (["analyze", "bad.log", "--naive"], 4, "bad.log:1: invalid UTF-8 byte 0xff"),
         (["simulate", "--config", "bad.log"], 2, "bad.log:1: invalid UTF-8 byte 0xff"),
+        # every bin is finite, but w = (omega1 - omega2)*n_w can overflow
+        (["simulate", "--beta1", "1e-300", "--omega1", "1e300", "--omega2", "1",
+          "--pulses", "1000000000", "--samples", "5"], 2, "is not finite"),
     ],
 )
 def test_error_exit_codes(capsys, monkeypatch, tmp_path, args, code,
                           fragment):
     monkeypatch.chdir(tmp_path)
     if args[0] == "power-scan":
-        monkeypatch.setattr(stats_module, "_bit_lane_chunks", _broken_chunks)
+        monkeypatch.setattr(stats_module, "_bit_lane_ledgers", _broken_chunks)
     (tmp_path / "bad.log").write_bytes(b"\xff\xfe 1 E\n")
     assert cli.main(args) == code
     assert fragment in capsys.readouterr().err
@@ -423,10 +426,21 @@ def test_error_exit_codes(capsys, monkeypatch, tmp_path, args, code,
         assert not (tmp_path / "out").exists()  # rejected before any output
 
 
+def test_efficiency_bins_are_refused_only_where_one_overflows(monkeypatch, tmp_path):
+    # |n_w/h1| <= 2 on every ledger with h1 != 0, so at omega1 = 1e-305 the
+    # largest |eta| is about 2e305 and its bin index about 2e307: finite,
+    # though the index at n_w/h1 = 100 would overflow
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["simulate", "--beta1", "1", "--beta2", "1", "--omega1", "1e-305",
+                     "--omega2", "1", "--pulses", "100", "--out-dir", "ok"]) == 0
+    bins = [float(row.split(",")[0]) for row in
+            (tmp_path / "ok" / "hist_eta.csv").read_text().splitlines()[1:]]
+    assert -3e305 < min(bins) < -1e305
+
+
 def _broken_chunks(cfg, protocol, sample_size, seed):
     # (h1, h2, db1, db2, n_w) = (1, -1, 0, 0, 0) on every row: n_w != x
-    yield (np.tile(np.array([1, -1, 0, 0, 0], dtype=np.int64), (sample_size, 1)),
-           np.zeros((2, protocol.n_pulses), dtype=np.int64))
+    yield np.tile(np.array([1, -1, 0, 0, 0], dtype=np.int64), (sample_size, 1))
 
 
 def test_power_scan_passes_where_float_ratios_round_apart(monkeypatch,

@@ -25,6 +25,8 @@ import swapengine as se
 from swapengine import stats as stats_module
 from swapengine import trajectory
 
+from lane_rows import folded_rows
+
 CFG = se.EngineConfig(beta1=2.0 / 3.0, beta2=1.0, omega1=1.0, omega2=5.0 / 6.0)
 PARAMS = se.RunParams(CFG, se.Protocol(10, 0.65), se.SwapFamily())
 
@@ -111,26 +113,22 @@ def test_rigidity_counter_ignores_last_bit_float_rounding():
     assert st.quantization_violations == 0
 
 
-def _bit_lane_rows(cfg, protocol, sample_size, seed):
-    """The bit lane's ledger rows, in row order, as LedgerKeys."""
-    return [se.LedgerKey(*row) for ledgers, _ in
-            trajectory._bit_lane_chunks(cfg, protocol, sample_size, seed)
-            for row in ledgers.tolist()]
-
-
 @pytest.mark.parametrize("cfg,pulses,samples", [
     (CFG, 10, 3000),
     # frequencies at which the float ratio route rounds apart on many records
     (se.EngineConfig(0.2, 0.3, 2.8510833966980074, 1.0043112108304078), 20, 3000),
-    # 4000 pulses make the bit lane's chunks 1048 rows long, so this crosses one
+    # 4000 pulses are above the track law's threshold, and make the chain's
+    # chunks 1048 rows long, so this crosses one
     (CFG, 4000, 1500),
     # omega2 > omega1 makes every nonzero efficiency negative
     (se.EngineConfig(2.0 / 3.0, 1.0, 5.0 / 6.0, 1.0), 10, 3000),
+    # omega1 = omega2 makes every work 0, so h1 = 0 is undefined, never infinite
+    (se.EngineConfig(2.0 / 3.0, 1.0, 1.0, 1.0), 10, 3000),
 ])
 def test_columnar_fold_equals_the_record_fold(cfg, pulses, samples):
     proto = se.Protocol(pulses, 0.65)
     folded = se.fold_ensemble(cfg, proto, se.SwapFamily(), samples, seed=21)
-    rows = _bit_lane_rows(cfg, proto, samples, seed=21)
+    rows = folded_rows(cfg, proto, samples, seed=21)
     assert folded.counts == Counter(rows)
     # the rows folded one record at a time, last row first: the order in
     # which records are folded changes no statistic
@@ -157,9 +155,8 @@ def test_columnar_fold_equals_the_record_fold(cfg, pulses, samples):
 def test_columnar_fold_asserts_the_integer_ledger(monkeypatch):
     def broken_chunks(cfg, protocol, sample_size, seed):
         # (h1, h2, db1, db2, n_w) = (1, -1, 0, 0, 0) on every row: n_w != x
-        yield (np.tile(np.array([1, -1, 0, 0, 0], dtype=np.int64), (sample_size, 1)),
-               np.zeros((2, protocol.n_pulses), dtype=np.int64))
-    monkeypatch.setattr(stats_module, "_bit_lane_chunks", broken_chunks)
+        yield np.tile(np.array([1, -1, 0, 0, 0], dtype=np.int64), (sample_size, 1))
+    monkeypatch.setattr(stats_module, "_bit_lane_ledgers", broken_chunks)
     with pytest.raises(AssertionError, match="ledger broken"):
         se.fold_ensemble(CFG, se.Protocol(3, 0.5), se.SwapFamily(), 4, seed=0)
 
@@ -198,10 +195,9 @@ def test_columnar_fold_counts_every_row_of_adversarial_chunks(monkeypatch):
 
     def adversarial_chunks(cfg, protocol, sample_size, seed):
         for rows in chunks:
-            yield (np.array(rows, dtype=np.int64),
-                   np.zeros((2, protocol.n_pulses), dtype=np.int64))
+            yield np.array(rows, dtype=np.int64)
 
-    monkeypatch.setattr(stats_module, "_bit_lane_chunks", adversarial_chunks)
+    monkeypatch.setattr(stats_module, "_bit_lane_ledgers", adversarial_chunks)
     rows = [row for chunk in chunks for row in chunk]
     folded = se.fold_ensemble(CFG, se.Protocol(3, 0.5), se.SwapFamily(), len(rows), seed=0)
     assert folded.counts == Counter(se.LedgerKey(*row) for row in rows)
@@ -289,7 +285,7 @@ def test_integral_ft_is_exactly_one_for_reversible_null_protocols():
 def test_integral_ft_matches_explicit_leave_one_out_jackknife():
     proto = se.Protocol(n_pulses=10, tau2=0.65)
     energies = [key.energetics(CFG.omega1, CFG.omega2)
-                for key in _bit_lane_rows(CFG, proto, 1500, seed=16)]
+                for key in folded_rows(CFG, proto, 1500, seed=16)]
     vals = np.array([math.exp((CFG.beta2 - CFG.beta1) * e.dE1 - CFG.beta2 * e.w)
                      for e in energies])
     n = len(vals)

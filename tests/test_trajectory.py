@@ -5,11 +5,16 @@ no event times), an event lane with closed-form waiting times, and a wave
 function lane that root-finds jump times from the decaying norm.  The lanes
 share one probability law, so their statistics must agree, and the two
 event-resolved lanes consume the identical uniform stream, so their ledgers
-must agree record for record.
+must agree record for record.  The bit lane draws its rows from the exact
+law of two excitation tracks up to a pulse threshold, and walks the
+boundary-bit chain above it; the law is checked against every boundary-bit
+path, the fluctuation relations and the mean-population recursion, and the
+chain against the law.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 
@@ -21,6 +26,8 @@ from scipy import integrate, stats
 
 import swapengine as se
 from swapengine import trajectory
+
+from lane_rows import chain_rows, folded_rows
 
 CFG = se.EngineConfig(beta1=2.0 / 3.0, beta2=1.0, omega1=1.0, omega2=5.0 / 6.0)
 N1 = se.bose_occupation(CFG.beta1, CFG.omega1)
@@ -179,13 +186,6 @@ def _check_events(rec: se.TrajectoryRecord) -> None:
     assert se.reconstruct_from_events(jumps, rec.params.cfg).naive[:2] == rec.ledger[:2]
 
 
-def _bit_lane_rows(cfg, protocol, sample_size, seed):
-    """The bit lane's ledger rows, in row order, as LedgerKeys."""
-    return [se.LedgerKey(*row) for ledgers, _ in
-            trajectory._bit_lane_chunks(cfg, protocol, sample_size, seed)
-            for row in ledgers.tolist()]
-
-
 def _ledger_checks(rec: se.TrajectoryRecord) -> None:
     p = rec.params.cfg
     led = rec.ledger
@@ -262,7 +262,7 @@ def test_pulse_free_protocol_exchanges_heat_but_no_work():
 
 def test_same_seed_reproduces_identical_records():
     proto = se.Protocol(n_pulses=7, tau2=0.65)
-    assert _bit_lane_rows(CFG, proto, 40, seed=9) == _bit_lane_rows(CFG, proto, 40, seed=9)
+    assert chain_rows(CFG, proto, 40, seed=9) == chain_rows(CFG, proto, 40, seed=9)
     a = list(se.run_ensemble(CFG, proto, se.SwapFamily(), 40, seed=9, engine="events"))
     b = list(se.run_ensemble(CFG, proto, se.SwapFamily(), 40, seed=9, engine="events"))
     assert a == b
@@ -272,12 +272,21 @@ def test_record_k_does_not_depend_on_sample_size():
     # per-record streams are keyed by (seed, index), so growing the
     # ensemble must extend it without disturbing earlier records
     proto = se.Protocol(n_pulses=7, tau2=0.65)
-    # 37000 bit-lane rows cross a chunk
-    assert _bit_lane_rows(CFG, proto, 50, seed=9) == _bit_lane_rows(CFG, proto, 37000,
-                                                                    seed=9)[:50]
+    # 37000 bit-lane rows cross a chunk of the chain and of the track law
+    for rows in (chain_rows, folded_rows):
+        assert rows(CFG, proto, 50, seed=9) == rows(CFG, proto, 37000, seed=9)[:50]
     small = list(se.run_ensemble(CFG, proto, se.SwapFamily(), 20, seed=9, engine="events"))
     big = list(se.run_ensemble(CFG, proto, se.SwapFamily(), 150, seed=9, engine="events"))
     assert small == big[:20]
+
+
+def test_the_bit_lane_draws_from_the_track_law_up_to_its_threshold():
+    law = (CFG, se.Protocol(trajectory._LAW_MAX_PULSES, 0.01), 40, 3)
+    chain = (CFG, se.Protocol(trajectory._LAW_MAX_PULSES + 1, 0.01), 40, 3)
+    assert np.array_equal(np.concatenate(list(trajectory._bit_lane_ledgers(*law))),
+                          np.concatenate(list(trajectory._law_lane_chunks(*law))))
+    assert np.array_equal(np.concatenate(list(trajectory._bit_lane_ledgers(*chain))),
+                          np.concatenate([rows for rows, _ in trajectory._bit_lane_chunks(*chain)]))
 
 
 def _scalar_bit_lane(cfg, protocol, sample_size, seed):
@@ -345,6 +354,153 @@ def test_bit_lane_equals_a_scalar_walk_bit_for_bit(pulses, samples):
     assert head.tolist() == want_ledgers[:fewer]
 
 
+def _ledger_law(cfg, protocol):
+    """The exact law of the whole ledger, LedgerKey -> probability: every
+    pair of nonzero track cells, each ledger the sum of its two cells' shares."""
+    laws = trajectory._track_laws(cfg, protocol).reshape(2, -1)
+    shares = trajectory._track_ledgers(protocol.n_pulses)
+    a, b = (np.flatnonzero(law) for law in laws)
+    rows = (shares[0, a][:, None] + shares[1, b][None, :]).reshape(-1, 5)
+    law = Counter()
+    for row, p in zip(rows.tolist(), np.outer(laws[0, a], laws[1, b]).ravel().tolist()):
+        law[se.LedgerKey(*row)] += p
+    return law
+
+
+def _path_law(cfg, protocol):
+    """The exact law of the whole ledger, summed over all 2^(2+2N) boundary-bit
+    paths one at a time: the Gibbs weights of the initial bits times each
+    interval's propagator p_end = f + (b - f)*exp(-R*tau2)."""
+    odds = trajectory._bit_propagator(cfg, protocol.tau2)
+
+    def p_bit(qubit, start, end):
+        f, lo, hi = odds[qubit]
+        p1 = f if start is None else (hi if start else lo)
+        return p1 if end else 1.0 - p1
+
+    intervals = max(protocol.n_pulses, 1)
+    law = Counter()
+    for path in itertools.product((0, 1), repeat=2 + 2 * intervals):
+        b1, b2 = path[:2]
+        p = p_bit(0, None, b1) * p_bit(1, None, b2)
+        h1 = h2 = n_w = 0
+        for k in range(intervals):
+            if k < protocol.n_pulses:
+                n_w += b2 - b1
+                b1, b2 = b2, b1
+            e1, e2 = path[2 + 2 * k:4 + 2 * k]
+            p *= p_bit(0, b1, e1) * p_bit(1, b2, e2)
+            h1, h2, b1, b2 = h1 + b1 - e1, h2 + b2 - e2, e1, e2
+        law[se.LedgerKey(h1, h2, b1 - path[0], b2 - path[1], n_w)] += p
+    return law
+
+
+@pytest.mark.parametrize("pulses", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("cfg,tau2", [
+    (CFG, 0.65),
+    (se.EngineConfig(0.5, 1.0, 1.0, 0.3, gamma=2.0), 0.1),   # a refrigerator
+])
+def test_track_law_is_the_sum_over_every_boundary_bit_path(cfg, tau2, pulses):
+    proto = se.Protocol(pulses, tau2)
+    law = _ledger_law(cfg, proto)
+    paths = _path_law(cfg, proto)
+    assert set(law) == set(paths)
+    for key, p in paths.items():
+        assert law[key] == pytest.approx(p, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def law_runs(draw):
+    """Configs and protocols whose FT weights exp(-a*n_w), a = beta1*omega1 -
+    beta2*omega2, stay below e^600 at |n_w| <= N: the cells whose
+    probability underflows then carry weights below 1e-47 in the integral
+    FT."""
+    beta1 = draw(st.floats(0.05, 3.0))
+    cfg = se.EngineConfig(beta1, beta1 * draw(st.floats(1.0, 5.0)), draw(st.floats(0.2, 3.0)),
+                          draw(st.floats(0.1, 3.0)), gamma=draw(st.floats(0.1, 5.0)))
+    affinity = cfg.beta1 * cfg.omega1 - cfg.beta2 * cfg.omega2
+    pulses = draw(st.integers(0, min(60, int(600 / max(abs(affinity), 1e-9)))))
+    return cfg, se.Protocol(pulses, draw(st.floats(0.01, 5.0)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(law_runs())
+def test_track_law_obeys_both_fluctuation_relations(run):
+    cfg, proto = run
+    law = _ledger_law(cfg, proto)
+    laws = trajectory._track_laws(cfg, proto)
+    assert laws.sum(axis=(1, 2, 3)) == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+    affinity = cfg.beta1 * cfg.omega1 - cfg.beta2 * cfg.omega2
+    ift = 0.0
+    p_nw = Counter()
+    for key, p in law.items():
+        e = key.energetics(cfg.omega1, cfg.omega2)
+        ift += p * math.exp((cfg.beta2 - cfg.beta1) * e.dE1 - cfg.beta2 * e.w)
+        p_nw[key.n_w] += p
+    assert ift == pytest.approx(1.0, abs=1e-12)
+    # below about 1e-300 a probability has passed through subnormal floats,
+    # which keep fewer digits
+    for n in range(1, proto.n_pulses + 1):
+        if min(p_nw[n], p_nw[-n]) > 1e-300:
+            assert math.log(p_nw[n] / p_nw[-n]) == pytest.approx(
+                affinity * n, rel=1e-12, abs=1e-12)
+
+
+def _mean_work_by_populations(cfg, protocol):
+    """E[w] of a swap run from its mean populations alone: pulse k moves
+    p2 - p1 quanta into qubit 1 on average and swaps them, then each relaxes
+    as p_end = f + (p - f)*exp(-gamma*(2n+1)*tau2)."""
+    f = [se.excited_population(cfg.beta1, cfg.omega1),
+         se.excited_population(cfg.beta2, cfg.omega2)]
+    dec = [math.exp(-cfg.gamma * (2.0 * se.bose_occupation(beta, omega) + 1.0) * protocol.tau2)
+           for beta, omega in ((cfg.beta1, cfg.omega1), (cfg.beta2, cfg.omega2))]
+    p1, p2 = f
+    total = 0.0
+    for _ in range(protocol.n_pulses):
+        total += p2 - p1
+        p1, p2 = f[0] + (p2 - f[0]) * dec[0], f[1] + (p1 - f[1]) * dec[1]
+    return (cfg.omega1 - cfg.omega2) * total
+
+
+@pytest.mark.parametrize("cfg,proto", [
+    (CFG, se.Protocol(100, 0.65)),
+    (CFG, se.Protocol(1, 0.65)),
+    (se.EngineConfig(0.5, 1.0, 1.0, 0.3, gamma=2.0), se.Protocol(37, 0.1)),
+    (se.EngineConfig(0.05, 30.0, 1.0, 0.5), se.Protocol(60, 2.0)),
+])
+def test_track_law_mean_work_is_the_population_recursion(cfg, proto):
+    law = _ledger_law(cfg, proto)
+    mean_w = (cfg.omega1 - cfg.omega2) * sum(p * key.n_w for key, p in law.items())
+    assert mean_w == pytest.approx(_mean_work_by_populations(cfg, proto), rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("pulses", [0, 1, 2, 3, 7, 100])
+def test_the_chain_draws_the_track_law(pulses):
+    # the law sampler stands on this: the chain, checked bit for bit against
+    # a scalar walk above, draws the track law; Pearson chi^2 over the
+    # ledger keys, cells below 5 expected counts pooled into one
+    samples = 100_000
+    proto = se.Protocol(pulses, 0.65)
+    law = _ledger_law(CFG, proto)
+    observed = Counter(chain_rows(CFG, proto, samples, seed=61))
+    assert set(observed) <= {key for key, p in law.items() if p > 0}
+    chi2 = 0.0
+    cells = 0
+    pooled_expected = pooled_observed = 0.0
+    for key, p in law.items():
+        if samples * p >= 5.0:
+            chi2 += (observed[key] - samples * p) ** 2 / (samples * p)
+            cells += 1
+        else:
+            pooled_expected += samples * p
+            pooled_observed += observed[key]
+    if pooled_expected > 0.0:
+        chi2 += (pooled_observed - pooled_expected) ** 2 / pooled_expected
+        cells += 1
+    assert stats.chi2.sf(chi2, cells - 1) > 1e-3
+
+
 # the generic gate starts each interval in a superposition, which the
 # events lane carries as amplitudes until a jump collapses it to a basis state
 LANE_GATES = [se.SwapFamily(), se.ISWAP,
@@ -378,7 +534,7 @@ def test_event_and_wavefunction_lanes_agree_on_jump_times(gate):
 def test_bit_and_event_lanes_draw_from_the_same_law():
     proto = se.Protocol(n_pulses=3, tau2=0.5)
     m = 4000
-    bits = [key.n_w for key in _bit_lane_rows(CFG, proto, m, seed=51)]
+    bits = [key.n_w for key in chain_rows(CFG, proto, m, seed=51)]
     evs = [r.ledger.n_w for r in se.run_ensemble(CFG, proto, se.SwapFamily(),
                                                  m, seed=52, engine="events")]
     lo, hi = -3, 3  # clip tails so every expected cell count stays above 5
@@ -434,7 +590,7 @@ def test_every_lane_makes_checked_ledgers_that_agree(run):
         rec.ledger.check()
     assert [r.ledger for r in ev] == [r.ledger for r in wf]
     folded = se.fold_ensemble(cfg, proto, gate, samples, seed)
-    rows = _bit_lane_rows(cfg, proto, samples, seed)
+    rows = folded_rows(cfg, proto, samples, seed)
     assert folded.counts == Counter(rows)
     params = se.RunParams(cfg, proto, gate)
     by_record = se.accumulate(se.TrajectoryRecord(params, key) for key in reversed(rows))
