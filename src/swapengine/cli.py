@@ -495,6 +495,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:   # a float ** or math.exp past the float range
+        print(f"config error: a result is out of the float range: {exc}", file=sys.stderr)
+        return 2
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 4

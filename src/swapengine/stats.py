@@ -32,7 +32,7 @@ import numpy as np
 from .gates import BASIS_BITS, SWAP_PERMUTATION, GateSpec, SwapFamily, gibbs_populations
 from .thermo import ConfigError, EngineConfig, relaxation_time
 from .trajectory import (CHANNELS, LedgerKey, Protocol, RunParams, TrajectoryEvent,
-                         TrajectoryRecord, _JUMP_MAPS, _bit_lane_ledgers, _is_swaplike,
+                         TrajectoryRecord, _JUMP_MAPS, _bit_lane_ledgers, _index_key,
                          _relaxation, pick_lane, run_ensemble)
 
 ETA_BIN_WIDTH = 0.01
@@ -58,7 +58,7 @@ def check_eta_bins(cfg: EngineConfig, protocol: Protocol, gate_spec: GateSpec) -
     at n_w = min(n_pulses, 2) and h1 = 1 bounds every bin, whatever the lane
     and the seed: no rounding closes the gap to the other ratios.
     """
-    if _is_swaplike(gate_spec):
+    if isinstance(gate_spec, SwapFamily):
         w = (cfg.omega1 - cfg.omega2) * protocol.n_pulses
         if not math.isfinite(w):
             raise ConfigError(f"the work (omega1-omega2)*n_pulses = {w!r} is not finite")
@@ -69,7 +69,7 @@ def check_swap_family(gate_spec: GateSpec, task: str, hint: str = "") -> None:
     """Refuse, before it runs, a task that needs a swap-family gate: the
     schedule-aware refinement of reconstruct_from_events and path_log_ratio
     walk SWAP_PERMUTATION, and power_scan folds the swap on the bit lane."""
-    if not _is_swaplike(gate_spec):
+    if not isinstance(gate_spec, SwapFamily):
         raise ConfigError(f"{task} needs a swap-family gate, since a generic gate "
                           f"has no work lattice{hint}")
 
@@ -90,7 +90,7 @@ class EnsembleStats:
     def quantized(self) -> bool:
         """Whether the run's gate is of the swap family, whose ledgers carry
         n_w (an empty histogram, with no run yet, counts as quantized)."""
-        return self.params is None or _is_swaplike(self.params.gate)
+        return self.params is None or isinstance(self.params.gate, SwapFamily)
 
     def add(self, record: TrajectoryRecord) -> None:
         if self.params is None:
@@ -219,31 +219,21 @@ def fold_ensemble(cfg: EngineConfig, protocol: Protocol, gate_spec: GateSpec,
                   sample_size: int, seed: int) -> EnsembleStats:
     """Fold an ensemble run without event logs on the lane pick_lane picks.
 
-    This is the only way into the bit lane, which is folded by columns: each
-    chunk's ledger rows collapse to distinct ledger keys with counts, and no
-    per-trajectory record is built, so the counts are the Counter of the
-    rows' LedgerKeys.  The events lane is accumulate(run_ensemble(...))."""
+    This is the only way into the bit lane, which names each row by its
+    ledger's integer index: np.unique counts each chunk's distinct indices,
+    each is decoded to its LedgerKey once, and no per-trajectory record is
+    built, so the counts are the Counter of the rows' LedgerKeys.  The
+    events lane is accumulate(run_ensemble(...))."""
     if pick_lane(gate_spec, keep_events=False) != "bits":
         return accumulate(run_ensemble(cfg, protocol, gate_spec, sample_size, seed))
     if sample_size < 1:
         raise ConfigError(f"sample_size must be at least 1, got {sample_size}")
     stats = EnsembleStats(params=RunParams(cfg, protocol, gate_spec))
-    for ledgers in _bit_lane_ledgers(cfg, protocol, sample_size, seed):
-        keys, counts = _distinct_rows(ledgers)
+    for index in _bit_lane_ledgers(cfg, protocol, sample_size, seed):
+        keys, counts = np.unique(index, return_counts=True)
         for key, count in zip(keys.tolist(), counts.tolist()):
-            stats._insert(LedgerKey(*key), count)
+            stats._insert(_index_key(key, protocol.n_pulses), count)
     return stats
-
-
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-d integer array in lexicographic order, and
-    how often each occurs: np.unique(rows, axis=0, return_counts=True) by one
-    lexsort and a mask of the rows that differ from their predecessor."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    new = np.ones(len(rows), dtype=bool)
-    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
-    firsts = np.flatnonzero(new)
-    return rows[firsts], np.diff(firsts, append=len(rows))
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,9 @@ Three engines realize the same trajectory law:
             2 + 2N uniforms, in row blocks that split one sequential stream,
             so the block size is not part of the determinism contract.  The
             chain draws the same law, and the choice depends on the protocol
-            alone.  The lane makes no records: stats.fold_ensemble folds its
-            chunks' ledger rows by columns.
+            alone.  Either names each row by one integer, its _key_index,
+            since db1, db2 and n_w fix a swap run's heats.  The lane makes
+            no records: stats.fold_ensemble counts each chunk's indices.
 
 Every engine keeps each run's integer ledger as one LedgerKey, and
 derives trajectory k's random stream from (seed, stream index) with a
@@ -184,6 +185,23 @@ class LedgerKey(NamedTuple):
             q1=omega1 * self.h1, q2=omega2 * self.h2,
             dU1=omega1 * self.db1, dU2=omega2 * self.db2, dE1=dE1, dE2=dE2,
             w=dE1 + dE2 if self.n_w is None else (omega1 - omega2) * self.n_w)
+
+
+def _key_index(db1, db2, n_w, n_pulses: int):
+    """The index of a swap-family ledger among the 9*(2N+1) keys with
+    |db_i| <= 1 and |n_w| <= N, for ints or int64 arrays alike.  Three
+    integers name the ledger, since its heats follow from them: see
+    _index_key.  The index is affine, so it sums over the parts of a run."""
+    return (3 * db1 + db2 + 4) * (2 * n_pulses + 1) + n_w + n_pulses
+
+
+def _index_key(index: int, n_pulses: int) -> LedgerKey:
+    """The LedgerKey at a _key_index, with h1 = n_w - db1 and
+    h2 = -n_w - db2 (n_w = x = -y).  An index outside [0, 9*(2N+1))
+    decodes to |db1| >= 2, which LedgerKey.check refuses."""
+    q, n = divmod(index, 2 * n_pulses + 1)
+    n_w, db1, db2 = n - n_pulses, q // 3 - 1, q % 3 - 1
+    return LedgerKey(n_w - db1, -n_w - db2, db1, db2, n_w)
 
 
 @dataclass(frozen=True, slots=True)
@@ -382,14 +400,10 @@ def _relax_amplitudes(
     return amps
 
 
-def _is_swaplike(spec: GateSpec) -> bool:
-    return isinstance(spec, SwapFamily)
-
-
 def pick_lane(gate_spec: GateSpec, keep_events: bool) -> str:
     """The lane a run is folded on and labelled with: "bits" for swap-family
     gates without event recording, "events" otherwise."""
-    return "bits" if _is_swaplike(gate_spec) and not keep_events else "events"
+    return "bits" if isinstance(gate_spec, SwapFamily) and not keep_events else "events"
 
 
 class _Ensemble(NamedTuple):
@@ -404,7 +418,7 @@ class _Ensemble(NamedTuple):
 
 
 def _ensemble(cfg: EngineConfig, protocol: Protocol, gate_spec: GateSpec) -> _Ensemble:
-    perm = SWAP_PERMUTATION if _is_swaplike(gate_spec) else None
+    perm = SWAP_PERMUTATION if isinstance(gate_spec, SwapFamily) else None
     return _Ensemble(RunParams(cfg, protocol, gate_spec), build_gate(gate_spec), perm,
                      _relaxation(cfg))
 
@@ -518,10 +532,10 @@ def _bit_lane_chunks(
     p_end for a ground and an excited start bit; the end bit is then
     (class + start bit) >> 1, the same comparison for either start.
 
-    Yields (ledgers, pulse_sums) per chunk: ledgers is the (rows, 5) int64
-    array of the rows' ledgers in LedgerKey field order, pulse_sums the
-    (2, n_pulses) int64 sums over the rows of each pulse's transfer and of
-    its square.
+    Yields (index, pulse_sums) per chunk: index holds each row's
+    _key_index, read off its first and last boundary bits and its
+    n_w = sum over pulses of b2 - b1, and pulse_sums is the (2, n_pulses)
+    int64 sums over the rows of each pulse's transfer and of its square.
     """
     (f1, lo1, hi1), (f2, lo2, hi2) = _bit_propagator(cfg, protocol.tau2)
     n_pulses = protocol.n_pulses
@@ -543,7 +557,7 @@ def _bit_lane_chunks(
     for c in range(n_chunks):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, c))))
         rows = min(chunk_rows, sample_size - c * chunk_rows)
-        ledgers = np.empty((rows, 5), dtype=np.int64)
+        index = np.empty(rows, dtype=np.int64)
         pulse_sums = np.zeros((2, n_pulses), dtype=np.int64)
         for start in range(0, rows, block):
             r = min(block, rows - start)
@@ -554,27 +568,18 @@ def _bit_lane_chunks(
             b = bits[:, :r]
             b[...] = classes[:r].T
             _walk_bits(b, n_pulses > 0)
-            first = b[:2].astype(np.int64)
-            last = b[-2:].astype(np.int64)
+            n_w = 0
             if n_pulses:
-                # each qubit starts an interval on the other's previous
-                # boundary bit, so its summed start bits are the other's
-                # boundary total less its last bit
-                totals = b.reshape(intervals + 1, 2, r).sum(axis=0, dtype=np.int64)
-                starts = totals[::-1] - last[::-1]
-                ends = totals - first
                 pairs = b[:-2].reshape(n_pulses, 2, r)   # the bits each pulse meets
                 ones = pairs.sum(axis=2, dtype=np.int64)
                 pulse_sums[0] += ones[:, 1] - ones[:, 0]
                 pulse_sums[1] += np.count_nonzero(pairs[:, 0] != pairs[:, 1], axis=1)
-            else:
-                starts, ends = first, last
-            out = ledgers[start:start + r]
-            out[:, 0:2] = (starts - ends).T
-            out[:, 2:4] = (last - first).T
-            # a pulse moves b2 - b1 quanta into qubit 1, its start bits after it
-            out[:, 4] = starts[0] - starts[1] if n_pulses else 0
-        yield ledgers, pulse_sums
+                # a pulse moves b2 - b1 quanta into qubit 1
+                met = pairs.sum(axis=0, dtype=np.int64)
+                n_w = met[1] - met[0]
+            db1, db2 = b[-2:].astype(np.int64) - b[:2]
+            index[start:start + r] = _key_index(db1, db2, n_w, n_pulses)
+        yield index, pulse_sums
 
 
 # Up to this many pulses the bit lane draws each row from the exact track
@@ -648,21 +653,19 @@ def _track_laws(cfg: EngineConfig, protocol: Protocol) -> np.ndarray:
     return law
 
 
-def _track_ledgers(n_pulses: int) -> np.ndarray:
-    """Each track cell's share of the ledger, (2, 4*(2N+3), 5) int64 in
-    LedgerKey field order over _track_laws' flattened cells: the row of a
-    run is the sum of its two tracks' shares.  A track's initial bit is its
-    start qubit's, and its final bit the end qubit's, which at odd N is the
-    other one; h1 = n_w - db1 and h2 = -n_w - db2."""
+def _track_index_parts(n_pulses: int) -> np.ndarray:
+    """Each track cell's part of the run's _key_index, (2, 4*(2N+3)) int64
+    over _track_laws' flattened cells: a run's index is the sum of its two
+    tracks' parts.  A track's initial bit is its start qubit's, and its
+    final bit the end qubit's, which at odd N is the other one."""
     initial, final, m = (a.ravel() for a in np.indices((2, 2, 2 * n_pulses + 3)))
-    shares = np.zeros((2, len(m), 5), dtype=np.int64)
+    db = np.zeros((2, 2, len(m)), dtype=np.int64)   # [track, qubit, cell]
     for track in (0, 1):
-        shares[track, :, 2 + track] -= initial
-        shares[track, :, 2 + (track ^ n_pulses % 2)] += final
-    shares[:, :, 4] = m - (n_pulses + 1)
-    shares[:, :, 0] = shares[:, :, 4] - shares[:, :, 2]
-    shares[:, :, 1] = -shares[:, :, 4] - shares[:, :, 3]
-    return shares
+        db[track, track] -= initial
+        db[track, track ^ n_pulses % 2] += final
+    parts = _key_index(db[:, 0], db[:, 1], m - (n_pulses + 1), n_pulses)
+    parts[1] -= _key_index(0, 0, 0, n_pulses)   # the index's offset, counted once
+    return parts
 
 
 def _law_lane_chunks(
@@ -677,17 +680,17 @@ def _law_lane_chunks(
     the start of its own (seed, c) stream, so row k is a function of
     (seed, k, protocol) alone.  Column 0 picks track A's cell and column 1
     track B's, each by inverting the track's cumulative law on u*cdf[-1]
-    (the law sums to 1 only to rounding).  Yields each chunk's (rows, 5)
-    int64 ledgers in LedgerKey field order, as _bit_lane_chunks does.
+    (the law sums to 1 only to rounding).  Yields each chunk's rows as
+    their int64 _key_index, as _bit_lane_chunks does.
     """
     cdfs = np.cumsum(_track_laws(cfg, protocol).reshape(2, -1), axis=1)
-    shares = _track_ledgers(protocol.n_pulses)
+    parts = _track_index_parts(protocol.n_pulses)
     for c in range(-(-sample_size // _LAW_CHUNK_ROWS)):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, c))))
         u = rng.random((min(_LAW_CHUNK_ROWS, sample_size - c * _LAW_CHUNK_ROWS), 2))
         cells = [cdf.searchsorted(u[:, t] * cdf[-1], side="right")
                  for t, cdf in enumerate(cdfs)]
-        yield shares[0, cells[0]] + shares[1, cells[1]]
+        yield parts[0, cells[0]] + parts[1, cells[1]]
 
 
 def _bit_lane_ledgers(
@@ -696,13 +699,13 @@ def _bit_lane_ledgers(
     sample_size: int,
     seed: int,
 ) -> Iterator[np.ndarray]:
-    """The bit lane's ledger rows, one (rows, 5) int64 array per chunk: drawn
-    from the track law up to _LAW_MAX_PULSES pulses, and by the chain above.
-    The choice depends on the protocol alone, so row k stays a function of
-    (seed, k, protocol)."""
+    """The bit lane's ledger rows, one 1-d int64 array of their _key_index
+    per chunk: drawn from the track law up to _LAW_MAX_PULSES pulses, and by
+    the chain above.  The choice depends on the protocol alone, so row k
+    stays a function of (seed, k, protocol)."""
     if protocol.n_pulses <= _LAW_MAX_PULSES:
         return _law_lane_chunks(cfg, protocol, sample_size, seed)
-    return (ledgers for ledgers, _ in _bit_lane_chunks(cfg, protocol, sample_size, seed))
+    return (index for index, _ in _bit_lane_chunks(cfg, protocol, sample_size, seed))
 
 
 def run_ensemble(

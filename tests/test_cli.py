@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import swapengine as se
@@ -412,6 +412,10 @@ def test_opt_gate_output_ignores_seed_and_restarts(monkeypatch, tmp_path):
         # every bin is finite, but w = (omega1 - omega2)*n_w can overflow
         (["simulate", "--beta1", "1e-300", "--omega1", "1e300", "--omega2", "1",
           "--pulses", "1000000000", "--samples", "5"], 2, "is not finite"),
+        # a generic gate's work error squares omega1, which overflows
+        (["simulate", "--gate", GENERIC, "--omega1", "1e160", "--omega2", "1e159",
+          "--beta1", "1e-160", "--beta2", "1e-160", "--samples", "2", "--pulses", "1"],
+         2, "out of the float range"),
     ],
 )
 def test_error_exit_codes(capsys, monkeypatch, tmp_path, args, code,
@@ -439,8 +443,8 @@ def test_efficiency_bins_are_refused_only_where_one_overflows(monkeypatch, tmp_p
 
 
 def _broken_chunks(cfg, protocol, sample_size, seed):
-    # (h1, h2, db1, db2, n_w) = (1, -1, 0, 0, 0) on every row: n_w != x
-    yield np.tile(np.array([1, -1, 0, 0, 0], dtype=np.int64), (sample_size, 1))
+    # index -1 on every row, which decodes to db1 = -2: no run's ledger
+    yield np.full(sample_size, -1, dtype=np.int64)
 
 
 def test_power_scan_passes_where_float_ratios_round_apart(monkeypatch,
@@ -554,15 +558,43 @@ def test_extreme_parameters_run_or_fail_with_one_config_error_line(flags):
                         ["opt-gate"],
                         ["analyze", str(log), "--pulses", "3"],
                         ["analyze", str(log), "--naive"]):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main([*command, *flags, "--json", "--out-dir", tmp])
-            if code == 0:
-                _strict_json(out.getvalue())
-            else:
-                assert code == 2, err.getvalue()
-                lines = err.getvalue().splitlines()
-                assert len(lines) == 1 and lines[0].startswith("config error: ")
+            _run_or_fail_with_one_config_error_line(
+                [*command, *flags, "--json", "--out-dir", tmp])
+
+
+def _run_or_fail_with_one_config_error_line(argv):
+    """Run main(argv): exit 0 with strict JSON on stdout, or exit 2 with one
+    config-error line on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code == 0:
+        _strict_json(out.getvalue())
+    else:
+        assert code == 2, err.getvalue()
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
+@st.composite
+def extreme_runs(draw):
+    """extreme_flags with a drawn gate, swap-family or generic, and with or
+    without event logs."""
+    flags = draw(extreme_flags())
+    flags += ["--gate", draw(st.sampled_from(["swap", "iswap", GENERIC]))]
+    return flags + (["--emit-logs"] if draw(st.booleans()) else [])
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(extreme_runs())
+# generic-gate work errors square omega1; the draws above rarely reach the
+# one beta1 (1e-320) that keeps beta1*omega1 finite at omega1 = 1e300
+@example(["--beta1", "1e-320", "--beta2", "1e-320", "--omega1", "1e+300",
+          "--omega2", "1e+300", "--gamma", "1e-200", "--tau2", "0.5", "--gate", GENERIC])
+def test_extreme_parameters_on_any_gate_run_or_fail_with_one_config_error_line(flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        _run_or_fail_with_one_config_error_line(
+            ["simulate", "--samples", "5", "--pulses", "3", *flags, "--json", "--out-dir", tmp])
 
 
 def _declared_entry_point(name: str) -> str:

@@ -153,54 +153,34 @@ def test_columnar_fold_equals_the_record_fold(cfg, pulses, samples):
 
 
 def test_columnar_fold_asserts_the_integer_ledger(monkeypatch):
-    def broken_chunks(cfg, protocol, sample_size, seed):
-        # (h1, h2, db1, db2, n_w) = (1, -1, 0, 0, 0) on every row: n_w != x
-        yield np.tile(np.array([1, -1, 0, 0, 0], dtype=np.int64), (sample_size, 1))
-    monkeypatch.setattr(stats_module, "_bit_lane_ledgers", broken_chunks)
-    with pytest.raises(AssertionError, match="ledger broken"):
-        se.fold_ensemble(CFG, se.Protocol(3, 0.5), se.SwapFamily(), 4, seed=0)
-
-
-def test_distinct_rows_are_np_unique_and_the_counter_of_the_rows():
-    big = np.iinfo(np.int64).max
-    small = np.iinfo(np.int64).min
-    rng = np.random.default_rng(3)
-    cases = [
-        [[4, -4, 0, 0, 4]],                                   # one row
-        [[1, -2, 0, 1, 1]] * 5,                               # all rows equal
-        [[0, 0, 0, 0, 2], [0, 0, 0, 0, -1], [0, 0, 0, 0, 2]],  # differ in the last column only
-        [[big, small, 0, 0, big], [small, big, -1, 1, 0], [big, small, 0, 0, big - 1],
-         [-1, 1, 0, 0, small]],                               # negative and extreme values
-        rng.integers(-2, 3, size=(2000, 5)).tolist(),         # many repeats
-    ]
-    for rows in cases:
-        rows = np.array(rows, dtype=np.int64)
-        keys, counts = stats_module._distinct_rows(rows)
-        want_keys, want_counts = np.unique(rows, axis=0, return_counts=True)
-        assert keys.tolist() == want_keys.tolist()
-        assert counts.tolist() == want_counts.tolist()
-        assert dict(zip(map(tuple, keys.tolist()), counts.tolist())) == Counter(
-            map(tuple, rows.tolist()))
+    # at 3 pulses the 9*(2*3 + 1) = 63 keys have indices 0..62; one just
+    # outside decodes to |db1| = 2, a ledger no run has
+    for index in (-1, 63):
+        def broken_chunks(cfg, protocol, sample_size, seed):
+            yield np.full(sample_size, index, dtype=np.int64)
+        monkeypatch.setattr(stats_module, "_bit_lane_ledgers", broken_chunks)
+        with pytest.raises(AssertionError, match="ledger broken"):
+            se.fold_ensemble(CFG, se.Protocol(3, 0.5), se.SwapFamily(), 4, seed=0)
 
 
 def test_columnar_fold_counts_every_row_of_adversarial_chunks(monkeypatch):
-    big = 2 ** 62
+    # index chunks at 3 pulses, whose keys have indices 0..62
     chunks = [
-        [[5, -5, 0, 0, 5]],                                        # one row
-        [[1, -2, 0, 1, 1]] * 4,                                    # all rows equal
-        [[3, -3, 0, 0, 3], [3, -4, 0, 1, 3], [3, -2, 0, -1, 3]],   # n_w, h1 and db1 equal
-        [[-big, big - 1, 1, 0, 1 - big], [big, -big, 0, 0, big], [-7, 8, 0, -1, -7]],
-        [[5, -5, 0, 0, 5], [1, -2, 0, 1, 1], [-7, 8, 0, -1, -7]],  # keys of earlier chunks
+        [40],                 # one row
+        [17] * 4,             # all rows equal
+        [0, 62, 31, 62, 0],   # the first and the last key, repeated
+        [7, 6, 8, 13, 14],    # neighbours across a change of db2
+        [40, 17, 0, 3],       # keys of earlier chunks
     ]
 
     def adversarial_chunks(cfg, protocol, sample_size, seed):
-        for rows in chunks:
-            yield np.array(rows, dtype=np.int64)
+        for index in chunks:
+            yield np.array(index, dtype=np.int64)
 
     monkeypatch.setattr(stats_module, "_bit_lane_ledgers", adversarial_chunks)
-    rows = [row for chunk in chunks for row in chunk]
-    folded = se.fold_ensemble(CFG, se.Protocol(3, 0.5), se.SwapFamily(), len(rows), seed=0)
-    assert folded.counts == Counter(se.LedgerKey(*row) for row in rows)
+    index = [i for chunk in chunks for i in chunk]
+    folded = se.fold_ensemble(CFG, se.Protocol(3, 0.5), se.SwapFamily(), len(index), seed=0)
+    assert folded.counts == Counter(trajectory._index_key(i, 3) for i in index)
 
 
 def test_columnar_fold_memory_at_a_large_pulse_count():

@@ -289,6 +289,27 @@ def test_the_bit_lane_draws_from_the_track_law_up_to_its_threshold():
                           np.concatenate([rows for rows, _ in trajectory._bit_lane_chunks(*chain)]))
 
 
+@pytest.mark.parametrize("pulses", [0, 1, 2, 7, 1024, 1025])
+def test_key_index_round_trips_every_swap_family_ledger(pulses):
+    width = 2 * pulses + 1
+    seen = []
+    for db1, db2, n_w in itertools.product((-1, 0, 1), (-1, 0, 1),
+                                           range(-pulses, pulses + 1)):
+        index = trajectory._key_index(db1, db2, n_w, pulses)
+        key = trajectory._index_key(index, pulses)
+        assert (key.db1, key.db2, key.n_w) == (db1, db2, n_w)
+        key.check()
+        seen.append(index)
+    assert sorted(seen) == list(range(9 * width))
+    # the array form gives the same indices
+    db1, db2, n_w = np.array(list(itertools.product(
+        (-1, 0, 1), (-1, 0, 1), range(-pulses, pulses + 1)))).T
+    assert trajectory._key_index(db1, db2, n_w, pulses).tolist() == seen
+    for index in (-1, -width, -9 * width - 1, 9 * width, 9 * width + 1, 20 * width):
+        with pytest.raises(AssertionError, match="ledger broken"):
+            trajectory._index_key(index, pulses).check()
+
+
 def _scalar_bit_lane(cfg, protocol, sample_size, seed):
     """The bit lane one row at a time in Python floats: each chunk's
     uniforms redrawn as one row-major matrix from its own (seed, chunk)
@@ -340,30 +361,31 @@ def _scalar_bit_lane(cfg, protocol, sample_size, seed):
 def test_bit_lane_equals_a_scalar_walk_bit_for_bit(pulses, samples):
     proto = se.Protocol(pulses, 0.65 if pulses < 1000 else 0.01)
     chunks = list(trajectory._bit_lane_chunks(CFG, proto, samples, seed=31))
-    ledgers = np.concatenate([ledger for ledger, _ in chunks])
     pulse_sums = sum(sums for _, sums in chunks)
-    assert all(ledger.dtype == sums.dtype == np.int64 for ledger, sums in chunks)
+    assert all(index.dtype == sums.dtype == np.int64 and index.ndim == 1
+               for index, sums in chunks)
     assert pulse_sums.shape == (2, pulses)
     want_ledgers, want_sums = _scalar_bit_lane(CFG, proto, samples, seed=31)
-    assert ledgers.tolist() == want_ledgers
+    # the scalar walk counts the heats itself, so all five fields are pinned
+    want_ledgers = [se.LedgerKey(*row) for row in want_ledgers]
+    assert chain_rows(CFG, proto, samples, seed=31) == want_ledgers
     assert pulse_sums.tolist() == want_sums
     # record k does not depend on the sample size
     fewer = samples // 3
-    head = np.concatenate([ledger for ledger, _ in
-                           trajectory._bit_lane_chunks(CFG, proto, fewer, seed=31)])
-    assert head.tolist() == want_ledgers[:fewer]
+    assert chain_rows(CFG, proto, fewer, seed=31) == want_ledgers[:fewer]
 
 
 def _ledger_law(cfg, protocol):
     """The exact law of the whole ledger, LedgerKey -> probability: every
-    pair of nonzero track cells, each ledger the sum of its two cells' shares."""
+    pair of nonzero track cells, each ledger's index the sum of its two
+    cells' parts."""
     laws = trajectory._track_laws(cfg, protocol).reshape(2, -1)
-    shares = trajectory._track_ledgers(protocol.n_pulses)
+    parts = trajectory._track_index_parts(protocol.n_pulses)
     a, b = (np.flatnonzero(law) for law in laws)
-    rows = (shares[0, a][:, None] + shares[1, b][None, :]).reshape(-1, 5)
+    index = (parts[0, a][:, None] + parts[1, b][None, :]).ravel()
     law = Counter()
-    for row, p in zip(rows.tolist(), np.outer(laws[0, a], laws[1, b]).ravel().tolist()):
-        law[se.LedgerKey(*row)] += p
+    for i, p in zip(index.tolist(), np.outer(laws[0, a], laws[1, b]).ravel().tolist()):
+        law[trajectory._index_key(i, protocol.n_pulses)] += p
     return law
 
 
