@@ -24,6 +24,7 @@ import io
 import json
 import math
 import sys
+import tempfile
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -308,20 +309,31 @@ def _stats_summary(rc: RunConfig, stats: EnsembleStats, ratio: FtLogRatio | None
 
 
 def cmd_simulate(rc: RunConfig) -> int:
+    check_eta_bins(rc.engine, rc.protocol, rc.gate)
+    if not rc.values["emit_logs"]:
+        return _simulate(rc, None)
+    # the logs are staged in the nearest existing folder of the output
+    # folder, on its file system, and moved into it after the last read-off,
+    # so a refused run leaves no log behind
+    out = Path(rc.values["out_dir"])
+    home = next(p for p in (out, *out.absolute().parents) if p.is_dir())
+    with tempfile.TemporaryDirectory(prefix=".swapengine-logs-", dir=home) as staging:
+        return _simulate(rc, Path(staging) / "events")
+
+
+def _simulate(rc: RunConfig, staged: Path | None) -> int:
+    """simulate, with event logs written to the new folder staged, if given."""
     v, cfg = rc.values, rc.engine
-    check_eta_bins(cfg, rc.protocol, rc.gate)
     out = Path(v["out_dir"])
-    lane = pick_lane(rc.gate, keep_events=v["emit_logs"])
-    if v["emit_logs"]:
-        # run_ensemble checks its arguments here, before any folder is made
+    lane = pick_lane(rc.gate, keep_events=staged is not None)
+    if staged is not None:
         records = run_ensemble(cfg, rc.protocol, rc.gate, v["samples"], v["seed"],
                                keep_events=True, engine=lane)
         stats = EnsembleStats()
-        log_dir = out / "events"
-        log_dir.mkdir(parents=True, exist_ok=True)
+        staged.mkdir()
         width = max(5, len(str(v["samples"] - 1)))
         for k, record in enumerate(records):
-            write_events(log_dir / f"trajectory_{k:0{width}d}.log", record.events)
+            write_events(staged / f"trajectory_{k:0{width}d}.log", record.events)
             stats.add(record)
     else:
         stats = fold_ensemble(cfg, rc.protocol, rc.gate, v["samples"], v["seed"])
@@ -347,6 +359,11 @@ def cmd_simulate(rc: RunConfig) -> int:
                        list(ratio.points)))
     summary_text = _json_text(_stats_summary(rc, stats, ratio, dist, lane))
     out.mkdir(parents=True, exist_ok=True)
+    if staged is not None and (out / "events").exists():   # an earlier run's logs
+        for log in staged.iterdir():
+            log.replace(out / "events" / log.name)
+    elif staged is not None:
+        staged.rename(out / "events")
     for name, header, rows in tables:
         _write_csv(out / name, header, rows)
     summary_path = out / "summary.json"

@@ -28,15 +28,11 @@ Three engines realize the same trajectory law:
             times, for swap-family ensembles without event logs.  A swap
             pulse swaps the occupation bits and each qubit relaxes in its
             own bath, so the ledger is the sum of two independent excitation
-            tracks.  Up to _LAW_MAX_PULSES pulses each row is drawn from the
-            tracks' exact law with two uniforms; above it the boundary-bit
-            chain walks each row through the exact two-state propagator with
-            2 + 2N uniforms, in row blocks that split one sequential stream,
-            so the block size is not part of the determinism contract.  The
-            chain draws the same law, and the choice depends on the protocol
-            alone.  Either names each row by one integer, its _key_index,
-            since db1, db2 and n_w fix a swap run's heats.  The lane makes
-            no records: stats.fold_ensemble counts each chunk's indices.
+            tracks, and at every pulse count each row is drawn from the
+            tracks' exact law with two uniforms.  It names each row by one
+            integer, its _key_index, since db1, db2 and n_w fix a swap run's
+            heats.  The lane makes no records: stats.fold_ensemble counts
+            each chunk's indices.
 
 Every engine keeps each run's integer ledger as one LedgerKey, and
 derives trajectory k's random stream from (seed, stream index) with a
@@ -475,21 +471,12 @@ def _trajectory(
     return TrajectoryRecord(ens.params, ledger, None if events is None else tuple(events))
 
 
-# The bit lane walks each chunk in row blocks of about this many uniforms
-# (8 MiB of float64) and of at least _BLOCK_FLOOR rows, so that its memory
-# stays bounded at any pulse count while each of the walk's two numpy calls
-# per interval covers enough rows.  Of 2**18, 2**19 and 2**20, this timed
-# best at 100, 1000 and 20000 pulses (2-core x86-64, 2 MiB L2 per core).
-# A block never holds more rows than the run samples.
-_BLOCK_UNIFORMS = 1 << 20
-_BLOCK_FLOOR = 128
-
-
 def _bit_propagator(cfg: EngineConfig, tau2: float) -> tuple[tuple[float, float, float], ...]:
     """Each qubit's excited probability (f, lo, hi): f in its Gibbs state,
     and lo and hi at the end of an interval of tau2 started in the ground
     and in the excited state, p_end = f + (b - f)*exp(-R*tau2) with
-    R = gamma*(2n+1).  The chain and the track law both read these."""
+    R = gamma*(2n+1).  The track law and the per-pulse transfer moments
+    both read these."""
     odds = []
     for beta, omega in ((cfg.beta1, cfg.omega1), (cfg.beta2, cfg.omega2)):
         f = excited_population(beta, omega)
@@ -498,99 +485,13 @@ def _bit_propagator(cfg: EngineConfig, tau2: float) -> tuple[tuple[float, float,
     return tuple(odds)
 
 
-def _walk_bits(bits: np.ndarray, pulsed: bool) -> None:
-    """Turn a block's classes, one int8 row per column, into its boundary
-    bits in place: the initial bits are class >> 1, and each interval's end
-    bit is (class + start bit) >> 1, the start bits being the previous
-    boundary's, swapped between the qubits by the pulse when pulsed."""
-    pairs = bits.reshape(-1, 2, bits.shape[1])   # (boundary, qubit, row)
-    pairs[0] >>= 1
-    for start, end in zip(pairs[:-1, ::-1] if pulsed else pairs[:1], pairs[1:]):
-        end += start
-        end >>= 1
-
-
-def _bit_lane_chunks(
-    cfg: EngineConfig,
-    protocol: Protocol,
-    sample_size: int,
-    seed: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Chunked exact sampling of the boundary-bit Markov chain.
-
-    Per interval and qubit the end bit is drawn from the exact two-state
-    propagator p_end = f + (b_start - f)*exp(-R*tau2) with R = gamma*(2n+1);
-    pulses swap the bits and bank the transfer.  Chunk size depends only on
-    the pulse count, and each chunk draws its rows from the start of its own
-    (seed, chunk) stream, so row k is a function of (seed, k, protocol) alone.
-
-    Each row holds 2 + 2*max(n_pulses, 1) uniforms: the two initial bits,
-    then the end bits of qubits 1 and 2 per interval.  A chunk is drawn and
-    walked in row blocks, which split its one sequential stream, so the
-    block size is not part of the determinism contract.  A block's uniforms
-    become int8 classes in one pass, (u < lo) + (u < hi), with lo and hi
-    p_end for a ground and an excited start bit; the end bit is then
-    (class + start bit) >> 1, the same comparison for either start.
-
-    Yields (index, pulse_sums) per chunk: index holds each row's
-    _key_index, read off its first and last boundary bits and its
-    n_w = sum over pulses of b2 - b1, and pulse_sums is the (2, n_pulses)
-    int64 sums over the rows of each pulse's transfer and of its square.
-    """
-    (f1, lo1, hi1), (f2, lo2, hi2) = _bit_propagator(cfg, protocol.tau2)
-    n_pulses = protocol.n_pulses
-    intervals = max(n_pulses, 1)
-    cols = 2 + 2 * intervals
-    chunk_rows = max(256, min(32768, (1 << 23) // cols))
-    lo = np.empty(cols)
-    hi = np.empty(cols)
-    lo[0] = hi[0] = f1   # an initial bit has no start bit: u < f
-    lo[1] = hi[1] = f2
-    lo[2::2], hi[2::2] = lo1, hi1
-    lo[3::2], hi[3::2] = lo2, hi2
-    block = min(chunk_rows, sample_size, max(_BLOCK_FLOOR, _BLOCK_UNIFORMS // cols))
-    u = np.empty((block, cols))
-    classes = np.empty((block, cols), dtype=np.int8)
-    below_hi = np.empty((block, cols), dtype=bool)
-    bits = np.empty((cols, block), dtype=np.int8)   # one contiguous row per column
-    n_chunks = -(-sample_size // chunk_rows)
-    for c in range(n_chunks):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, c))))
-        rows = min(chunk_rows, sample_size - c * chunk_rows)
-        index = np.empty(rows, dtype=np.int64)
-        pulse_sums = np.zeros((2, n_pulses), dtype=np.int64)
-        for start in range(0, rows, block):
-            r = min(block, rows - start)
-            rng.random(out=u[:r])
-            np.less(u[:r], lo, out=classes[:r].view(bool))
-            np.less(u[:r], hi, out=below_hi[:r])
-            classes[:r] += below_hi[:r].view(np.int8)
-            b = bits[:, :r]
-            b[...] = classes[:r].T
-            _walk_bits(b, n_pulses > 0)
-            n_w = 0
-            if n_pulses:
-                pairs = b[:-2].reshape(n_pulses, 2, r)   # the bits each pulse meets
-                ones = pairs.sum(axis=2, dtype=np.int64)
-                pulse_sums[0] += ones[:, 1] - ones[:, 0]
-                pulse_sums[1] += np.count_nonzero(pairs[:, 0] != pairs[:, 1], axis=1)
-                # a pulse moves b2 - b1 quanta into qubit 1
-                met = pairs.sum(axis=0, dtype=np.int64)
-                n_w = met[1] - met[0]
-            db1, db2 = b[-2:].astype(np.int64) - b[:2]
-            index[start:start + r] = _key_index(db1, db2, n_w, n_pulses)
-        yield index, pulse_sums
-
-
-# Up to this many pulses the bit lane draws each row from the exact track
-# law, two uniforms a row; above it, from the chain, 2 + 2N uniforms a row.
-# Building the law takes 0.5 ms at 100 pulses, 2.3 ms at 1024, 37 ms at
-# 4096 and 0.37 s at 16384, while the chain has no set-up.  In simulate's
-# main() (2-core x86-64) the law is 8x faster at 1024 pulses and the
-# default 10^4 samples and 15x at 16384, but a one-sample run is as fast on
-# either only up to about 1024 pulses: 29 ms on both there, 49 against 33
-# at 2048 and 0.48 against 0.09 s at 16384.  So runs of one trajectory at
-# 10^4 pulses and more stay cheap on the chain.
+# The bit lane draws every row from the exact track law, two uniforms a row;
+# this constant picks how the law is built.  Up to it, _track_laws convolves
+# the whole law, whose tail cells keep their relative precision: 0.5 ms at
+# 100 pulses and 2.3 ms at 1024, but O(N^2), 37 ms at 4096 and 0.37 s at
+# 16384.  Above it the walk is raised on a Fourier window around each
+# track's mean (_law_window), exact to about 1e-15 in absolute terms only:
+# 7 ms at 10^4 pulses and 0.08 s at 10^6 (2-core x86-64).
 _LAW_MAX_PULSES = 1024
 _LAW_CHUNK_ROWS = 1 << 15
 
@@ -614,9 +515,88 @@ def _then(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                       for k in (0, 1)] for i in (0, 1)])
 
 
-def _track_laws(cfg: EngineConfig, protocol: Protocol) -> np.ndarray:
+def _track_walk(odds, track: int, n_pulses: int, then, one, form=lambda poly: poly):
+    """Track A's (0) or B's (1) walk over n_pulses >= 1 pulses: the pulse
+    pair raised to the power N // 2 by repeated squaring, times one more
+    first pulse at odd N.  form turns a 2x2 matrix of polynomials in m over
+    m = -1, 0, 1 into the form that then multiplies, with identity one."""
+    shift = 2 * track - 1   # the first pulse's: track A leaves qubit 1
+    first = _interval(odds[1 - track], shift)
+    # a pulse pair moves m by -bit then +bit, or the reverse: within 1
+    pair = form(_then(first, _interval(odds[track], -shift))[:, :, 1:-1])
+    first = form(first)
+    walk = one
+    for bit in bin(n_pulses // 2)[2:]:
+        walk = then(walk, walk)
+        if bit == "1":
+            walk = then(walk, pair)
+    return then(walk, first) if n_pulses % 2 else walk
+
+
+def _law_window(cfg: EngineConfig, protocol: Protocol) -> tuple[int, tuple[int, int]] | None:
+    """The cells of _track_laws' Fourier build: None up to _LAW_MAX_PULSES,
+    and above it (M, starts), M cells per track from cell starts[track] on.
+    M is the power of 2 that covers 80 sd of the wider track, at least 2**10
+    so that a narrow law's tails (Poisson-like, not Gaussian) fit too, and
+    at most the whole law's 2N+3 cells; each window is centred on its
+    track's mean and kept inside those cells.  The mean and the variance of
+    m are exact: the walk of the 6x6 block step [[T, T', T''/2], [0, T, T'],
+    [0, 0, T]], T the step at z = 1 and ' the derivative in ln z, carries
+    the walk's derivatives in its top blocks.  So the window, and row k,
+    depend on (cfg, protocol) alone."""
+    n_pulses = protocol.n_pulses
+    if n_pulses <= _LAW_MAX_PULSES:
+        return None
+    odds = _bit_propagator(cfg, protocol.tau2)
+    taylor = np.array([[1.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [0.5, 0.0, 0.5]])   # m^k / k!
+
+    def tilted(poly: np.ndarray) -> np.ndarray:
+        t, dt, ddt = np.moveaxis(poly @ taylor.T, -1, 0)
+        zero = np.zeros((2, 2))
+        return np.block([[t, dt, ddt], [zero, t, dt], [zero, zero, t]])
+
+    means, sds = [], []
+    for track, (f, _, _) in enumerate(odds):
+        walk = _track_walk(odds, track, n_pulses, np.matmul, np.eye(6), tilted)
+        # weigh the initial bit and sum over the final one: (E[m], E[m^2]/2)
+        mean, half_square = np.array([1.0 - f, f]) @ walk[:2, 2:].reshape(2, 2, 2).sum(axis=2)
+        means.append(mean)
+        sds.append(math.sqrt(max(2.0 * half_square - mean * mean, 0.0)))
+    full = 2 * n_pulses + 3
+    cells = 1 << 10
+    while cells < min(80.0 * max(sds), full):
+        cells *= 2
+    cells = min(cells, full)
+    return cells, tuple(min(max(math.floor(mean) + n_pulses + 1 - cells // 2, 0), full - cells)
+                        for mean in means)
+
+
+def _grid_walk(odds, track: int, n_pulses: int, cells: int, start: int) -> np.ndarray:
+    """A track's walk on cells [start, start + cells) of the whole law's
+    2N+3, built on the Fourier grid z_j = exp(-2*pi*i*j/M) of M = cells
+    points: each 2x2 product is one np.einsum over the grid, and
+    np.fft.ifft returns the coefficient of z^m at index m mod M.  Mass
+    beyond the window aliases onto it, far below rounding at 40 sd.  The
+    inversion's errors, near 1e-15, are clipped at 0, and every cell a
+    track cannot reach is exactly 0: track A's m lies in [-ceil(N/2),
+    N // 2] and track B's in the mirror, so |n_w| <= N holds on every row."""
+    z = np.exp(-2j * np.pi * np.arange(cells) / cells)
+    powers = np.stack([z.conj(), np.ones(cells), z])   # z^m over m = -1, 0, 1
+    walk = _track_walk(odds, track, n_pulses, lambda a, b: np.einsum("ij...,jk...->ik...", a, b),
+                       np.eye(2)[:, :, None], lambda poly: poly @ powers)
+    m = start - (n_pulses + 1) + np.arange(cells)
+    coeffs = np.fft.ifft(walk)[..., m % cells].real
+    mirrored = (2 * track - 1) * m   # m in track B's orientation, where A's reach is mirrored
+    reach = (-(n_pulses // 2) <= mirrored) & (mirrored <= -(-n_pulses // 2))
+    return np.where(reach, np.maximum(coeffs, 0.0), 0.0)
+
+
+def _track_laws(cfg: EngineConfig, protocol: Protocol,
+                window: tuple[int, tuple[int, int]] | None = None) -> np.ndarray:
     """The exact law of each excitation track, L[track, initial bit, final
-    bit, m + N + 1], of shape (2, 2, 2, 2N+3).
+    bit, m + N + 1], of shape (2, 2, 2, 2N+3); with a window (M, starts)
+    from _law_window, the cells from starts[track] on, of shape
+    (2, 2, 2, M).
 
     A swap-family pulse swaps the qubits' bits and each qubit relaxes in its
     own bath, so the two bits stay independent: the ledger is the sum of two
@@ -624,73 +604,46 @@ def _track_laws(cfg: EngineConfig, protocol: Protocol) -> np.ndarray:
     each in its qubit's Gibbs state, and every pulse moves each track to the
     other qubit.  m is the track's share of n_w: a track leaving qubit 1
     adds -bit, one entering it adds +bit, then it relaxes in the bath it
-    enters (_bit_propagator's lo and hi), so the law is the chain's exactly.
-    Pulses alternate between the two moves, so a track's walk over N pulses
-    is the walk over a pulse pair raised to the power N // 2 (times one more
-    pulse at odd N); it is built by repeated squaring, each product costing
-    eight np.convolve calls.  |m| stays within ceil(N/2).
+    enters (_bit_propagator's lo and hi).  Pulses alternate between the two
+    moves, so a track's walk over N pulses is the walk over a pulse pair
+    raised to the power N // 2 (times one more pulse at odd N), by repeated
+    squaring: without a window each product costs eight np.convolve calls,
+    and with one the walk is raised on the Fourier grid (_grid_walk).
+    |m| stays within ceil(N/2).
     """
     odds = _bit_propagator(cfg, protocol.tau2)
     n_pulses = protocol.n_pulses
-    law = np.zeros((2, 2, 2, 2 * n_pulses + 3))
+    cells, starts = window or (2 * n_pulses + 3, (0, 0))
+    law = np.zeros((2, 2, 2, cells))
     for track, (f, _, _) in enumerate(odds):
         if n_pulses == 0:
             walk = _interval(odds[track], 0)
+        elif window is None:
+            walk = _track_walk(odds, track, n_pulses, _then, np.eye(2)[:, :, None])
         else:
-            shift = 2 * track - 1   # the first pulse's: track A leaves qubit 1
-            first = _interval(odds[1 - track], shift)
-            # a pulse pair moves m by -bit then +bit, or the reverse: within 1
-            pair = _then(first, _interval(odds[track], -shift))[:, :, 1:-1]
-            walk = np.eye(2)[:, :, None]
-            for bit in bin(n_pulses // 2)[2:]:
-                walk = _then(walk, walk)
-                if bit == "1":
-                    walk = _then(walk, pair)
-            if n_pulses % 2:
-                walk = _then(walk, first)
-        at = n_pulses + 1 - walk.shape[2] // 2
+            walk = _grid_walk(odds, track, n_pulses, cells, starts[track])
+        at = 0 if window else n_pulses + 1 - walk.shape[2] // 2
         law[track, :, :, at:at + walk.shape[2]] = np.array([1.0 - f, f])[:, None, None] * walk
     return law
 
 
-def _track_index_parts(n_pulses: int) -> np.ndarray:
-    """Each track cell's part of the run's _key_index, (2, 4*(2N+3)) int64
-    over _track_laws' flattened cells: a run's index is the sum of its two
-    tracks' parts.  A track's initial bit is its start qubit's, and its
-    final bit the end qubit's, which at odd N is the other one."""
-    initial, final, m = (a.ravel() for a in np.indices((2, 2, 2 * n_pulses + 3)))
-    db = np.zeros((2, 2, len(m)), dtype=np.int64)   # [track, qubit, cell]
+def _track_index_parts(n_pulses: int,
+                       window: tuple[int, tuple[int, int]] | None = None) -> np.ndarray:
+    """Each track cell's part of the run's _key_index, (2, 4*cells) int64
+    over _track_laws' flattened cells (2N+3 of them, or a window's M from
+    its starts): a run's index is the sum of its two tracks' parts.  A
+    track's initial bit is its start qubit's, and its final bit the end
+    qubit's, which at odd N is the other one."""
+    cells, starts = window or (2 * n_pulses + 3, (0, 0))
+    initial, final, cell = (a.ravel() for a in np.indices((2, 2, cells)))
+    db = np.zeros((2, 2, len(cell)), dtype=np.int64)   # [track, qubit, cell]
     for track in (0, 1):
         db[track, track] -= initial
         db[track, track ^ n_pulses % 2] += final
-    parts = _key_index(db[:, 0], db[:, 1], m - (n_pulses + 1), n_pulses)
+    m = cell + np.array(starts)[:, None] - (n_pulses + 1)
+    parts = _key_index(db[:, 0], db[:, 1], m, n_pulses)
     parts[1] -= _key_index(0, 0, 0, n_pulses)   # the index's offset, counted once
     return parts
-
-
-def _law_lane_chunks(
-    cfg: EngineConfig,
-    protocol: Protocol,
-    sample_size: int,
-    seed: int,
-) -> Iterator[np.ndarray]:
-    """Chunked exact sampling of the bit lane from the track law.
-
-    Chunk c holds rows [c*2**15, ...) and draws rng.random((rows, 2)) from
-    the start of its own (seed, c) stream, so row k is a function of
-    (seed, k, protocol) alone.  Column 0 picks track A's cell and column 1
-    track B's, each by inverting the track's cumulative law on u*cdf[-1]
-    (the law sums to 1 only to rounding).  Yields each chunk's rows as
-    their int64 _key_index, as _bit_lane_chunks does.
-    """
-    cdfs = np.cumsum(_track_laws(cfg, protocol).reshape(2, -1), axis=1)
-    parts = _track_index_parts(protocol.n_pulses)
-    for c in range(-(-sample_size // _LAW_CHUNK_ROWS)):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, c))))
-        u = rng.random((min(_LAW_CHUNK_ROWS, sample_size - c * _LAW_CHUNK_ROWS), 2))
-        cells = [cdf.searchsorted(u[:, t] * cdf[-1], side="right")
-                 for t, cdf in enumerate(cdfs)]
-        yield parts[0, cells[0]] + parts[1, cells[1]]
 
 
 def _bit_lane_ledgers(
@@ -699,13 +652,25 @@ def _bit_lane_ledgers(
     sample_size: int,
     seed: int,
 ) -> Iterator[np.ndarray]:
-    """The bit lane's ledger rows, one 1-d int64 array of their _key_index
-    per chunk: drawn from the track law up to _LAW_MAX_PULSES pulses, and by
-    the chain above.  The choice depends on the protocol alone, so row k
-    stays a function of (seed, k, protocol)."""
-    if protocol.n_pulses <= _LAW_MAX_PULSES:
-        return _law_lane_chunks(cfg, protocol, sample_size, seed)
-    return (index for index, _ in _bit_lane_chunks(cfg, protocol, sample_size, seed))
+    """Chunked exact sampling of the bit lane from the track law: one 1-d
+    int64 array of the rows' _key_index per chunk.
+
+    Chunk c holds rows [c*2**15, ...) and draws rng.random((rows, 2)) from
+    the start of its own (seed, c) stream.  Column 0 picks track A's cell
+    and column 1 track B's, each by inverting the track's cumulative law on
+    u*cdf[-1] (the law sums to 1 only to rounding).  The law's cells
+    (_law_window) depend on (cfg, protocol) alone, so row k is a function
+    of (seed, k, protocol).
+    """
+    window = _law_window(cfg, protocol)
+    cdfs = np.cumsum(_track_laws(cfg, protocol, window).reshape(2, -1), axis=1)
+    parts = _track_index_parts(protocol.n_pulses, window)
+    for c in range(-(-sample_size // _LAW_CHUNK_ROWS)):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, c))))
+        u = rng.random((min(_LAW_CHUNK_ROWS, sample_size - c * _LAW_CHUNK_ROWS), 2))
+        cells = [cdf.searchsorted(u[:, t] * cdf[-1], side="right")
+                 for t, cdf in enumerate(cdfs)]
+        yield parts[0, cells[0]] + parts[1, cells[1]]
 
 
 def run_ensemble(
@@ -755,16 +720,30 @@ def per_pulse_transfer_moments(
 
     Returns (means, ses), each of length n_pulses; pulse k's mean transfer
     times omega1 is the per-pulse <dE1>, times -omega2 the per-pulse <dE2>,
-    times (omega1-omega2) the per-pulse <w>.
+    times (omega1-omega2) the per-pulse <w>.  A swap-family pulse meets two
+    independent bits, excited with probabilities p1 and p2 (each qubit's f
+    at pulse 0), so its transfer b2 - b1 into qubit 1 is +1, -1 or 0 with
+    probabilities p2*(1 - p1), p1*(1 - p2) and the rest: each pulse's counts
+    over sample_size runs are one multinomial draw, all of them from the
+    run's seed stream.  The pulse swaps the bits, which then relax:
+    p1' = lo1 + (hi1 - lo1)*p2 and p2' = lo2 + (hi2 - lo2)*p1.
     """
     if protocol.n_pulses < 1:
         raise ConfigError("per-pulse moments need at least one pulse")
     if sample_size < 2:
         raise ConfigError(f"sample_size must be at least 2, got {sample_size}")
-    sums = np.zeros((2, protocol.n_pulses), dtype=np.int64)
-    for _, pulse_sums in _bit_lane_chunks(cfg, protocol, sample_size, seed):
-        sums += pulse_sums
+    (f1, lo1, hi1), (f2, lo2, hi2) = _bit_propagator(cfg, protocol.tau2)
+    excited = np.empty((protocol.n_pulses, 2))
+    p1, p2 = f1, f2
+    for k in range(protocol.n_pulses):
+        excited[k] = p1, p2
+        p1, p2 = lo1 + (hi1 - lo1) * p2, lo2 + (hi2 - lo2) * p1
+    p1, p2 = excited.T
+    into, out_of = p2 * (1.0 - p1), p1 * (1.0 - p2)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    up, down, _ = rng.multinomial(
+        sample_size, np.stack([into, out_of, 1.0 - into - out_of], axis=1)).T
     n = sample_size
-    mean = sums[0] / n
-    var = (sums[1] / n - mean ** 2) * (n / (n - 1))
+    mean = (up - down) / n
+    var = ((up + down) / n - mean ** 2) * (n / (n - 1))
     return mean, np.sqrt(var / n)

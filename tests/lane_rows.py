@@ -1,16 +1,40 @@
 """The bit lane's ledger rows as LedgerKeys, in row order, from its two row
-sources: the boundary-bit chain, and the rows fold_ensemble reads (the track
-law's up to its pulse threshold, the chain's above).  Both name a row by its
-ledger's integer index, decoded here."""
+sources: a plain boundary-bit chain, written here for the tests alone, and
+the rows fold_ensemble reads, drawn from the exact track law."""
 
+import math
+
+import numpy as np
+
+import swapengine as se
 from swapengine import trajectory
 
 
 def chain_rows(cfg, protocol, sample_size, seed):
-    """The boundary-bit chain's ledger rows."""
-    return [trajectory._index_key(i, protocol.n_pulses) for index, _ in
-            trajectory._bit_lane_chunks(cfg, protocol, sample_size, seed)
-            for i in index.tolist()]
+    """The boundary-bit chain walked one interval at a time over every row
+    at once: the initial bits from the Gibbs weights, then per interval the
+    pulse swaps the bits and banks b2 - b1 into n_w, and each qubit's end
+    bit is drawn from p_end = f + (b - f)*exp(-gamma*(2n+1)*tau2), its
+    start bit minus its end bit booked as heat released into its bath."""
+    f = np.array([se.excited_population(cfg.beta1, cfg.omega1),
+                  se.excited_population(cfg.beta2, cfg.omega2)])[:, None]
+    dec = np.array([math.exp(-cfg.gamma * (2.0 * se.bose_occupation(beta, omega) + 1.0)
+                             * protocol.tau2)
+                    for beta, omega in ((cfg.beta1, cfg.omega1),
+                                        (cfg.beta2, cfg.omega2))])[:, None]
+    rng = np.random.default_rng(seed)
+    start = bits = (rng.random((2, sample_size)) < f).astype(np.int64)   # [qubit, row]
+    heat = np.zeros((2, sample_size), dtype=np.int64)
+    n_w = np.zeros(sample_size, dtype=np.int64)
+    for k in range(max(protocol.n_pulses, 1)):
+        if k < protocol.n_pulses:
+            n_w += bits[1] - bits[0]
+            bits = bits[::-1]
+        end = (rng.random((2, sample_size)) < f + (bits - f) * dec).astype(np.int64)
+        heat += bits - end
+        bits = end
+    return [se.LedgerKey(*row) for row in
+            np.stack([*heat, *(bits - start), n_w], axis=1).tolist()]
 
 
 def folded_rows(cfg, protocol, sample_size, seed):

@@ -416,6 +416,10 @@ def test_opt_gate_output_ignores_seed_and_restarts(monkeypatch, tmp_path):
         (["simulate", "--gate", GENERIC, "--omega1", "1e160", "--omega2", "1e159",
           "--beta1", "1e-160", "--beta2", "1e-160", "--samples", "2", "--pulses", "1"],
          2, "out of the float range"),
+        # the same refusal comes after the logs are written, and takes them back
+        (["simulate", "--gate", GENERIC, "--omega1", "1e160", "--omega2", "1e159",
+          "--beta1", "1e-160", "--beta2", "1e-160", "--samples", "2", "--pulses", "1",
+          "--emit-logs"], 2, "out of the float range"),
     ],
 )
 def test_error_exit_codes(capsys, monkeypatch, tmp_path, args, code,
@@ -428,6 +432,7 @@ def test_error_exit_codes(capsys, monkeypatch, tmp_path, args, code,
     assert fragment in capsys.readouterr().err
     if args[0] in ("simulate", "analyze") and code == 2:
         assert not (tmp_path / "out").exists()  # rejected before any output
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.log"]   # and no staged log
 
 
 def test_efficiency_bins_are_refused_only_where_one_overflows(monkeypatch, tmp_path):
@@ -558,22 +563,25 @@ def test_extreme_parameters_run_or_fail_with_one_config_error_line(flags):
                         ["opt-gate"],
                         ["analyze", str(log), "--pulses", "3"],
                         ["analyze", str(log), "--naive"]):
-            _run_or_fail_with_one_config_error_line(
-                [*command, *flags, "--json", "--out-dir", tmp])
+            _run_or_fail_with_one_config_error_line([*command, *flags, "--json"])
 
 
 def _run_or_fail_with_one_config_error_line(argv):
-    """Run main(argv): exit 0 with strict JSON on stdout, or exit 2 with one
-    config-error line on stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    if code == 0:
-        _strict_json(out.getvalue())
-    else:
-        assert code == 2, err.getvalue()
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("config error: ")
+    """Run main(argv) with a fresh --out-dir: exit 0 with strict JSON on
+    stdout, or exit 2 with one config-error line on stderr and nothing
+    left in the output folder's parent."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "out"
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--out-dir", str(out_dir)])
+        if code == 0:
+            _strict_json(out.getvalue())
+        else:
+            assert code == 2, err.getvalue()
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("config error: ")
+            assert not any(Path(tmp).iterdir())
 
 
 @st.composite
@@ -592,9 +600,8 @@ def extreme_runs(draw):
 @example(["--beta1", "1e-320", "--beta2", "1e-320", "--omega1", "1e+300",
           "--omega2", "1e+300", "--gamma", "1e-200", "--tau2", "0.5", "--gate", GENERIC])
 def test_extreme_parameters_on_any_gate_run_or_fail_with_one_config_error_line(flags):
-    with tempfile.TemporaryDirectory() as tmp:
-        _run_or_fail_with_one_config_error_line(
-            ["simulate", "--samples", "5", "--pulses", "3", *flags, "--json", "--out-dir", tmp])
+    _run_or_fail_with_one_config_error_line(
+        ["simulate", "--samples", "5", "--pulses", "3", *flags, "--json"])
 
 
 def _declared_entry_point(name: str) -> str:
@@ -676,6 +683,7 @@ from swapengine.cli import main
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["analytic", "--json"], ["opt-gate"],
+                 ["simulate", "--samples", "3", "--pulses", "1024", "--out-dir", "bits"],
                  ["simulate", "--samples", "3", "--pulses", "2", "--emit-logs",
                   "--out-dir", "sim"]):
         codes.append(main(argv))
@@ -683,7 +691,7 @@ with contextlib.redirect_stdout(io.StringIO()):
                   for f in os.listdir(os.path.join("sim", "events")))
     codes.append(main(["analyze", *logs, "--pulses", "2", "--out-dir", "ana"]))
 print(json.dumps([codes, sorted(m for m in sys.modules
-                                if m.split(".")[0] == "scipy")]))
+                                if m.split(".")[0] == "scipy"), "numpy.fft" in sys.modules]))
 """
 
 
@@ -694,9 +702,12 @@ def test_cli_runs_import_no_scipy(tmp_path):
     run = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, src],
                          capture_output=True, text=True, cwd=tmp_path)
     assert run.returncode == 0, run.stderr
-    codes, scipy_modules = json.loads(run.stdout)
-    assert codes == [0, 0, 0, 0]
+    codes, scipy_modules, fft_loaded = json.loads(run.stdout)
+    assert codes == [0, 0, 0, 0, 0]
     assert scipy_modules == []
+    # numpy loads numpy.fft on first use, and the bit lane uses it only
+    # above trajectory._LAW_MAX_PULSES, so no run up to 1024 pulses pays for it
+    assert not fft_loaded
 
 
 def test_console_script_matches_in_process_behavior(tmp_path):

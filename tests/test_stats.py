@@ -117,8 +117,8 @@ def test_rigidity_counter_ignores_last_bit_float_rounding():
     (CFG, 10, 3000),
     # frequencies at which the float ratio route rounds apart on many records
     (se.EngineConfig(0.2, 0.3, 2.8510833966980074, 1.0043112108304078), 20, 3000),
-    # 4000 pulses are above the track law's threshold, and make the chain's
-    # chunks 1048 rows long, so this crosses one
+    # 4000 pulses are above the threshold, where the track law is built on
+    # a Fourier window
     (CFG, 4000, 1500),
     # omega2 > omega1 makes every nonzero efficiency negative
     (se.EngineConfig(2.0 / 3.0, 1.0, 5.0 / 6.0, 1.0), 10, 3000),
@@ -184,9 +184,10 @@ def test_columnar_fold_counts_every_row_of_adversarial_chunks(monkeypatch):
 
 
 def test_columnar_fold_memory_at_a_large_pulse_count():
-    # 20000 pulses drop the bit lane's chunks to 256 rows of 40002 uniforms,
-    # 78 MiB when a chunk is drawn whole, and a fold that does so peaks at
-    # 92 MiB; row blocks stay well below (tracemalloc sees numpy's buffers)
+    # a row takes two uniforms at any pulse count, and at 20000 pulses and
+    # tau2 = 0.01 the track law's Fourier window holds 2**10 cells, so this
+    # fold peaks near 1.2 MiB; a walk of 2 + 2N uniforms a row, drawn 256
+    # rows at once, would take 78 MiB (tracemalloc sees numpy's buffers)
     tracemalloc.start()
     try:
         folded = se.fold_ensemble(CFG, se.Protocol(20000, 0.01), se.SwapFamily(), 300, seed=4)
@@ -198,9 +199,10 @@ def test_columnar_fold_memory_at_a_large_pulse_count():
 
 
 def test_one_sample_fold_draws_one_row():
-    # at 20000 pulses a row block floors at 128 rows of 40002 uniforms, and
-    # a fold that draws them all peaks near 56 MiB; a one-sample run's
-    # block holds its one row (tracemalloc sees numpy's buffers)
+    # at 20000 pulses and tau2 = 0.65 each track's sd is about 56, so the
+    # law's Fourier window holds 2**13 cells; the law's build dominates this
+    # fold, which peaks near 3.3 MiB, and the run draws one row
+    # (tracemalloc sees numpy's buffers)
     tracemalloc.start()
     try:
         folded = se.fold_ensemble(CFG, se.Protocol(20000, 0.65), se.SwapFamily(), 1, seed=0)

@@ -6,9 +6,10 @@ function lane that root-finds jump times from the decaying norm.  The lanes
 share one probability law, so their statistics must agree, and the two
 event-resolved lanes consume the identical uniform stream, so their ledgers
 must agree record for record.  The bit lane draws its rows from the exact
-law of two excitation tracks up to a pulse threshold, and walks the
-boundary-bit chain above it; the law is checked against every boundary-bit
-path, the fluctuation relations and the mean-population recursion, and the
+law of two excitation tracks, convolved whole up to a pulse threshold and
+built on a Fourier window above it; the law is checked against every
+boundary-bit path, the fluctuation relations and the mean-population
+recursion, the window against the whole law, and a plain boundary-bit
 chain against the law.
 """
 
@@ -262,7 +263,9 @@ def test_pulse_free_protocol_exchanges_heat_but_no_work():
 
 def test_same_seed_reproduces_identical_records():
     proto = se.Protocol(n_pulses=7, tau2=0.65)
-    assert chain_rows(CFG, proto, 40, seed=9) == chain_rows(CFG, proto, 40, seed=9)
+    # the bit lane on the whole law and on the Fourier window
+    for bit_proto in (proto, se.Protocol(trajectory._LAW_MAX_PULSES + 1, 0.65)):
+        assert folded_rows(CFG, bit_proto, 40, seed=9) == folded_rows(CFG, bit_proto, 40, seed=9)
     a = list(se.run_ensemble(CFG, proto, se.SwapFamily(), 40, seed=9, engine="events"))
     b = list(se.run_ensemble(CFG, proto, se.SwapFamily(), 40, seed=9, engine="events"))
     assert a == b
@@ -272,21 +275,31 @@ def test_record_k_does_not_depend_on_sample_size():
     # per-record streams are keyed by (seed, index), so growing the
     # ensemble must extend it without disturbing earlier records
     proto = se.Protocol(n_pulses=7, tau2=0.65)
-    # 37000 bit-lane rows cross a chunk of the chain and of the track law
-    for rows in (chain_rows, folded_rows):
-        assert rows(CFG, proto, 50, seed=9) == rows(CFG, proto, 37000, seed=9)[:50]
+    # 37000 bit-lane rows cross a 2**15-row chunk
+    assert folded_rows(CFG, proto, 50, seed=9) == folded_rows(CFG, proto, 37000, seed=9)[:50]
+    # on the Fourier window too, with a second chunk that ends at either size
+    above = se.Protocol(trajectory._LAW_MAX_PULSES + 1, 0.65)
+    assert folded_rows(CFG, above, 32800, seed=9) == folded_rows(CFG, above, 33000, seed=9)[:32800]
     small = list(se.run_ensemble(CFG, proto, se.SwapFamily(), 20, seed=9, engine="events"))
     big = list(se.run_ensemble(CFG, proto, se.SwapFamily(), 150, seed=9, engine="events"))
     assert small == big[:20]
 
 
 def test_the_bit_lane_draws_from_the_track_law_up_to_its_threshold():
-    law = (CFG, se.Protocol(trajectory._LAW_MAX_PULSES, 0.01), 40, 3)
-    chain = (CFG, se.Protocol(trajectory._LAW_MAX_PULSES + 1, 0.01), 40, 3)
-    assert np.array_equal(np.concatenate(list(trajectory._bit_lane_ledgers(*law))),
-                          np.concatenate(list(trajectory._law_lane_chunks(*law))))
-    assert np.array_equal(np.concatenate(list(trajectory._bit_lane_ledgers(*chain))),
-                          np.concatenate([rows for rows, _ in trajectory._bit_lane_chunks(*chain)]))
+    # the whole law up to the threshold, a Fourier window above it; either
+    # way a row inverts each track's cumulative law on one of its chunk's
+    # two uniforms
+    u = np.random.Generator(np.random.Philox(np.random.SeedSequence((3, 0)))).random((40, 2))
+    for pulses in (trajectory._LAW_MAX_PULSES, trajectory._LAW_MAX_PULSES + 1):
+        proto = se.Protocol(pulses, 0.01)
+        window = trajectory._law_window(CFG, proto)
+        assert (window is None) == (pulses <= trajectory._LAW_MAX_PULSES)
+        cdfs = np.cumsum(trajectory._track_laws(CFG, proto, window).reshape(2, -1), axis=1)
+        parts = trajectory._track_index_parts(pulses, window)
+        want = [sum(parts[t, np.flatnonzero(cdf > row[t] * cdf[-1])[0]]
+                    for t, cdf in enumerate(cdfs)) for row in u]
+        rows = np.concatenate(list(trajectory._bit_lane_ledgers(CFG, proto, 40, 3)))
+        assert rows.tolist() == want
 
 
 @pytest.mark.parametrize("pulses", [0, 1, 2, 7, 1024, 1025])
@@ -310,82 +323,21 @@ def test_key_index_round_trips_every_swap_family_ledger(pulses):
             trajectory._index_key(index, pulses).check()
 
 
-def _scalar_bit_lane(cfg, protocol, sample_size, seed):
-    """The bit lane one row at a time in Python floats: each chunk's
-    uniforms redrawn as one row-major matrix from its own (seed, chunk)
-    stream, and each row walked interval by interval through
-    p_end = f + (b - f)*dec.  Returns the ledgers and the pulse sums."""
-    f1 = se.excited_population(cfg.beta1, cfg.omega1)
-    f2 = se.excited_population(cfg.beta2, cfg.omega2)
-    dec1 = math.exp(-cfg.gamma * (2.0 * se.bose_occupation(cfg.beta1, cfg.omega1) + 1.0)
-                    * protocol.tau2)
-    dec2 = math.exp(-cfg.gamma * (2.0 * se.bose_occupation(cfg.beta2, cfg.omega2) + 1.0)
-                    * protocol.tau2)
-    n_pulses = protocol.n_pulses
-    intervals = max(n_pulses, 1)
-    cols = 2 + 2 * intervals
-    chunk_rows = max(256, min(32768, (1 << 23) // cols))
-    ledgers = []
-    pulse_sums = [[0] * n_pulses, [0] * n_pulses]
-    for c in range(-(-sample_size // chunk_rows)):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, c))))
-        rows = min(chunk_rows, sample_size - c * chunk_rows)
-        for u in rng.random((rows, cols)).tolist():
-            b1 = b1_0 = int(u[0] < f1)
-            b2 = b2_0 = int(u[1] < f2)
-            h1 = h2 = n_w = 0
-            for k in range(intervals):
-                if k < n_pulses:
-                    m = b2 - b1
-                    n_w += m
-                    pulse_sums[0][k] += m
-                    pulse_sums[1][k] += m * m
-                    b1, b2 = b2, b1
-                e1 = int(u[2 + 2 * k] < f1 + (b1 - f1) * dec1)
-                e2 = int(u[3 + 2 * k] < f2 + (b2 - f2) * dec2)
-                h1 += b1 - e1
-                h2 += b2 - e2
-                b1, b2 = e1, e2
-            ledgers.append([h1, h2, b1 - b1_0, b2 - b2_0, n_w])
-    return ledgers, pulse_sums
-
-
-@pytest.mark.parametrize("pulses,samples", [
-    # chunks of 32768 rows, walked as one block; 33000 ends mid-chunk
-    (0, 33000), (1, 33000), (2, 33000), (7, 33000),
-    # several row blocks per chunk; 6000 ends mid-block
-    (100, 6000),
-    # 16384 pulses drop the chunk to its 256-row floor; 130 rows end mid-block
-    (16384, 130),
-])
-def test_bit_lane_equals_a_scalar_walk_bit_for_bit(pulses, samples):
-    proto = se.Protocol(pulses, 0.65 if pulses < 1000 else 0.01)
-    chunks = list(trajectory._bit_lane_chunks(CFG, proto, samples, seed=31))
-    pulse_sums = sum(sums for _, sums in chunks)
-    assert all(index.dtype == sums.dtype == np.int64 and index.ndim == 1
-               for index, sums in chunks)
-    assert pulse_sums.shape == (2, pulses)
-    want_ledgers, want_sums = _scalar_bit_lane(CFG, proto, samples, seed=31)
-    # the scalar walk counts the heats itself, so all five fields are pinned
-    want_ledgers = [se.LedgerKey(*row) for row in want_ledgers]
-    assert chain_rows(CFG, proto, samples, seed=31) == want_ledgers
-    assert pulse_sums.tolist() == want_sums
-    # record k does not depend on the sample size
-    fewer = samples // 3
-    assert chain_rows(CFG, proto, fewer, seed=31) == want_ledgers[:fewer]
-
-
 def _ledger_law(cfg, protocol):
-    """The exact law of the whole ledger, LedgerKey -> probability: every
-    pair of nonzero track cells, each ledger's index the sum of its two
-    cells' parts."""
-    laws = trajectory._track_laws(cfg, protocol).reshape(2, -1)
-    parts = trajectory._track_index_parts(protocol.n_pulses)
-    a, b = (np.flatnonzero(law) for law in laws)
-    index = (parts[0, a][:, None] + parts[1, b][None, :]).ravel()
+    """The exact law of the whole ledger, LedgerKey -> probability, from the
+    whole track laws: a pair of (initial, final) bit blocks, one per track,
+    fixes db1 and db2, and its n_w law is the convolution of the two
+    tracks' m laws.  A ledger's index is the sum of its two cells' parts,
+    which grow by 1 a cell."""
+    laws = trajectory._track_laws(cfg, protocol)
+    parts = trajectory._track_index_parts(protocol.n_pulses).reshape(laws.shape)
     law = Counter()
-    for i, p in zip(index.tolist(), np.outer(laws[0, a], laws[1, b]).ravel().tolist()):
-        law[trajectory._index_key(i, protocol.n_pulses)] += p
+    for a, b in itertools.product(np.ndindex(2, 2), repeat=2):
+        p = np.convolve(laws[0][a], laws[1][b])
+        base = parts[0][a][0] + parts[1][b][0]
+        for j, q in enumerate(p.tolist()):
+            if q:
+                law[trajectory._index_key(base + j, protocol.n_pulses)] += q
     return law
 
 
@@ -497,12 +449,14 @@ def test_track_law_mean_work_is_the_population_recursion(cfg, proto):
     assert mean_w == pytest.approx(_mean_work_by_populations(cfg, proto), rel=1e-12, abs=1e-14)
 
 
-@pytest.mark.parametrize("pulses", [0, 1, 2, 3, 7, 100])
+# 1025 is above the threshold: there the chain is held to the whole law,
+# which the Fourier window is held to below
+@pytest.mark.parametrize("pulses", [0, 1, 2, 3, 7, 100, 1025])
 def test_the_chain_draws_the_track_law(pulses):
-    # the law sampler stands on this: the chain, checked bit for bit against
-    # a scalar walk above, draws the track law; Pearson chi^2 over the
+    # the law sampler stands on this: a plain boundary-bit chain, which
+    # counts each heat itself, draws the track law; Pearson chi^2 over the
     # ledger keys, cells below 5 expected counts pooled into one
-    samples = 100_000
+    samples = 100_000 if pulses <= 100 else 20_000
     proto = se.Protocol(pulses, 0.65)
     law = _ledger_law(CFG, proto)
     observed = Counter(chain_rows(CFG, proto, samples, seed=61))
@@ -521,6 +475,39 @@ def test_the_chain_draws_the_track_law(pulses):
         chi2 += (pooled_observed - pooled_expected) ** 2 / pooled_expected
         cells += 1
     assert stats.chi2.sf(chi2, cells - 1) > 1e-3
+
+
+WINDOW_CONFIGS = [CFG, se.EngineConfig(0.5, 1.0, 1.0, 0.3, gamma=2.0)]
+
+
+@pytest.mark.parametrize("pulses", [1025, 2048, 4096])
+@pytest.mark.parametrize("tau2", [0.01, 0.65])
+@pytest.mark.parametrize("cfg", WINDOW_CONFIGS)
+def test_the_fourier_window_is_the_whole_law_on_every_cell(cfg, tau2, pulses):
+    proto = se.Protocol(pulses, tau2)
+    whole = trajectory._track_laws(cfg, proto)
+    window = trajectory._law_window(cfg, proto)
+    cells, starts = window
+    assert cells & (cells - 1) == 0 or cells == 2 * pulses + 3
+    assert cells <= 2 * pulses + 3
+    law = trajectory._track_laws(cfg, proto, window)
+    assert law.shape == (2, 2, 2, cells)
+    assert np.all(law >= 0.0)
+    m = np.arange(2 * pulses + 3) - (pulses + 1)
+    for track in (0, 1):
+        assert 0 <= starts[track] <= 2 * pulses + 3 - cells
+        cover = np.zeros_like(whole[track])
+        cover[..., starts[track]:starts[track] + cells] = law[track]
+        assert np.abs(cover - whole[track]).max() <= 1e-14
+        # a cell no track reaches is exactly 0 on both builds, so two
+        # tracks' cells never sum to |n_w| > N
+        reach = (-(pulses // 2) <= (2 * track - 1) * m) & ((2 * track - 1) * m <= -(-pulses // 2))
+        assert not cover[..., ~reach].any() and not whole[track][..., ~reach].any()
+        # the window is centred on the track's exact mean, within the law's cells
+        mean = whole[track].sum(axis=(0, 1)) @ m
+        centre = min(max(math.floor(mean) + pulses + 1 - cells // 2, 0), 2 * pulses + 3 - cells)
+        assert starts[track] == centre
+    assert trajectory._law_window(cfg, proto) == window
 
 
 # the generic gate starts each interval in a superposition, which the
@@ -554,19 +541,21 @@ def test_event_and_wavefunction_lanes_agree_on_jump_times(gate):
 
 
 def test_bit_and_event_lanes_draw_from_the_same_law():
-    proto = se.Protocol(n_pulses=3, tau2=0.5)
-    m = 4000
-    bits = [key.n_w for key in chain_rows(CFG, proto, m, seed=51)]
-    evs = [r.ledger.n_w for r in se.run_ensemble(CFG, proto, se.SwapFamily(),
-                                                 m, seed=52, engine="events")]
-    lo, hi = -3, 3  # clip tails so every expected cell count stays above 5
-    table = np.zeros((2, hi - lo + 1))
-    for row, sample in enumerate((bits, evs)):
-        for n in sample:
-            table[row, min(max(n, lo), hi) - lo] += 1
-    keep = table.sum(axis=0) > 0
-    res = stats.chi2_contingency(table[:, keep])
-    assert res.pvalue > 1e-3
+    # lo and hi clip the tails so every expected cell count stays above 5
+    for proto, m, lo, hi in (
+            (se.Protocol(n_pulses=3, tau2=0.5), 4000, -3, 3),
+            # on the Fourier window; short intervals keep the events lane quick
+            (se.Protocol(n_pulses=trajectory._LAW_MAX_PULSES + 1, tau2=0.01), 1000, -5, 5)):
+        bits = [key.n_w for key in folded_rows(CFG, proto, m, seed=51)]
+        evs = [r.ledger.n_w for r in se.run_ensemble(CFG, proto, se.SwapFamily(),
+                                                     m, seed=52, engine="events")]
+        table = np.zeros((2, hi - lo + 1))
+        for row, sample in enumerate((bits, evs)):
+            for n in sample:
+                table[row, min(max(n, lo), hi) - lo] += 1
+        keep = table.sum(axis=0) > 0
+        res = stats.chi2_contingency(table[:, keep])
+        assert res.pvalue > 1e-3
 
 
 def test_generic_gate_records_are_unquantized_but_conserving():
@@ -679,3 +668,19 @@ def test_per_pulse_transfer_moments_match_the_relaxed_swap_mean():
     again, _ = se.per_pulse_transfer_moments(CFG, se.Protocol(3, tau2),
                                              sample_size=20000, seed=2)
     assert np.array_equal(means, again)
+
+
+def test_per_pulse_transfer_moments_follow_the_population_recursion():
+    # short intervals leave each qubit's population short of its bath's, so
+    # pulse k moves p2 - p1 quanta on average with the pulse-to-pulse
+    # populations of _mean_work_by_populations
+    means, ses = se.per_pulse_transfer_moments(CFG, se.Protocol(6, 0.3),
+                                               sample_size=200_000, seed=8)
+    f = [se.excited_population(CFG.beta1, CFG.omega1),
+         se.excited_population(CFG.beta2, CFG.omega2)]
+    dec = [math.exp(-CFG.gamma * (2.0 * se.bose_occupation(beta, omega) + 1.0) * 0.3)
+           for beta, omega in ((CFG.beta1, CFG.omega1), (CFG.beta2, CFG.omega2))]
+    p1, p2 = f
+    for mean, s in zip(means, ses):
+        assert abs(mean - (p2 - p1)) < 4.0 * s
+        p1, p2 = f[0] + (p2 - f[0]) * dec[0], f[1] + (p1 - f[1]) * dec[1]
