@@ -358,6 +358,7 @@ def _simulate(rc: RunConfig, staged: Path | None) -> int:
         tables.append(("log_ratio.csv", ("n_w", "log_ratio", "std_error"),
                        list(ratio.points)))
     summary_text = _json_text(_stats_summary(rc, stats, ratio, dist, lane))
+    top, share = stats.integral_ft_top_share
     out.mkdir(parents=True, exist_ok=True)
     if staged is not None and (out / "events").exists():   # an earlier run's logs
         for log in staged.iterdir():
@@ -368,6 +369,10 @@ def _simulate(rc: RunConfig, staged: Path | None) -> int:
         _write_csv(out / name, header, rows)
     summary_path = out / "summary.json"
     summary_path.write_text(summary_text + "\n", encoding="utf-8", newline="\n")
+    if share > 0.5:
+        print(f"warning: the integral-FT estimate rests on one ledger, {top}, which "
+              f"carries {share:.0%} of its weight sum; its standard error does not bound "
+              "how far the estimate is from 1", file=sys.stderr)
     print(summary_text if v["json"] else str(summary_path))
     return 0
 

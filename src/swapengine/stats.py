@@ -174,15 +174,27 @@ class EnsembleStats:
             + 2.0 * p.omega1 * p.omega2 * cov
         return mean, math.sqrt(max(var, 0.0) / n)
 
+    def _ft_weight(self, k: LedgerKey) -> float:
+        """A ledger's integral-FT weight, exp((beta2-beta1)*dE1 - beta2*w)."""
+        p = self.params.cfg
+        e = k.energetics(p.omega1, p.omega2)
+        return math.exp((p.beta2 - p.beta1) * e.dE1 - p.beta2 * e.w)
+
     @property
     def integral_ft_estimate(self) -> tuple[float, float | None]:
-        """Mean of exp((beta2-beta1)*dE1 - beta2*w) with its standard error."""
-        p = self.params.cfg
+        """Mean of the integral-FT weight with its standard error."""
+        return self._mean_se(*self._moments(self._ft_weight), 1.0)
 
-        def weight(k: LedgerKey) -> float:
-            e = k.energetics(p.omega1, p.omega2)
-            return math.exp((p.beta2 - p.beta1) * e.dE1 - p.beta2 * e.w)
-        return self._mean_se(*self._moments(weight), 1.0)
+    @property
+    def integral_ft_top_share(self) -> tuple[LedgerKey, float]:
+        """The ledger that carries the largest share of the integral-FT
+        weight sum, and that share (0 when every weight underflows).  Where
+        one ledger carries most of the sum, the estimate rests on how often
+        that one ledger was drawn, which its standard error cannot see."""
+        terms = {k: c * self._ft_weight(k) for k, c in self.counts.items()}
+        top = max(terms, key=terms.get)
+        total = sum(terms.values())
+        return top, terms[top] / total if total else 0.0
 
     @property
     def hist_nw(self) -> Counter:
@@ -221,18 +233,21 @@ def fold_ensemble(cfg: EngineConfig, protocol: Protocol, gate_spec: GateSpec,
 
     This is the only way into the bit lane, which names each row by its
     ledger's integer index: np.unique counts each chunk's distinct indices,
-    each is decoded to its LedgerKey once, and no per-trajectory record is
-    built, so the counts are the Counter of the rows' LedgerKeys.  The
-    events lane is accumulate(run_ensemble(...))."""
+    the chunks' counts are summed by index, each distinct index is decoded
+    to its LedgerKey once per run, and no per-trajectory record is built,
+    so the counts are the Counter of the rows' LedgerKeys.  The events lane
+    is accumulate(run_ensemble(...))."""
     if pick_lane(gate_spec, keep_events=False) != "bits":
         return accumulate(run_ensemble(cfg, protocol, gate_spec, sample_size, seed))
     if sample_size < 1:
         raise ConfigError(f"sample_size must be at least 1, got {sample_size}")
     stats = EnsembleStats(params=RunParams(cfg, protocol, gate_spec))
+    tally: Counter = Counter()
     for index in _bit_lane_ledgers(cfg, protocol, sample_size, seed):
         keys, counts = np.unique(index, return_counts=True)
-        for key, count in zip(keys.tolist(), counts.tolist()):
-            stats._insert(_index_key(key, protocol.n_pulses), count)
+        tally.update(dict(zip(keys.tolist(), counts.tolist())))
+    for index, count in tally.items():
+        stats._insert(_index_key(index, protocol.n_pulses), count)
     return stats
 
 

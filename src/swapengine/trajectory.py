@@ -29,10 +29,11 @@ Three engines realize the same trajectory law:
             pulse swaps the occupation bits and each qubit relaxes in its
             own bath, so the ledger is the sum of two independent excitation
             tracks, and at every pulse count each row is drawn from the
-            tracks' exact law with two uniforms.  It names each row by one
-            integer, its _key_index, since db1, db2 and n_w fix a swap run's
-            heats.  The lane makes no records: stats.fold_ensemble counts
-            each chunk's indices.
+            tracks' exact law with two uniforms, each inverted on its
+            track's cumulative law through a guide table, which returns the
+            binary search's cell.  It names each row by one integer, its
+            _key_index, since db1, db2 and n_w fix a swap run's heats.  The
+            lane makes no records: stats.fold_ensemble counts the indices.
 
 Every engine keeps each run's integer ledger as one LedgerKey, and
 derives trajectory k's random stream from (seed, stream index) with a
@@ -491,9 +492,16 @@ def _bit_propagator(cfg: EngineConfig, tau2: float) -> tuple[tuple[float, float,
 # 100 pulses and 2.3 ms at 1024, but O(N^2), 37 ms at 4096 and 0.37 s at
 # 16384.  Above it the walk is raised on a Fourier window around each
 # track's mean (_law_window), exact to about 1e-15 in absolute terms only:
-# 7 ms at 10^4 pulses and 0.08 s at 10^6 (2-core x86-64).
+# 7 ms at 10^4 pulses and 0.08 s at 10^6 (2-core x86-64).  Either way each
+# uniform is inverted through the track's guide table of _GUIDE_BINS bins
+# (_guide, built in about 0.05 ms on 812 cells and 0.4 ms on a 16384-cell
+# window): 0.1-0.3 ms per track and chunk of 2**15 rows at 100 pulses, where
+# a binary search over the cells takes 2 ms; about 2.5% of the uniforms fall
+# in a bin that straddles a cell edge at 100 pulses, and 20% on the window
+# at 10^4 pulses, and only those are searched.
 _LAW_MAX_PULSES = 1024
 _LAW_CHUNK_ROWS = 1 << 15
+_GUIDE_BINS = 1 << 12   # a power of 2, so u*_GUIDE_BINS is exact
 
 
 def _interval(odds: tuple[float, float, float], shift: int) -> np.ndarray:
@@ -646,6 +654,31 @@ def _track_index_parts(n_pulses: int,
     return parts
 
 
+def _guide(cdf: np.ndarray) -> np.ndarray:
+    """The guide table of a cumulative law (Chen & Asau, AIIE Trans. 6, 163
+    (1974)) for _invert: entry b is the cell that every uniform in
+    [b, b + 1)/_GUIDE_BINS inverts to, or -1 where the bin straddles a cell
+    edge.  at[b] = cdf.searchsorted(fl(b/K*cdf[-1]), "right") for
+    b = 0..K, K = _GUIDE_BINS, is built from one search of the cells among
+    the K + 1 bin edges."""
+    edges = np.arange(_GUIDE_BINS + 1) / _GUIDE_BINS * cdf[-1]
+    at = np.cumsum(np.bincount(edges.searchsorted(cdf), minlength=_GUIDE_BINS + 2))
+    return np.where(at[:-2] == at[1:-1], at[:-2], -1)
+
+
+def _invert(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """cdf.searchsorted(u*cdf[-1], side="right") for uniforms u in [0, 1),
+    read off the guide table.  b = floor(u*K) is exact, K being a power of 2,
+    and scaling by cdf[-1] and rounding are monotone, so fl(u*cdf[-1]) lies
+    between bin b's two edges as rounded in _guide: where those invert to
+    one cell that is the answer, and only the uniforms whose bin straddles a
+    cell edge are searched."""
+    cell = guide[(u * _GUIDE_BINS).astype(np.intp)]
+    odd = np.flatnonzero(cell < 0)
+    cell[odd] = cdf.searchsorted(u[odd] * cdf[-1], side="right")
+    return cell
+
+
 def _bit_lane_ledgers(
     cfg: EngineConfig,
     protocol: Protocol,
@@ -657,19 +690,22 @@ def _bit_lane_ledgers(
 
     Chunk c holds rows [c*2**15, ...) and draws rng.random((rows, 2)) from
     the start of its own (seed, c) stream.  Column 0 picks track A's cell
-    and column 1 track B's, each by inverting the track's cumulative law on
-    u*cdf[-1] (the law sums to 1 only to rounding).  The law's cells
-    (_law_window) depend on (cfg, protocol) alone, so row k is a function
-    of (seed, k, protocol).
+    and column 1 track B's, each the cell cdf.searchsorted(u*cdf[-1],
+    side="right") of the track's cumulative law (which sums to 1 only to
+    rounding), found by _invert through the track's guide table, built
+    once per run: one lookup, and a binary search only for the uniforms
+    whose guide bin straddles a cell edge.  The law's cells (_law_window)
+    depend on (cfg, protocol) alone, so row k is a function of
+    (seed, k, protocol).
     """
     window = _law_window(cfg, protocol)
     cdfs = np.cumsum(_track_laws(cfg, protocol, window).reshape(2, -1), axis=1)
+    guides = [_guide(cdf) for cdf in cdfs]
     parts = _track_index_parts(protocol.n_pulses, window)
     for c in range(-(-sample_size // _LAW_CHUNK_ROWS)):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, c))))
         u = rng.random((min(_LAW_CHUNK_ROWS, sample_size - c * _LAW_CHUNK_ROWS), 2))
-        cells = [cdf.searchsorted(u[:, t] * cdf[-1], side="right")
-                 for t, cdf in enumerate(cdfs)]
+        cells = [_invert(cdf, guide, u[:, t]) for t, (cdf, guide) in enumerate(zip(cdfs, guides))]
         yield parts[0, cells[0]] + parts[1, cells[1]]
 
 

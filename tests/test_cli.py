@@ -142,6 +142,30 @@ def test_simulate_json_mode_prints_the_summary(capsys, monkeypatch, tmp_path):
     assert printed == on_disk
 
 
+def test_simulate_warns_when_one_ledger_carries_the_integral_ft_estimate(capsys, monkeypatch,
+                                                                       tmp_path):
+    # at 10^4 pulses the weight exp(-(beta2*omega2 - beta1*omega1)*n_w) sits
+    # on trajectories far in the tail: one of the 10^4 drawn carries most of
+    # the weight sum, and the estimate lies many of its own errors below 1
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["simulate", "--pulses", "10000", "--samples", "10000",
+                     "--out-dir", "long"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert "rests on one ledger, LedgerKey(" in lines[0]
+    assert "standard error does not bound" in lines[0]
+    value, std_err = _strict_json((tmp_path / "long" / "summary.json").read_text())["integral_ft"]
+    assert value + 100.0 * std_err < 1.0
+    # the benchmark's ensemble run, 10^5 trajectories of 100 pulses at the
+    # working point, draws no such ledger
+    working_point = ["--beta1", repr(2.0 / 3.0), "--beta2", "1.0", "--omega1", "1.0",
+                     "--omega2", repr(5.0 / 6.0), "--gamma", "1.0"]
+    for seed in (1, 2, 3):
+        assert cli.main(["simulate", *working_point, "--pulses", "100", "--tau2", "0.65",
+                         "--samples", "100000", "--seed", str(seed), "--out-dir", "sim"]) == 0
+        assert capsys.readouterr().err == ""
+
+
 @settings(derandomize=True, database=None, deadline=None)
 @given(gate=st.sampled_from(("swap", "iswap", GENERIC)), emit_logs=st.booleans(),
        samples=st.integers(1, 20), pulses=st.integers(0, 4),

@@ -280,6 +280,24 @@ def test_integral_ft_matches_explicit_leave_one_out_jackknife():
     assert std_err == pytest.approx(jk_se, rel=1e-10)
 
 
+def test_integral_ft_top_share_is_the_largest_weight_over_the_weight_sum():
+    proto = se.Protocol(n_pulses=10, tau2=0.65)
+    st = se.fold_ensemble(CFG, proto, se.SwapFamily(), 1500, seed=16)
+    terms = {}
+    for key, count in st.counts.items():
+        e = key.energetics(CFG.omega1, CFG.omega2)
+        terms[key] = count * math.exp((CFG.beta2 - CFG.beta1) * e.dE1 - CFG.beta2 * e.w)
+    top, share = st.integral_ft_top_share
+    assert terms[top] == max(terms.values())
+    assert share == pytest.approx(terms[top] / sum(terms.values()), rel=1e-12)
+    # a weight sum that underflows to 0 gives a share of 0, not a division by 0:
+    # the weight is exp(-(beta1*omega1 - beta2*omega2)*n_w) = exp(-1398)
+    cold = se.EngineConfig(1.0, 700.0, 1.0, 1.0)
+    st = se.EnsembleStats(params=se.RunParams(cold, proto, se.SwapFamily()))
+    st.counts[se.LedgerKey(-2, 2, 0, 0, -2)] = 3
+    assert st.integral_ft_top_share == (se.LedgerKey(-2, 2, 0, 0, -2), 0.0)
+
+
 def test_efficiency_distribution_structure_and_modal_bin():
     records = HAND_RECORDS + [_rec(0, 0, db1=-1, db2=1)]
     dist = se.efficiency_distribution(se.accumulate(records))

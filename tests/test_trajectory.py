@@ -9,8 +9,8 @@ must agree record for record.  The bit lane draws its rows from the exact
 law of two excitation tracks, convolved whole up to a pulse threshold and
 built on a Fourier window above it; the law is checked against every
 boundary-bit path, the fluctuation relations and the mean-population
-recursion, the window against the whole law, and a plain boundary-bit
-chain against the law.
+recursion, the window against the whole law, the guide-table inversion
+against the binary search, and a plain boundary-bit chain against the law.
 """
 
 from __future__ import annotations
@@ -300,6 +300,30 @@ def test_the_bit_lane_draws_from_the_track_law_up_to_its_threshold():
                     for t, cdf in enumerate(cdfs)) for row in u]
         rows = np.concatenate(list(trajectory._bit_lane_ledgers(CFG, proto, 40, 3)))
         assert rows.tolist() == want
+
+
+GUIDE_LAWS = [(CFG, pulses) for pulses in (0, 1, 100, 1024, 1025, 10000)] + [
+    (se.EngineConfig(0.05, 30.0, 1.0, 0.5), 100),   # runs of exactly-zero cells
+]
+
+
+@pytest.mark.parametrize("cfg, pulses", GUIDE_LAWS)
+def test_the_guide_table_inverts_as_the_binary_search(cfg, pulses):
+    # on the whole law and on the Fourier window, at the uniforms nearest a
+    # guide bin's edges or a cell's: 0 and the largest float below 1, every
+    # bin edge b/K and the float below it, and every cdf[i]/cdf[-1] with its
+    # two float neighbours
+    proto = se.Protocol(pulses, 0.65)
+    window = trajectory._law_window(cfg, proto)
+    assert (window is None) == (pulses <= trajectory._LAW_MAX_PULSES)
+    edges = np.arange(trajectory._GUIDE_BINS) / trajectory._GUIDE_BINS
+    for cdf in np.cumsum(trajectory._track_laws(cfg, proto, window).reshape(2, -1), axis=1):
+        ratio = cdf / cdf[-1]
+        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], edges, np.nextafter(edges, 0.0),
+                            ratio, np.nextafter(ratio, 0.0), np.nextafter(ratio, 1.0)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        assert (trajectory._invert(cdf, trajectory._guide(cdf), u).tolist()
+                == cdf.searchsorted(u * cdf[-1], side="right").tolist())
 
 
 @pytest.mark.parametrize("pulses", [0, 1, 2, 7, 1024, 1025])
