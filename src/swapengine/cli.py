@@ -34,7 +34,7 @@ import numpy as np
 from .eventlog import ParseError, parse_events, write_events
 from .gates import ISWAP, Generic, GateSpec, SwapFamily, optimize_gate
 from .stats import (ETA_BIN_WIDTH, EfficiencyDistribution, EnsembleStats, FtLogRatio,
-                    PowerScanRow, check_eta_bins, check_swap_family,
+                    IntegralFt, PowerScanRow, check_eta_bins, check_swap_family,
                     efficiency_distribution, fold_ensemble, ft_log_ratio, power_scan,
                     reconstruct_from_events)
 from .thermo import (ConfigError, EngineConfig, classify_regime, efficiencies,
@@ -283,14 +283,14 @@ def _eta_mp_scan(cfg: EngineConfig, scan: str) -> list[dict]:
     return rows
 
 
-def _stats_summary(rc: RunConfig, stats: EnsembleStats, ratio: FtLogRatio | None,
-                   dist: EfficiencyDistribution | None, lane: str) -> dict:
+def _stats_summary(rc: RunConfig, stats: EnsembleStats, ift: IntegralFt,
+                   ratio: FtLogRatio | None, dist: EfficiencyDistribution | None,
+                   lane: str) -> dict:
     mean_dE1, se_dE1 = stats.mean_dE1
     mean_dE2, se_dE2 = stats.mean_dE2
     mean_w, se_w = stats.mean_w
     mean_q1, se_q1 = stats.mean_q1
     mean_q2, se_q2 = stats.mean_q2
-    ift, ift_se = stats.integral_ft_estimate
     return {
         "config": rc.echo(),
         "engine_lane": lane,
@@ -299,7 +299,7 @@ def _stats_summary(rc: RunConfig, stats: EnsembleStats, ratio: FtLogRatio | None
             "dE1": [mean_dE1, se_dE1], "dE2": [mean_dE2, se_dE2],
             "w": [mean_w, se_w], "q1": [mean_q1, se_q1], "q2": [mean_q2, se_q2],
         },
-        "integral_ft": [ift, ift_se],
+        "integral_ft": [ift.mean, ift.std_err],
         "log_ratio_slope": None if ratio is None else [ratio.slope, ratio.slope_se],
         "eta_infinite": None if dist is None else dist.infinite,
         "eta_undefined": None if dist is None else dist.undefined,
@@ -357,8 +357,8 @@ def _simulate(rc: RunConfig, staged: Path | None) -> int:
     if ratio is not None:
         tables.append(("log_ratio.csv", ("n_w", "log_ratio", "std_error"),
                        list(ratio.points)))
-    summary_text = _json_text(_stats_summary(rc, stats, ratio, dist, lane))
-    top, share = stats.integral_ft_top_share
+    ift = stats.integral_ft
+    summary_text = _json_text(_stats_summary(rc, stats, ift, ratio, dist, lane))
     out.mkdir(parents=True, exist_ok=True)
     if staged is not None and (out / "events").exists():   # an earlier run's logs
         for log in staged.iterdir():
@@ -369,9 +369,9 @@ def _simulate(rc: RunConfig, staged: Path | None) -> int:
         _write_csv(out / name, header, rows)
     summary_path = out / "summary.json"
     summary_path.write_text(summary_text + "\n", encoding="utf-8", newline="\n")
-    if share > 0.5:
-        print(f"warning: the integral-FT estimate rests on one ledger, {top}, which "
-              f"carries {share:.0%} of its weight sum; its standard error does not bound "
+    if ift.share > 0.5:
+        print(f"warning: the integral-FT estimate rests on one ledger, {ift.top}, which "
+              f"carries {ift.share:.0%} of its weight sum; its standard error does not bound "
               "how far the estimate is from 1", file=sys.stderr)
     print(summary_text if v["json"] else str(summary_path))
     return 0

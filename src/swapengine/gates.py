@@ -14,8 +14,8 @@ Mean energetics of a gate acting on the product Gibbs state depend only on
 the doubly stochastic matrix B = |U_jk|^2, so every member of the swap family
 moves the same average energy, and a linear objective peaks at a vertex of the
 Birkhoff polytope: one of the 24 permutation gates (Birkhoff-von Neumann).
-Enumerating them gives the exact optimum, which is the swap for a heat engine
-(Campisi, Pekola & Fazio, NJP 17, 035012 (2015)).
+Evaluating them all at once gives the exact optimum, which is the swap for a
+heat engine (Campisi, Pekola & Fazio, NJP 17, 035012 (2015)).
 """
 
 from __future__ import annotations
@@ -142,11 +142,17 @@ def _centered_populations(cfg: EngineConfig) -> np.ndarray:
     return 0.5 * (s[:, 0] * u1 + s[:, 1] * u2) + s[:, 0] * s[:, 1] * (u1 * u2)
 
 
-def _energetics(b: np.ndarray, q: np.ndarray, cfg: EngineConfig) -> MeanEnergetics:
-    """Mean energetics of the transfer matrix b = |U|^2 acting on the
-    centered populations q: B p - p ignores a constant shift of p."""
-    dq1, dq2 = (b @ q - q) @ _BITS   # each qubit's change of excited population
-    dE1, dE2 = cfg.omega1 * float(dq1), cfg.omega2 * float(dq2)
+def _energy_changes(b: np.ndarray, q: np.ndarray, cfg: EngineConfig) -> np.ndarray:
+    """(dE1, dE2) along the last axis for the transfer matrix b = |U|^2, or a
+    stack of them, acting on the centered populations q: B p - p ignores a
+    constant shift of p."""
+    # each qubit's change of excited population, times its level spacing
+    return (b @ q - q) @ _BITS * (cfg.omega1, cfg.omega2)
+
+
+def _energetics(de: np.ndarray) -> MeanEnergetics:
+    """MeanEnergetics of one (dE1, dE2) row of _energy_changes."""
+    dE1, dE2 = de.tolist()
     return MeanEnergetics(dE1=dE1, dE2=dE2, w=dE1 + dE2)
 
 
@@ -158,7 +164,7 @@ def mean_energetics_for_gate(U: Unitary4 | np.ndarray, cfg: EngineConfig) -> Mea
     |U_jk|^2, so p'_j = sum_k B_jk p_k.
     """
     m = U.entries if isinstance(U, Unitary4) else Unitary4(np.asarray(U, dtype=complex)).entries
-    return _energetics(np.abs(m) ** 2, _centered_populations(cfg), cfg)
+    return _energetics(_energy_changes(np.abs(m) ** 2, _centered_populations(cfg), cfg))
 
 
 @dataclass(frozen=True)
@@ -175,26 +181,45 @@ class GateOptimum:
         return -self.optimum.w
 
 
+def _corners() -> list[tuple[tuple[float, ...], tuple[int, ...]]]:
+    """The 64 angle vectors with all phases 0 and each Givens mixing angle 0
+    or pi/2, each with its basis permutation: column c of |U|^2 is basis
+    state cols[c].  At pi/2 the factor on pair (j, k) swaps columns j and k,
+    up to sign and terms of about 6e-17, so the permutation is the product of
+    those index transpositions in _PAIRS order."""
+    corners = []
+    for thetas in itertools.product((0.0, math.pi / 2), repeat=6):
+        cols = [0, 1, 2, 3]
+        for (j, k), th in zip(_PAIRS, thetas):
+            if th:
+                cols[j], cols[k] = cols[k], cols[j]
+        corners.append(((0.0,) * 3 + thetas + (0.0,) * 6, tuple(cols)))
+    return corners
+
+
 def optimize_gate(cfg: EngineConfig) -> GateOptimum:
     """Exact maximum of the mean work output over every two-qubit gate.
 
-    With all phases 0 and each Givens mixing angle 0 or pi/2, the 64 angle
-    vectors give |U|^2 within 1e-30 of the 24 permutation matrices; the first
-    maximum in that order wins.  gap_to_swap is the amount by which the
-    swap's work output exceeds the winner's, 0 when the swap wins.
+    The 64 _corners reach all 24 permutation matrices; each corner's |U|^2
+    is taken as its exact 0/1 permutation matrix, and all 64 go through
+    _energy_changes in one batch, built without a complex matrix.  The first
+    maximum in corner order wins.  For an exact permutation B, B q is q
+    permuted without rounding, and each column of _BITS sums two entries, so
+    the winner and its energetics are those of the Givens products, whose
+    off-permutation terms fall below half an ulp.  gap_to_swap is the amount
+    by which the swap's work output exceeds the winner's, 0 when the swap
+    wins.
     """
     if classify_regime(cfg) is not Regime.HEAT_ENGINE:
         raise ConfigError("gate optimization targets heat-engine configurations")
-    q = _centered_populations(cfg)
-    best: MeanEnergetics | None = None
-    best_angles: tuple[float, ...] = ()
-    for thetas in itertools.product((0.0, math.pi / 2), repeat=6):
-        angles = (0.0,) * 3 + thetas + (0.0,) * 6
-        me = _energetics(np.abs(_generic_matrix(angles)) ** 2, q, cfg)
-        if best is None or me.w < best.w:
-            best, best_angles = me, angles
-    swap = _energetics(np.eye(4)[list(SWAP_PERMUTATION)], q, cfg)
-    return GateOptimum(best_angles=best_angles, optimum=best, gap_to_swap=best.w - swap.w)
+    angles, cols = zip(*_corners())
+    # the corners' permutation matrices, then the swap's, as the last one
+    b = np.eye(4)[[*cols, SWAP_PERMUTATION]].transpose(0, 2, 1)
+    de = _energy_changes(b, _centered_populations(cfg), cfg)
+    n = int(np.argmin(de[:-1, 0] + de[:-1, 1]))
+    best = _energetics(de[n])
+    return GateOptimum(best_angles=angles[n], optimum=best,
+                       gap_to_swap=best.w - _energetics(de[-1]).w)
 
 
 def fit_to_matrix(target: np.ndarray) -> tuple[tuple[float, ...], float]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,6 +72,20 @@ def check_swap_family(gate_spec: GateSpec, task: str, hint: str = "") -> None:
     if not isinstance(gate_spec, SwapFamily):
         raise ConfigError(f"{task} needs a swap-family gate, since a generic gate "
                           f"has no work lattice{hint}")
+
+
+class IntegralFt(NamedTuple):
+    """The integral-FT estimate: the mean of the weight
+    exp((beta2-beta1)*dE1 - beta2*w) with its standard error, and the ledger
+    that carries the largest share of the weight sum, with that share (0
+    when every weight underflows).  Where one ledger carries most of the
+    sum, the estimate rests on how often that one ledger was drawn, which
+    its standard error cannot see."""
+
+    mean: float
+    std_err: float | None
+    top: LedgerKey
+    share: float
 
 
 @dataclass
@@ -174,27 +188,21 @@ class EnsembleStats:
             + 2.0 * p.omega1 * p.omega2 * cov
         return mean, math.sqrt(max(var, 0.0) / n)
 
-    def _ft_weight(self, k: LedgerKey) -> float:
-        """A ledger's integral-FT weight, exp((beta2-beta1)*dE1 - beta2*w)."""
+    @property
+    def integral_ft(self) -> IntegralFt:
+        """The IntegralFt of the records, from one walk over the sorted
+        keys, which sums the weights as _moments does."""
         p = self.params.cfg
-        e = k.energetics(p.omega1, p.omega2)
-        return math.exp((p.beta2 - p.beta1) * e.dE1 - p.beta2 * e.w)
-
-    @property
-    def integral_ft_estimate(self) -> tuple[float, float | None]:
-        """Mean of the integral-FT weight with its standard error."""
-        return self._mean_se(*self._moments(self._ft_weight), 1.0)
-
-    @property
-    def integral_ft_top_share(self) -> tuple[LedgerKey, float]:
-        """The ledger that carries the largest share of the integral-FT
-        weight sum, and that share (0 when every weight underflows).  Where
-        one ledger carries most of the sum, the estimate rests on how often
-        that one ledger was drawn, which its standard error cannot see."""
-        terms = {k: c * self._ft_weight(k) for k, c in self.counts.items()}
-        top = max(terms, key=terms.get)
-        total = sum(terms.values())
-        return top, terms[top] / total if total else 0.0
+        s = ss = top_term = 0
+        top = None
+        for k, c in sorted(self.counts.items()):
+            e = k.energetics(p.omega1, p.omega2)
+            v = math.exp((p.beta2 - p.beta1) * e.dE1 - p.beta2 * e.w)
+            s += c * v
+            ss += c * v * v
+            if top is None or c * v > top_term:
+                top, top_term = k, c * v
+        return IntegralFt(*self._mean_se(s, ss, 1.0), top, top_term / s if s else 0.0)
 
     @property
     def hist_nw(self) -> Counter:

@@ -39,13 +39,16 @@ Every engine keeps each run's integer ledger as one LedgerKey, and
 derives trajectory k's random stream from (seed, stream index) with a
 counter-based generator, so record k is independent of the sample size and
 reruns are bit-identical.  The events and mcwf lanes draw the same uniforms
-in the same order, so they make the same records jump for jump.
+in the same order, so they make the same records jump for jump; they read
+each trajectory's stream in blocks (_BufferedUniforms), which hand out the
+same uniforms as one call per uniform.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -233,6 +236,38 @@ def _channel_rates(rates: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return rates * np.array([p1, 1.0 - p1, p2, 1.0 - p2])
 
 
+# uniforms a jump-lane trajectory reads from its stream at a time; a
+# 25-pulse trajectory at the working point takes about 130
+_UNIFORM_BLOCK = 64
+
+
+class _BufferedUniforms:
+    """One trajectory's generator, read _UNIFORM_BLOCK uniforms at a time.
+
+    random() returns what the generator's own random() calls would, in the
+    same order, since a generator's random(n) reads the same stream as n
+    calls of random(); one block and its tolist() cost about as much as a
+    few scalar calls.  The buffer runs ahead of the generator, so only a
+    generator that nothing else reads may be wrapped: run_ensemble wraps
+    each trajectory's own.
+    """
+
+    __slots__ = ("random",)
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.random = chain.from_iterable(
+            map(np.ndarray.tolist, map(rng.random, repeat(_UNIFORM_BLOCK)))).__next__
+
+
+def _born_draw(pops: np.ndarray, u: float) -> int:
+    """The basis index a measurement of normalized populations pops finds,
+    for u uniform: Generator.choice(4, p=pops)'s own algorithm, which reads
+    one uniform."""
+    cdf = np.cumsum(pops)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, side="right"))
+
+
 def _basis_index(amps: np.ndarray) -> int | None:
     """Index of the one basis state the amplitudes occupy (all others below
     1e-12 in modulus), or None for a superposition."""
@@ -240,8 +275,9 @@ def _basis_index(amps: np.ndarray) -> int | None:
     return int(nz[0]) if len(nz) == 1 else None
 
 
-def sample_initial_state(cfg: EngineConfig, rng: np.random.Generator) -> int:
-    """Draw a joint basis index from the product Gibbs distribution."""
+def sample_initial_state(cfg: EngineConfig, rng: np.random.Generator | _BufferedUniforms) -> int:
+    """Draw a joint basis index from the product Gibbs distribution, with
+    two uniforms from rng."""
     b1 = rng.random() < excited_population(cfg.beta1, cfg.omega1)
     b2 = rng.random() < excited_population(cfg.beta2, cfg.omega2)
     return 3 - 2 * int(b1) - int(b2)
@@ -294,7 +330,7 @@ def _relax_basis(
     t: float,
     duration: float,
     t_start: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | _BufferedUniforms,
     relax: _Relaxation,
     events: list[TrajectoryEvent] | None,
     heat: list[int],
@@ -334,7 +370,7 @@ def _relax_amplitudes(
     amps: np.ndarray,
     duration: float,
     t_start: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | _BufferedUniforms,
     relax: _Relaxation,
     events: list[TrajectoryEvent] | None,
     heat: list[int],
@@ -422,11 +458,12 @@ def _ensemble(cfg: EngineConfig, protocol: Protocol, gate_spec: GateSpec) -> _En
 
 def _trajectory(
     ens: _Ensemble,
-    rng: np.random.Generator,
+    rng: np.random.Generator | _BufferedUniforms,
     keep_events: bool,
     eigenstate_shortcut: bool,
 ) -> TrajectoryRecord:
-    """Simulate one full run on the shared constants of its ensemble.
+    """Simulate one full run on the shared constants of its ensemble, with
+    the uniforms of rng.
 
     Samples the initial eigenstate, alternates pulse and relaxation interval
     n_pulses times (a single bare interval when n_pulses = 0), measures the
@@ -466,7 +503,7 @@ def _trajectory(
     if idx_f is None:
         pops = np.abs(state) ** 2
         pops = pops / pops.sum()
-        idx_f = int(rng.choice(4, p=pops))
+        idx_f = _born_draw(pops, rng.random())
     ledger = LedgerKey(heat[0], heat[1], BASIS_BITS[idx_f][0] - BASIS_BITS[idx0][0],
                        BASIS_BITS[idx_f][1] - BASIS_BITS[idx0][1], n_w)
     return TrajectoryRecord(ens.params, ledger, None if events is None else tuple(events))
@@ -740,10 +777,9 @@ def run_ensemble(
             f"over a run time of {protocol.total_time!r}")
     ens = _ensemble(cfg, protocol, gate_spec)
     shortcut = engine == "events"
-    return (_trajectory(
-                ens, np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, k)))),
-                keep_events, shortcut)
-            for k in range(sample_size))
+    streams = (np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, k))))
+               for k in range(sample_size))
+    return (_trajectory(ens, _BufferedUniforms(rng), keep_events, shortcut) for rng in streams)
 
 
 def per_pulse_transfer_moments(

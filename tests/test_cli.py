@@ -706,8 +706,10 @@ sys.path.insert(0, sys.argv[1])
 from swapengine.cli import main
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
-    for argv in (["analytic", "--json"], ["opt-gate"],
-                 ["simulate", "--samples", "3", "--pulses", "1024", "--out-dir", "bits"],
+    for argv in (["analytic", "--json"], ["opt-gate"]):
+        codes.append(main(argv))
+    random_loaded = "numpy.random" in sys.modules
+    for argv in (["simulate", "--samples", "3", "--pulses", "1024", "--out-dir", "bits"],
                  ["simulate", "--samples", "3", "--pulses", "2", "--emit-logs",
                   "--out-dir", "sim"]):
         codes.append(main(argv))
@@ -715,7 +717,8 @@ with contextlib.redirect_stdout(io.StringIO()):
                   for f in os.listdir(os.path.join("sim", "events")))
     codes.append(main(["analyze", *logs, "--pulses", "2", "--out-dir", "ana"]))
 print(json.dumps([codes, sorted(m for m in sys.modules
-                                if m.split(".")[0] == "scipy"), "numpy.fft" in sys.modules]))
+                                if m.split(".")[0] == "scipy"), "numpy.fft" in sys.modules,
+                  random_loaded]))
 """
 
 
@@ -726,12 +729,15 @@ def test_cli_runs_import_no_scipy(tmp_path):
     run = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, src],
                          capture_output=True, text=True, cwd=tmp_path)
     assert run.returncode == 0, run.stderr
-    codes, scipy_modules, fft_loaded = json.loads(run.stdout)
+    codes, scipy_modules, fft_loaded, random_loaded = json.loads(run.stdout)
     assert codes == [0, 0, 0, 0, 0]
     assert scipy_modules == []
     # numpy loads numpy.fft on first use, and the bit lane uses it only
     # above trajectory._LAW_MAX_PULSES, so no run up to 1024 pulses pays for it
     assert not fft_loaded
+    # numpy.random too (some 6 MiB and 15 ms), which analytic and opt-gate
+    # never draw from: no module may touch np.random when it is imported
+    assert not random_loaded
 
 
 def test_console_script_matches_in_process_behavior(tmp_path):

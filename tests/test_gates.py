@@ -246,6 +246,74 @@ def test_optimize_gate_lands_on_the_swap_value():
     assert opt.best_w == -opt.optimum.w
 
 
+def test_each_corner_permutation_is_its_givens_product():
+    corners = se.gates._corners()
+    assert len(corners) == 64
+    for angles, cols in corners:
+        b = np.zeros((4, 4))
+        b[list(cols), range(4)] = 1.0
+        assert np.all(np.abs(np.abs(se.gates._generic_matrix(angles)) ** 2 - b) <= 1e-30)
+
+
+def _optimize_by_matrices(cfg):
+    """optimize_gate as a loop over the 64 complex Givens products: the
+    reference the permutation evaluation must equal bit for bit."""
+    q = se.gates._centered_populations(cfg)
+    best, best_angles = None, ()
+    for thetas in itertools.product((0.0, math.pi / 2), repeat=6):
+        angles = (0.0,) * 3 + thetas + (0.0,) * 6
+        b = np.abs(se.gates._generic_matrix(angles)) ** 2
+        dq1, dq2 = (b @ q - q) @ se.gates._BITS
+        dE1, dE2 = cfg.omega1 * float(dq1), cfg.omega2 * float(dq2)
+        if best is None or dE1 + dE2 < best.w:
+            best, best_angles = se.MeanEnergetics(dE1, dE2, dE1 + dE2), angles
+    return se.GateOptimum(best_angles, best, best.w - se.mean_energetics_for_gate(
+        SWAP_MATRIX, cfg).w)
+
+
+# magnitudes from subnormal to near the float limit, as the CLI fuzz tests draw
+MAGNITUDES = (1e-320, 1e-200, 1e-10, 0.5, 1.0, 100.0, 700.0, 1e300)
+
+
+@st.composite
+def engine_configs(draw):
+    """Configs with beta1 <= beta2 and omega1 drawn from MAGNITUDES or
+    [1e-3, 1e3], and omega2 inside the heat-engine window
+    (beta1/beta2*omega1, omega1), near its ends or anywhere in it."""
+    value = st.sampled_from(MAGNITUDES) | st.floats(1e-3, 1e3)
+    beta1, beta2 = sorted((draw(value), draw(value)))
+    omega1 = draw(value)
+    lo = beta1 / beta2
+    frac = draw(st.sampled_from((1e-300, 1e-10, 1.0 - 1e-10)) | st.floats(0.0, 1.0))
+    return beta1, beta2, omega1, omega1 * (lo + frac * (1.0 - lo))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(engine_configs())
+def test_optimize_gate_equals_the_matrix_loop(params):
+    try:
+        cfg = se.EngineConfig(*params)
+    except se.ConfigError:
+        return
+    if se.classify_regime(cfg) is not se.Regime.HEAT_ENGINE:
+        with pytest.raises(se.ConfigError, match="heat-engine"):
+            se.optimize_gate(cfg)
+        return
+    # repr tells -0.0 from 0.0, which opt_gate.json would print
+    assert repr(se.optimize_gate(cfg)) == repr(_optimize_by_matrices(cfg))
+
+
+def test_optimize_gate_builds_no_matrix(monkeypatch):
+    want = se.optimize_gate(CFG)
+
+    def refuse(angles):
+        raise AssertionError("optimize_gate built a Givens product")
+
+    monkeypatch.setattr(se.gates, "_generic_matrix", refuse)
+    assert se.optimize_gate(CFG) == want
+    assert want.best_angles[3:9] == (0.0, 0.0, 0.0, math.pi / 2, 0.0, 0.0)
+
+
 def test_optimize_gate_rejects_non_engine_configurations():
     with pytest.raises(se.ConfigError, match="heat-engine"):
         se.optimize_gate(se.EngineConfig(0.5, 1.0, 1.0, 0.4))

@@ -77,7 +77,7 @@ def test_ft_weight_sum_follows_the_definition():
     st = se.accumulate(HAND_RECORDS)
     weights = [math.exp((CFG.beta2 - CFG.beta1) * r.energetics.dE1
                         - CFG.beta2 * r.energetics.w) for r in HAND_RECORDS]
-    value, std_err = st.integral_ft_estimate
+    value, std_err = st.integral_ft[:2]
     assert value == pytest.approx(np.mean(weights), rel=1e-15)
     assert std_err == pytest.approx(np.std(weights, ddof=1) / 2.0, rel=1e-14)
 
@@ -135,7 +135,7 @@ def test_columnar_fold_equals_the_record_fold(cfg, pulses, samples):
     params = se.RunParams(cfg, proto, se.SwapFamily())
     by_record = se.accumulate(se.TrajectoryRecord(params, key) for key in reversed(rows))
     assert folded == by_record
-    assert folded.integral_ft_estimate == by_record.integral_ft_estimate
+    assert folded.integral_ft == by_record.integral_ft
     assert folded.sample_size == samples
     assert folded.rigidity_violations == 0
     # P(eta) read off hist_joint is the per-record tally of w/q1
@@ -261,7 +261,7 @@ def test_integral_ft_is_exactly_one_for_reversible_null_protocols():
     cfg = se.EngineConfig(1.0, 1.0, 1.0, 5.0 / 6.0)
     records = se.run_ensemble(cfg, se.Protocol(0, 0.5), se.SwapFamily(),
                               1000, seed=15, engine="events")
-    assert se.accumulate(records).integral_ft_estimate == (1.0, 0.0)
+    assert se.accumulate(records).integral_ft[:2] == (1.0, 0.0)
 
 
 def test_integral_ft_matches_explicit_leave_one_out_jackknife():
@@ -275,7 +275,7 @@ def test_integral_ft_matches_explicit_leave_one_out_jackknife():
     loo = (vals.sum() - vals) / (n - 1)
     jk_se = math.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2))
     value, std_err = se.fold_ensemble(CFG, proto, se.SwapFamily(), 1500,
-                                      seed=16).integral_ft_estimate
+                                      seed=16).integral_ft[:2]
     assert value == pytest.approx(mean, rel=1e-12)
     assert std_err == pytest.approx(jk_se, rel=1e-10)
 
@@ -287,7 +287,7 @@ def test_integral_ft_top_share_is_the_largest_weight_over_the_weight_sum():
     for key, count in st.counts.items():
         e = key.energetics(CFG.omega1, CFG.omega2)
         terms[key] = count * math.exp((CFG.beta2 - CFG.beta1) * e.dE1 - CFG.beta2 * e.w)
-    top, share = st.integral_ft_top_share
+    _, _, top, share = st.integral_ft
     assert terms[top] == max(terms.values())
     assert share == pytest.approx(terms[top] / sum(terms.values()), rel=1e-12)
     # a weight sum that underflows to 0 gives a share of 0, not a division by 0:
@@ -295,7 +295,24 @@ def test_integral_ft_top_share_is_the_largest_weight_over_the_weight_sum():
     cold = se.EngineConfig(1.0, 700.0, 1.0, 1.0)
     st = se.EnsembleStats(params=se.RunParams(cold, proto, se.SwapFamily()))
     st.counts[se.LedgerKey(-2, 2, 0, 0, -2)] = 3
-    assert st.integral_ft_top_share == (se.LedgerKey(-2, 2, 0, 0, -2), 0.0)
+    assert st.integral_ft[2:] == (se.LedgerKey(-2, 2, 0, 0, -2), 0.0)
+
+
+def test_integral_ft_reads_each_ledger_once(monkeypatch):
+    # the estimate, its error and the top share come from one walk over the
+    # keys: one energetics read-off per distinct ledger
+    st = se.fold_ensemble(CFG, se.Protocol(n_pulses=10, tau2=0.65), se.SwapFamily(), 1500,
+                          seed=16)
+    reads = Counter()
+    energetics = se.LedgerKey.energetics
+
+    def counted(key, omega1, omega2):
+        reads[key] += 1
+        return energetics(key, omega1, omega2)
+
+    monkeypatch.setattr(se.LedgerKey, "energetics", counted)
+    st.integral_ft
+    assert reads == Counter(dict.fromkeys(st.counts, 1))
 
 
 def test_efficiency_distribution_structure_and_modal_bin():

@@ -15,6 +15,7 @@ against the binary search, and a plain boundary-bit chain against the law.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -283,6 +284,77 @@ def test_record_k_does_not_depend_on_sample_size():
     small = list(se.run_ensemble(CFG, proto, se.SwapFamily(), 20, seed=9, engine="events"))
     big = list(se.run_ensemble(CFG, proto, se.SwapFamily(), 150, seed=9, engine="events"))
     assert small == big[:20]
+
+
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0))))
+
+
+def test_buffered_uniforms_are_the_generators_own_uniforms():
+    # 200 draws cross three block edges
+    for seed in (0, 9, 2**40):
+        buffered = trajectory._BufferedUniforms(_philox(seed))
+        rng = _philox(seed)
+        assert [buffered.random() for _ in range(200)] == [rng.random() for _ in range(200)]
+
+
+def test_the_born_draw_is_the_generators_choice():
+    rng = np.random.default_rng(12)
+    dists = [np.array(p, dtype=float) for p in
+             ([1, 0, 0, 0], [0, 0, 0, 1], [0, 0.5, 0, 0.5], [0.25] * 4, [0.1, 0.2, 0.3, 0.4])]
+    dists += [p / p.sum() for p in rng.random((20, 4)) * (rng.random((20, 4)) < 0.7) + 1e-300]
+    for n, pops in enumerate(dists):
+        buffered = trajectory._BufferedUniforms(_philox(n))
+        rng = _philox(n)
+        for _ in range(100):   # across block edges, and the stream stays in step
+            assert trajectory._born_draw(pops, buffered.random()) == rng.choice(4, p=pops)
+    # a uniform on a cell edge goes to the next state that has weight, as in
+    # choice's searchsorted(side="right"), never to a state without
+    assert trajectory._born_draw(np.array([0.0, 1.0, 0.0, 0.0]), 0.0) == 1
+    assert trajectory._born_draw(np.array([0.5, 0.0, 0.0, 0.5]), 0.5) == 3
+
+
+class _CountedUniforms:
+    """A generator read one call per uniform, counting the calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def random(self):
+        self.calls += 1
+        return self.rng.random()
+
+
+def test_a_callers_generator_advances_as_one_call_per_uniform():
+    # the helpers read a caller's own Generator one uniform at a time, so it
+    # ends where a generator read one call per uniform ends
+    relax = trajectory._relaxation(CFG)
+    superposed = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2)
+    for draw in (lambda rng: se.sample_initial_state(CFG, rng),
+                 lambda rng: trajectory._relax_basis(0, 0.0, 5.0, 0.0, rng, relax, None, [0, 0]),
+                 lambda rng: trajectory._relax_amplitudes(superposed, 5.0, 0.0, rng, relax,
+                                                          None, [0, 0], True)):
+        rng, counted = np.random.default_rng(21), _CountedUniforms(np.random.default_rng(21))
+        assert np.array_equal(draw(rng), draw(counted))
+        assert counted.calls >= 2
+        assert rng.random() == counted.rng.random()
+
+
+@pytest.mark.parametrize("gate,pulses,digest", [
+    (se.SwapFamily(), 3, "bad55855ba35510c7c78b39c05910a58578ac1e27759b04720b92a39226c4180"),
+    (se.Generic(tuple(np.linspace(0.2, 2.0, 15))), 3,
+     "01976057cf185c9d18ac922c86ba6f48d969822f7c67456e8bc169fac2586cd0"),
+    (se.Generic(tuple(np.linspace(0.2, 2.0, 15))), 25,
+     "c2eff33ed87eba6344393d74be51709c74c9b2d53758f4717f4bffa352277c47"),
+])
+def test_events_lane_records_are_pinned(gate, pulses, digest):
+    # digests of the records as the lane made them when it read one uniform
+    # per call; buffered reads and the Born draw must leave every bit alone
+    h = hashlib.sha256()
+    for rec in se.run_ensemble(CFG, se.Protocol(pulses, 0.5), gate, 40, seed=7,
+                               keep_events=True):
+        h.update(repr((rec.ledger, rec.events)).encode())
+    assert h.hexdigest() == digest
 
 
 def test_the_bit_lane_draws_from_the_track_law_up_to_its_threshold():
@@ -630,7 +702,7 @@ def test_every_lane_makes_checked_ledgers_that_agree(run):
     params = se.RunParams(cfg, proto, gate)
     by_record = se.accumulate(se.TrajectoryRecord(params, key) for key in reversed(rows))
     assert folded == by_record
-    assert folded.integral_ft_estimate == by_record.integral_ft_estimate
+    assert folded.integral_ft == by_record.integral_ft
 
 
 def test_run_ensemble_rejects_bad_requests():
