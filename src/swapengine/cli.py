@@ -10,7 +10,10 @@ Config files are flat `key = value` lines with `#` comments; unknown keys
 are rejected.  Flags override file values, which override the built-in
 defaults.  The table KEYS is the home of every key: its type, its default
 (the documented two-bath engine example: beta1=2/3, beta2=1, omega1=1,
-omega2=5/6, 100 pulses at tau2=0.65) and its flag's help.
+omega2=5/6, 100 pulses at tau2=0.65) and its flag's help; CONFIG_FLAG and
+COMMANDS hold the other arguments.  Plain command lines are read off these
+tables directly; argparse, imported for the rest alone, builds its parsers
+from the same tables and serves help, errors and abbreviations.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O failure or exhausted
 memory, 4 event-log parse error, 5 broken internal check (such as
@@ -19,7 +22,6 @@ work-lattice rigidity).
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import math
@@ -27,7 +29,8 @@ import sys
 import tempfile
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -40,6 +43,9 @@ from .stats import (ETA_BIN_WIDTH, EfficiencyDistribution, EnsembleStats, FtLogR
 from .thermo import (ConfigError, EngineConfig, classify_regime, efficiencies,
                      mean_energetics, omega_star, post_swap_betas, relaxation_time)
 from .trajectory import Protocol, pick_lane, run_ensemble
+
+if TYPE_CHECKING:
+    import argparse
 
 # key -> (type, default, flag help), in the README's flag order: the one home
 # of every config key, which gives the defaults, the config-file typing, the
@@ -59,6 +65,34 @@ KEYS: dict[str, tuple[type, object, str]] = {
     "out_dir": (str, "out", "artifact directory"),
     "emit_logs": (bool, False, "write one event log per trajectory"),
     "json": (bool, False, "print the JSON report instead of the human one"),
+}
+
+# the arguments beside the KEYS flags, as add_argument keywords by flag or
+# positional name: --config, which every command takes, and command ->
+# (help, own arguments); _build_parser declares them and _read_plain reads
+# them from here
+CONFIG_FLAG = {"--config": {"help": "flat key = value config file"}}
+COMMANDS: dict[str, tuple[str, dict[str, dict]]] = {
+    "analytic": ("closed-form report for one configuration", {
+        "--scan-eta-mp": {"nargs": "?", "const": "auto", "default": None,
+                          "metavar": "LO:HI:COUNT",
+                          "help": "also sweep beta2 and tabulate eta* vs eta_C"},
+    }),
+    "simulate": ("run a trajectory ensemble and write its statistics", {}),
+    "power-scan": ("work output vs pulse count at fixed operation time", {
+        "--t-op-multiple": {"type": float, "default": 30.0,
+                            "help": "operation time in relaxation times"},
+        "--n-list": {"default": "1,2,5,10,20,50,100,200",
+                     "help": "comma-separated pulse counts, ascending"},
+    }),
+    "opt-gate": ("exact best work output over the full gate space", {
+        "--restarts": {"type": int, "default": 50,
+                       "help": "ignored, since the optimum is exact; echoed in opt_gate.json"},
+    }),
+    "analyze": ("reconstruct energetics from event logs", {
+        "logs": {"nargs": "+", "help": "event-log files"},
+        "--naive": {"action": "store_true", "help": "skip the schedule-aware refinement"},
+    }),
 }
 
 
@@ -150,7 +184,7 @@ class RunConfig:
         return dict(self.values)
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
+def resolve_config(args: argparse.Namespace | SimpleNamespace) -> RunConfig:
     """Merge defaults, config file, and flag overrides into a RunConfig."""
     explicit = parse_config_file(args.config) if args.config else {}
     explicit.update((key, flag) for key, flag in vars(args).items()
@@ -165,7 +199,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for key, low in (("samples", 1), ("pulses", 0), ("seed", 0)):
         if values[key] < low:
             raise ConfigError(f"{key} must be >= {low}, got {values[key]}")
-    return RunConfig(values, engine, parse_gate_spec(values["gate"]))
+    gate = parse_gate_spec(values["gate"])
+    # every command echoes tau2, so every command checks it as Protocol does
+    if not (math.isfinite(values["tau2"]) and values["tau2"] > 0):
+        raise ConfigError(f"tau2 must be a finite positive time, got {values['tau2']!r}")
+    return RunConfig(values, engine, gate)
 
 
 def _fmt(x: float) -> str:
@@ -416,11 +454,11 @@ def cmd_opt_gate(rc: RunConfig, restarts: int) -> int:
             "eta": None if best.dE1 == 0 else best.w / best.dE1,
         },
     }
+    text = _json_text(report)
     out = Path(rc.values["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    (out / "opt_gate.json").write_text(_json_text(report) + "\n",
-                                       encoding="utf-8", newline="\n")
-    print(_json_text(report))
+    (out / "opt_gate.json").write_text(text + "\n", encoding="utf-8", newline="\n")
+    print(text)
     return 0
 
 
@@ -456,51 +494,87 @@ def cmd_analyze(rc: RunConfig, paths: list[str], naive: bool) -> int:
     return 0
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """What _build_parser().parse_args(argv) returns, attribute for attribute,
+    for a plain command line: a command, then exact flags of KEYS, --config
+    and the command's own arguments, each flag with one value that does not
+    start with "-" (store-true flags with none), and for analyze one unbroken
+    run of logs.  Anything else gives None and is left to argparse: help,
+    "--", --flag=value, abbreviations, a value that starts with "-" or fails
+    its conversion, --scan-eta-mp, an unknown flag or command, split logs."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    own = COMMANDS[argv[0]][1]
+    values = dict.fromkeys(KEYS) | {"command": argv[0]}
+    # flag -> (dest, type), bool for store-true; flags with nargs are argparse's
+    kinds = {_flag(key): (key, kind) for key, (kind, _, _) in KEYS.items()}
+    for name, spec in (CONFIG_FLAG | own).items():
+        dest = name.lstrip("-").replace("-", "_")
+        store_true = spec.get("action") == "store_true"
+        values[dest] = spec.get("default", False if store_true else None)
+        if "nargs" not in spec:
+            kinds[name] = (dest, bool if store_true else spec.get("type", str))
+    run = next((name for name in own if not name.startswith("-")), None)
+    i = 1
+    while i < len(argv):
+        if argv[i] not in kinds:   # the run of logs, where the command takes one
+            end = i
+            while end < len(argv) and not argv[end].startswith("-"):
+                end += 1
+            if end == i or run is None or values[run] is not None:
+                return None
+            values[run], i = argv[i:end], end
+            continue
+        dest, kind = kinds[argv[i]]
+        if kind is bool:
+            values[dest], i = True, i + 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        try:
+            values[dest] = kind(argv[i + 1])
+        except ValueError:
+            return None
+        i += 2
+    if run is not None and values[run] is None:
+        return None
+    return SimpleNamespace(**values)
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse   # plain command lines never get here (_read_plain)
+
     common = argparse.ArgumentParser(add_help=False)
     for key, (kind, _, help_text) in KEYS.items():
-        flag = "--" + key.replace("_", "-")
         if kind is bool:
-            common.add_argument(flag, dest=key, action="store_true", default=None,
+            common.add_argument(_flag(key), dest=key, action="store_true", default=None,
                                 help=help_text)
         else:
-            common.add_argument(flag, dest=key, type=kind, help=help_text)
-    common.add_argument("--config", help="flat key = value config file")
+            common.add_argument(_flag(key), dest=key, type=kind, help=help_text)
+    for name, spec in CONFIG_FLAG.items():
+        common.add_argument(name, **spec)
 
     parser = argparse.ArgumentParser(
         prog="swapengine",
         description="Two-qubit swap heat engine: closed forms, quantum-jump "
                     "ensembles, fluctuation statistics.")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_analytic = sub.add_parser("analytic", parents=[common],
-                                help="closed-form report for one configuration")
-    p_analytic.add_argument("--scan-eta-mp", nargs="?", const="auto", default=None,
-                            metavar="LO:HI:COUNT",
-                            help="also sweep beta2 and tabulate eta* vs eta_C")
-    sub.add_parser("simulate", parents=[common],
-                   help="run a trajectory ensemble and write its statistics")
-    p_scan = sub.add_parser("power-scan", parents=[common],
-                            help="work output vs pulse count at fixed operation time")
-    p_scan.add_argument("--t-op-multiple", dest="t_op_multiple", type=float,
-                        default=30.0, help="operation time in relaxation times")
-    p_scan.add_argument("--n-list", dest="n_list",
-                        default="1,2,5,10,20,50,100,200",
-                        help="comma-separated pulse counts, ascending")
-    p_opt = sub.add_parser("opt-gate", parents=[common],
-                           help="exact best work output over the full gate space")
-    p_opt.add_argument("--restarts", type=int, default=50,
-                       help="ignored, since the optimum is exact; echoed in opt_gate.json")
-    p_analyze = sub.add_parser("analyze", parents=[common],
-                               help="reconstruct energetics from event logs")
-    p_analyze.add_argument("logs", nargs="+", help="event-log files")
-    p_analyze.add_argument("--naive", action="store_true",
-                           help="skip the schedule-aware refinement")
+    for command, (help_text, own) in COMMANDS.items():
+        command_parser = sub.add_parser(command, parents=[common], help=help_text)
+        for name, spec in own.items():
+            command_parser.add_argument(name, **spec)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_plain(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         rc = resolve_config(args)
         if args.command == "analytic":

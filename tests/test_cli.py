@@ -4,8 +4,10 @@ Exit code contract: 0 success, 2 configuration errors, 3 I/O errors,
 4 event-log parse errors, 5 broken internal checks.  Most tests drive main()
 in process; one runs the entry point declared in pyproject.toml as a
 subprocess, through the installed console script when this interpreter has
-one.  Fresh interpreters also check that plain runs import no SciPy and that
-the benchmark's traced mode still finds the names it wraps.
+one.  Fresh interpreters also check that plain runs import neither SciPy nor
+argparse and that the benchmark's traced mode still finds the names it
+wraps.  The plain command-line reader is held to argparse, which reads
+every other command line.
 """
 
 from __future__ import annotations
@@ -444,6 +446,11 @@ def test_opt_gate_output_ignores_seed_and_restarts(monkeypatch, tmp_path):
         (["simulate", "--gate", GENERIC, "--omega1", "1e160", "--omega2", "1e159",
           "--beta1", "1e-160", "--beta2", "1e-160", "--samples", "2", "--pulses", "1",
           "--emit-logs"], 2, "out of the float range"),
+        # every command echoes tau2, so every command refuses a bad one, also
+        # those that build no pulse schedule
+        (["opt-gate", "--tau2", "-3"], 2, "tau2 must be a finite positive time, got -3.0"),
+        (["analytic", "--tau2", "-3", "--json"], 2, "tau2 must be a finite positive time"),
+        (["opt-gate", "--tau2", "nan"], 2, "tau2 must be a finite positive time, got nan"),
     ],
 )
 def test_error_exit_codes(capsys, monkeypatch, tmp_path, args, code,
@@ -558,6 +565,108 @@ def test_each_key_resolves_alike_from_its_flag_and_a_config_line(key,
     echoes = [cli.resolve_config(parser.parse_args(["simulate", *argv])).echo()
               for argv in (by_flag, ["--config", str(cfg)], [])]
     assert echoes[0] == echoes[1] != echoes[2]
+
+
+def _argparse_reading(argv):
+    """_build_parser().parse_args(argv) as sorted (name, value) pairs, or None
+    where argparse exits (its help and error text are swallowed)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return sorted(vars(cli._build_parser().parse_args(argv)).items())
+        except SystemExit:
+            return None
+
+
+WORKING_POINT = ["--beta1", repr(2.0 / 3.0), "--beta2", "1.0", "--omega1", "1.0",
+                 "--omega2", repr(5.0 / 6.0), "--gamma", "1.0"]
+LOGS = [f"sim/events/trajectory_{k:05d}.log" for k in range(3)]
+
+# the benchmark's command lines and the README examples but the one with
+# --scan-eta-mp, plus a repeated flag, a config file and a flag before logs
+PLAIN_COMMAND_LINES = [
+    ["simulate", *WORKING_POINT, "--pulses", "100", "--tau2", "0.65", "--samples", "100000",
+     "--seed", "911", "--out-dir", "sim"],
+    ["simulate", *WORKING_POINT, "--pulses", "25", "--tau2", "0.65", "--samples", "500",
+     "--seed", "931", "--emit-logs", "--out-dir", "sim"],
+    ["analyze", *LOGS, *WORKING_POINT, "--pulses", "25", "--tau2", "0.65", "--out-dir", "ana"],
+    ["opt-gate", *WORKING_POINT, "--restarts", "6", "--seed", "1001", "--out-dir", "gate0"],
+    ["analytic"],
+    ["simulate", "--samples", "1000000", "--pulses", "100", "--tau2", "0.65",
+     "--seed", "2024", "--out-dir", "study"],
+    ["power-scan", "--t-op-multiple", "30", "--n-list", "1,2,5,10,20,50,100,200"],
+    ["analyze", *LOGS, "--pulses", "100", "--tau2", "0.65"],
+    ["simulate", "--samples", "5", "--json", "--samples", "7", "--json"],
+    ["simulate", "--config", "engine.cfg", "--gate", "iswap", "--tau2-relax-multiple", "2"],
+    ["analyze", "--naive", *LOGS],
+]
+
+
+def test_plain_reader_reads_the_common_command_lines_as_argparse_does():
+    for argv in PLAIN_COMMAND_LINES:
+        plain = cli._read_plain(argv)
+        assert plain is not None, argv
+        assert sorted(vars(plain).items()) == _argparse_reading(argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["-h"], ["simulate", "-h"], ["analyze", "--help", "a.log"],
+    ["simulate", "--", "--json"], ["simulate", "--samples=3"], ["analytic", "--jso"],
+    ["simulate", "--seed", "-1"], ["simulate", "--samples", "x"], ["simulate", "--samples"],
+    ["analytic", "--scan-eta-mp", "0.8:2.0:7"], ["simulate", "--no-such-flag"],
+    ["simulate", "a.log"], ["analyze"], ["analyze", "a.log", "--naive", "b.log"],
+    ["opt-gate", "--restarts", "1.5"],
+])
+def test_plain_reader_leaves_help_errors_and_abbreviations_to_argparse(argv):
+    assert cli._read_plain(argv) is None
+
+
+# the flags that take one value, by type, with values each type reads
+_KEY_FLAGS = {cli._flag(key): kind for key, (kind, _, _) in cli.KEYS.items() if kind is not bool}
+_KEY_FLAGS["--config"] = str
+_OWN_FLAGS = {"--t-op-multiple": float, "--n-list": str, "--restarts": int}
+_GOOD_VALUES = {int: ["0", "3", "12"], float: ["0.5", "2", "1e-3", "nan"],
+                str: ["swap", "1,2", "x.cfg", ""]}
+_TOKENS = [*cli.COMMANDS, "bogus", *_KEY_FLAGS, *_OWN_FLAGS, "--json", "--emit-logs",
+           "--naive", "--scan-eta-mp", "--sam", "--tau", "--jso", "--emit", "--nai",
+           "--samples=3", "--json=1", "--out-dir=o", "-h", "--help", "--", "-1", "-0.5",
+           "0.5", "x", "a.log"]
+
+
+def _flag_values(flags):
+    return st.sampled_from(sorted(flags)).flatmap(
+        lambda flag: st.sampled_from(_GOOD_VALUES[flags[flag]]).map(lambda value: [flag, value]))
+
+
+@st.composite
+def command_lines(draw):
+    """A command (or an unknown one, or -h), then mostly flags with values
+    their type reads, store-true flags and runs of logs, and now and then two
+    or one of any token: every flag, some abbreviations, --flag=value, -h,
+    "--", negative numbers, bad values, log paths."""
+    key_pair, own_pair = _flag_values(_KEY_FLAGS), _flag_values(_OWN_FLAGS)
+    switch = st.sampled_from(["--json", "--emit-logs", "--naive"]).map(lambda flag: [flag])
+    logs = st.lists(st.sampled_from(["a.log", "b.log", "c d.log"]), min_size=1, max_size=3)
+    any_pair = st.lists(st.sampled_from(_TOKENS), min_size=2, max_size=2)
+    token = st.sampled_from(_TOKENS).map(lambda token: [token])
+    # analyze, the one command that takes logs, is drawn three times as often
+    argv = [draw(st.sampled_from([*cli.COMMANDS, "analyze", "analyze", "bogus", "-h"]))]
+    for _ in range(draw(st.integers(0, 4))):
+        argv += draw(st.one_of(key_pair, key_pair, key_pair, key_pair, own_pair, switch, logs,
+                               any_pair, token))
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(command_lines())
+def test_plain_reader_agrees_with_argparse(argv):
+    # where the reader reads, its namespace is argparse's (repr tells 3 from
+    # 3.0 and matches nan); where argparse exits, the reader declines
+    expected = _argparse_reading(argv)
+    plain = cli._read_plain(argv)
+    if expected is None:
+        assert plain is None
+    elif plain is not None:
+        assert repr(sorted(vars(plain).items())) == repr(expected)
 
 
 # magnitudes from subnormal to near the float limit
@@ -718,7 +827,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes.append(main(["analyze", *logs, "--pulses", "2", "--out-dir", "ana"]))
 print(json.dumps([codes, sorted(m for m in sys.modules
                                 if m.split(".")[0] == "scipy"), "numpy.fft" in sys.modules,
-                  random_loaded]))
+                  random_loaded, [m for m in ("argparse", "locale") if m in sys.modules]]))
 """
 
 
@@ -729,7 +838,7 @@ def test_cli_runs_import_no_scipy(tmp_path):
     run = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, src],
                          capture_output=True, text=True, cwd=tmp_path)
     assert run.returncode == 0, run.stderr
-    codes, scipy_modules, fft_loaded, random_loaded = json.loads(run.stdout)
+    codes, scipy_modules, fft_loaded, random_loaded, parser_modules = json.loads(run.stdout)
     assert codes == [0, 0, 0, 0, 0]
     assert scipy_modules == []
     # numpy loads numpy.fft on first use, and the bit lane uses it only
@@ -738,6 +847,9 @@ def test_cli_runs_import_no_scipy(tmp_path):
     # numpy.random too (some 6 MiB and 15 ms), which analytic and opt-gate
     # never draw from: no module may touch np.random when it is imported
     assert not random_loaded
+    # plain command lines are read without argparse, which would load
+    # gettext and, on its first message lookup, locale (about 2 ms)
+    assert parser_modules == []
 
 
 def test_console_script_matches_in_process_behavior(tmp_path):
@@ -751,3 +863,15 @@ def test_console_script_matches_in_process_behavior(tmp_path):
                          env=env)
     assert bad.returncode == 2
     assert "config error" in bad.stderr
+    # argv from sys.argv, past the plain reader: argparse's error, and an
+    # abbreviation that argparse resolves
+    unknown = subprocess.run([*cmd, "simulate", "--no-such-flag"], capture_output=True,
+                             text=True, cwd=tmp_path, env=env)
+    assert unknown.returncode == 2
+    # the top-level parser reports what the subcommand left over
+    assert unknown.stderr.startswith("usage: swapengine [-h] {analytic,simulate,")
+    assert unknown.stderr.endswith("error: unrecognized arguments: --no-such-flag\n")
+    abbreviated = subprocess.run([*cmd, "analytic", "--jso"], capture_output=True,
+                                 text=True, cwd=tmp_path, env=env)
+    assert abbreviated.returncode == 0
+    assert json.loads(abbreviated.stdout)["regime"] == "HeatEngine"
