@@ -159,8 +159,9 @@ def parse_gate_spec(text: str) -> GateSpec:
             if len(angles) != 15:
                 raise ConfigError(f"generic gate needs 15 angles, got {len(angles)}")
             return Generic(angles)
-    except ValueError:
-        raise ConfigError(f"bad gate angle list in {text!r}") from None
+    except ValueError as exc:   # a wrong count is named, a bad value shows in the text
+        detail = f": {exc}" if isinstance(exc, ConfigError) else ""
+        raise ConfigError(f"bad gate angle list in {text!r}{detail}") from None
     raise ConfigError(f"unknown gate {text!r} (use swap | iswap | swap:p1,p2,p3,p4"
                       " | generic:a1,...,a15)")
 
@@ -168,16 +169,13 @@ def parse_gate_spec(text: str) -> GateSpec:
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved invocation: the value of every key of KEYS but
-    tau2_relax_multiple (tau2 holds the resolved interval), and the engine and
-    gate built from them."""
+    tau2_relax_multiple (tau2 holds the resolved interval), and the engine,
+    gate and pulse schedule built from them."""
 
     values: dict
     engine: EngineConfig
     gate: GateSpec
-
-    @property
-    def protocol(self) -> Protocol:
-        return Protocol(n_pulses=self.values["pulses"], tau2=self.values["tau2"])
+    protocol: Protocol
 
     def echo(self) -> dict:
         """Flat config-file form of this run; re-parses to an equivalent RunConfig."""
@@ -200,23 +198,31 @@ def resolve_config(args: argparse.Namespace | SimpleNamespace) -> RunConfig:
         if values[key] < low:
             raise ConfigError(f"{key} must be >= {low}, got {values[key]}")
     gate = parse_gate_spec(values["gate"])
-    # every command echoes tau2, so every command checks it as Protocol does
-    if not (math.isfinite(values["tau2"]) and values["tau2"] > 0):
-        raise ConfigError(f"tau2 must be a finite positive time, got {values['tau2']!r}")
-    return RunConfig(values, engine, gate)
+    # every command echoes tau2, so every command builds the schedule that checks it
+    return RunConfig(values, engine, gate, Protocol(values["pulses"], values["tau2"]))
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _csv_cell(cell) -> str:
+    """A cell's CSV text: a float to 17 digits, None empty, and text quoted as
+    RFC 4180 asks where it holds a comma, a double quote or a line break."""
+    if cell is None:
+        return ""
+    if isinstance(cell, float):
+        return _fmt(cell)
+    if isinstance(cell, str) and ("," in cell or '"' in cell or "\r" in cell or "\n" in cell):
+        return '"' + cell.replace('"', '""') + '"'
+    return str(cell)
+
+
 def _write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = ["" if c is None else _fmt(c) if isinstance(c, float) else str(c)
-                     for c in row]
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join(map(_csv_cell, row)) + "\n")
 
 
 def _json_text(payload) -> str:
@@ -348,70 +354,70 @@ def _stats_summary(rc: RunConfig, stats: EnsembleStats, ift: IntegralFt,
 
 def cmd_simulate(rc: RunConfig) -> int:
     check_eta_bins(rc.engine, rc.protocol, rc.gate)
-    if not rc.values["emit_logs"]:
-        return _simulate(rc, None)
-    # the logs are staged in the nearest existing folder of the output
-    # folder, on its file system, and moved into it after the last read-off,
-    # so a refused run leaves no log behind
+    # staged on the output folder's file system, so a refusal changes nothing there
     out = Path(rc.values["out_dir"])
     home = next(p for p in (out, *out.absolute().parents) if p.is_dir())
-    with tempfile.TemporaryDirectory(prefix=".swapengine-logs-", dir=home) as staging:
-        return _simulate(rc, Path(staging) / "events")
+    with tempfile.TemporaryDirectory(prefix=".swapengine-run-", dir=home) as staging:
+        return _simulate(rc, out, Path(staging))
 
 
-def _simulate(rc: RunConfig, staged: Path | None) -> int:
-    """simulate, with event logs written to the new folder staged, if given."""
+def _simulate(rc: RunConfig, out: Path, staged: Path) -> int:
+    """simulate: every output goes to the empty folder staged, then into out."""
     v, cfg = rc.values, rc.engine
-    out = Path(v["out_dir"])
-    lane = pick_lane(rc.gate, keep_events=staged is not None)
-    if staged is not None:
+    lane = pick_lane(rc.gate, keep_events=v["emit_logs"])
+    logs = staged / "events"
+    if v["emit_logs"]:
         records = run_ensemble(cfg, rc.protocol, rc.gate, v["samples"], v["seed"],
                                keep_events=True, engine=lane)
         stats = EnsembleStats()
-        staged.mkdir()
+        logs.mkdir()
         width = max(5, len(str(v["samples"] - 1)))
         for k, record in enumerate(records):
-            write_events(staged / f"trajectory_{k:0{width}d}.log", record.events)
+            write_events(logs / f"trajectory_{k:0{width}d}.log", record.events)
             stats.add(record)
     else:
         stats = fold_ensemble(cfg, rc.protocol, rc.gate, v["samples"], v["seed"])
-    # every read-off is taken before the first artifact is written, so a
-    # refused result leaves no partial output
     ratio: FtLogRatio | None
     try:
         ratio = ft_log_ratio(stats)
     except ConfigError:
         ratio = None
     dist = efficiency_distribution(stats) if stats.quantized else None
-    tables = []
-    if dist is not None:
-        tables += [
-            ("hist_nw.csv", ("n_w", "count"), sorted(stats.hist_nw.items())),
-            ("hist_joint.csv", ("q1_quanta", "w_quanta", "count"),
-             [(h, m, c) for (h, m), c in sorted(stats.hist_joint.items())]),
-            ("hist_eta.csv", ("eta_lo", "eta_hi", "count"),
-             [(i * ETA_BIN_WIDTH, (i + 1) * ETA_BIN_WIDTH, c) for i, c in dist.bins]),
-        ]
-    if ratio is not None:
-        tables.append(("log_ratio.csv", ("n_w", "log_ratio", "std_error"),
-                       list(ratio.points)))
+    # (name, header, rows), with rows None where the run cannot read the table off
+    tables = [
+        ("hist_nw.csv", ("n_w", "count"), dist and sorted(stats.hist_nw.items())),
+        ("hist_joint.csv", ("q1_quanta", "w_quanta", "count"),
+         dist and [(h, m, c) for (h, m), c in sorted(stats.hist_joint.items())]),
+        ("hist_eta.csv", ("eta_lo", "eta_hi", "count"),
+         dist and [(i * ETA_BIN_WIDTH, (i + 1) * ETA_BIN_WIDTH, c) for i, c in dist.bins]),
+        ("log_ratio.csv", ("n_w", "log_ratio", "std_error"), ratio and list(ratio.points)),
+    ]
     ift = stats.integral_ft
     summary_text = _json_text(_stats_summary(rc, stats, ift, ratio, dist, lane))
-    out.mkdir(parents=True, exist_ok=True)
-    if staged is not None and (out / "events").exists():   # an earlier run's logs
-        for log in staged.iterdir():
-            log.replace(out / "events" / log.name)
-    elif staged is not None:
-        staged.rename(out / "events")
     for name, header, rows in tables:
-        _write_csv(out / name, header, rows)
-    summary_path = out / "summary.json"
-    summary_path.write_text(summary_text + "\n", encoding="utf-8", newline="\n")
+        if rows is not None:
+            _write_csv(staged / name, header, rows)
+    (staged / "summary.json").write_text(summary_text + "\n", encoding="utf-8", newline="\n")
+    # each file written replaces its namesake; a table without rows removes an
+    # earlier run's, and new logs remove old ones but leave other files in events/
+    out.mkdir(parents=True, exist_ok=True)
+    if v["emit_logs"] and (out / "events").exists():
+        for log in (out / "events").glob("trajectory_*.log"):
+            log.unlink()
+        for log in logs.iterdir():
+            log.replace(out / "events" / log.name)
+    elif v["emit_logs"]:
+        logs.rename(out / "events")
+    for name in [*(name for name, _, _ in tables), "summary.json"]:
+        if (staged / name).exists():
+            (staged / name).replace(out / name)
+        else:
+            (out / name).unlink(missing_ok=True)
     if ift.share > 0.5:
         print(f"warning: the integral-FT estimate rests on one ledger, {ift.top}, which "
               f"carries {ift.share:.0%} of its weight sum; its standard error does not bound "
               "how far the estimate is from 1", file=sys.stderr)
-    print(summary_text if v["json"] else str(summary_path))
+    print(summary_text if v["json"] else str(out / "summary.json"))
     return 0
 
 
@@ -545,7 +551,8 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command line, or of the given command's own."""
     import argparse   # plain command lines never get here (_read_plain)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -563,10 +570,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Two-qubit swap heat engine: closed forms, quantum-jump "
                     "ensembles, fluctuation statistics.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, own) in COMMANDS.items():
-        command_parser = sub.add_parser(command, parents=[common], help=help_text)
-        for name, spec in own.items():
-            command_parser.add_argument(name, **spec)
+    for name, (help_text, own) in COMMANDS.items():
+        command_parser = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, spec in own.items():
+            command_parser.add_argument(flag, **spec)
+        if name == command:
+            return command_parser
     return parser
 
 
@@ -574,7 +583,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_plain(argv)
     if args is None:
-        args = _build_parser().parse_args(argv)
+        args, extra = _build_parser().parse_known_args(argv)
+        if extra:   # with the chosen command's usage, which lists the flags it takes
+            _build_parser(args.command).error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         rc = resolve_config(args)
         if args.command == "analytic":

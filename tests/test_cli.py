@@ -13,6 +13,7 @@ every other command line.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -92,6 +93,24 @@ def test_analytic_outside_the_engine_window_reports_no_max_power(capsys,
     report = _strict_json(capsys.readouterr().out)
     assert report["max_power"] is None
     assert report["efficiencies"]["cop_carnot"] is None
+    assert cli.main(["analytic", "--beta1", "1", "--beta2", "1"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("max power ") and last.endswith("  skipped (needs 0 < beta1 < beta2)")
+
+
+def test_analytic_scan_without_a_grid_sweeps_19_carnot_efficiencies(capsys, monkeypatch,
+                                                                     tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["analytic", "--scan-eta-mp", "--json"]) == 0
+    rows = _strict_json(capsys.readouterr().out)["scan"]
+    assert [r["eta_carnot"] for r in rows] == pytest.approx(np.linspace(0.05, 0.95, 19))
+    assert cli.main(["analytic", "--scan-eta-mp"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the human form ends in the columns' line and one line per grid point
+    columns = lines[-20].split(",")
+    assert columns == ["beta2", "eta_carnot", "omega_star", "eta_star", "eta_ca", "w_max"]
+    assert [[float(x) for x in line.split(",")] for line in lines[-19:]] == \
+        [[r[c] for c in columns] for r in rows]
 
 
 def test_simulate_writes_summary_and_histograms(capsys, monkeypatch, tmp_path):
@@ -451,6 +470,10 @@ def test_opt_gate_output_ignores_seed_and_restarts(monkeypatch, tmp_path):
         (["opt-gate", "--tau2", "-3"], 2, "tau2 must be a finite positive time, got -3.0"),
         (["analytic", "--tau2", "-3", "--json"], 2, "tau2 must be a finite positive time"),
         (["opt-gate", "--tau2", "nan"], 2, "tau2 must be a finite positive time, got nan"),
+        (["analytic", "--scan-eta-mp", "1:2:x"], 2, "bad scan grid '1:2:x'"),
+        (["power-scan", "--n-list", "1,x"], 2, "bad pulse-count list '1,x'"),
+        (["simulate", "--gate", "generic:" + ",".join(["0.1"] * 14)],
+         2, "generic gate needs 15 angles, got 14"),
     ],
 )
 def test_error_exit_codes(capsys, monkeypatch, tmp_path, args, code,
@@ -464,6 +487,71 @@ def test_error_exit_codes(capsys, monkeypatch, tmp_path, args, code,
     if args[0] in ("simulate", "analyze") and code == 2:
         assert not (tmp_path / "out").exists()  # rejected before any output
         assert [p.name for p in tmp_path.iterdir()] == ["bad.log"]   # and no staged log
+
+
+@pytest.mark.parametrize("first,second,gone", [
+    # too few trajectories for the log-ratio fit: no log_ratio.csv
+    (["--samples", "2000", "--pulses", "20"], ["--samples", "3"], "log_ratio.csv"),
+    # a generic gate has no work lattice: no histograms
+    (["--samples", "300", "--pulses", "5"],
+     ["--gate", GENERIC, "--samples", "30", "--pulses", "3"], "hist_nw.csv"),
+    # fewer logs than the run before
+    (["--samples", "5", "--pulses", "3", "--emit-logs"],
+     ["--samples", "3", "--pulses", "3", "--seed", "7", "--emit-logs"],
+     "events/trajectory_00003.log"),
+    # a run without logs leaves an earlier run's logs as they are
+    (["--samples", "5", "--pulses", "3", "--emit-logs"], ["--samples", "3", "--pulses", "3"],
+     None),
+])
+def test_a_rerun_leaves_what_a_fresh_run_writes(monkeypatch, tmp_path, first, second, gone):
+    for folder in ("rerun", "fresh"):
+        (tmp_path / folder).mkdir()
+    monkeypatch.chdir(tmp_path / "rerun")
+    assert cli.main(["simulate", *first, "--tau2", "0.5", "--out-dir", "out"]) == 0
+    Path("out/events").mkdir(exist_ok=True)
+    Path("out/events/notes.txt").write_text("kept\n")   # no run writes it, so every run keeps it
+    earlier = _snapshot(Path("out"))
+    assert cli.main(["simulate", *second, "--tau2", "0.5", "--out-dir", "out"]) == 0
+    monkeypatch.chdir(tmp_path / "fresh")
+    assert cli.main(["simulate", *second, "--tau2", "0.5", "--out-dir", "out"]) == 0
+    left = {name: data for name, data in earlier.items() if name.startswith("events/")}
+    if "--emit-logs" in second:
+        left = {"events/notes.txt": b"kept\n"}
+    rerun = _snapshot(tmp_path / "rerun" / "out")
+    assert rerun == _snapshot(tmp_path / "fresh" / "out") | left
+    assert gone is None or gone in earlier and gone not in rerun
+    assert not list(tmp_path.rglob(".swapengine-*"))
+
+
+@pytest.mark.parametrize("logs", [[], ["--emit-logs"]])
+def test_a_refused_rerun_leaves_the_earlier_output_as_it_was(capsys, monkeypatch, tmp_path,
+                                                              logs):
+    # the generic-gate work error squares omega1 after the fold, past the float range
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["simulate", "--samples", "5", "--pulses", "3", "--emit-logs",
+                     "--out-dir", "out"]) == 0
+    earlier = _snapshot(tmp_path)
+    assert cli.main(["simulate", "--gate", GENERIC, "--omega1", "1e160", "--omega2", "1e159",
+                     "--beta1", "1e-160", "--beta2", "1e-160", "--samples", "2",
+                     "--pulses", "1", "--out-dir", "out", *logs]) == 2
+    assert "out of the float range" in capsys.readouterr().err
+    assert _snapshot(tmp_path) == earlier
+    assert not list(tmp_path.rglob(".swapengine-*"))
+
+
+def test_reconstruction_csv_quotes_paths_with_commas_quotes_and_line_breaks(monkeypatch,
+                                                                           tmp_path):
+    monkeypatch.chdir(tmp_path)
+    for folder in ("x,y", 'say "hi"', "two\nlines"):
+        assert cli.main(["simulate", "--samples", "2", "--pulses", "3", "--tau2", "0.5",
+                         "--emit-logs", "--out-dir", folder]) == 0
+    logs = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.glob("*/events/*.log"))
+    assert len(logs) == 6
+    assert cli.main(["analyze", *logs, "--pulses", "3", "--tau2", "0.5", "--out-dir", "ana"]) == 0
+    with open(tmp_path / "ana" / "reconstruction.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows[1:]] == logs
+    assert {len(row) for row in rows} == {9}
 
 
 def test_efficiency_bins_are_refused_only_where_one_overflows(monkeypatch, tmp_path):
@@ -532,6 +620,7 @@ def test_malformed_event_log_is_a_parse_error(capsys, monkeypatch, tmp_path):
         ("beta1=0.5\nbeta1=0.6\n", "duplicate config key 'beta1'"),
         ("samples=abc\n", "bad value 'abc' for key 'samples'"),
         ("beta1\n", "expected 'key = value', got 'beta1'"),
+        ("emit_logs = maybe\n", "bad value 'maybe' for key 'emit_logs'"),
     ],
 )
 def test_config_file_errors_carry_file_and_line(capsys, monkeypatch, tmp_path,
@@ -868,9 +957,10 @@ def test_console_script_matches_in_process_behavior(tmp_path):
     unknown = subprocess.run([*cmd, "simulate", "--no-such-flag"], capture_output=True,
                              text=True, cwd=tmp_path, env=env)
     assert unknown.returncode == 2
-    # the top-level parser reports what the subcommand left over
-    assert unknown.stderr.startswith("usage: swapengine [-h] {analytic,simulate,")
-    assert unknown.stderr.endswith("error: unrecognized arguments: --no-such-flag\n")
+    # reported with the command's usage, which lists the flags it takes
+    assert unknown.stderr.startswith("usage: swapengine simulate [-h] [--beta1 BETA1]")
+    assert unknown.stderr.endswith(
+        "swapengine simulate: error: unrecognized arguments: --no-such-flag\n")
     abbreviated = subprocess.run([*cmd, "analytic", "--jso"], capture_output=True,
                                  text=True, cwd=tmp_path, env=env)
     assert abbreviated.returncode == 0
