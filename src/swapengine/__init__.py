@@ -5,8 +5,8 @@ from types import ModuleType as _ModuleType
 
 from .eventlog import ParseError, format_event, parse_events, write_events
 from .gates import (BASIS_BITS, ISWAP, SWAP_PERMUTATION, GateOptimum, GateSpec,
-                    Generic, SwapFamily, Unitary4, build_gate, fit_to_matrix,
-                    gibbs_populations, mean_energetics_for_gate, optimize_gate)
+                    Generic, SwapFamily, Unitary4, build_gate, gibbs_populations,
+                    mean_energetics_for_gate, optimize_gate)
 from .stats import (EfficiencyDistribution, EnsembleStats, FtLogRatio,
                     IntegralFt, PowerScanRow, Reconstruction, accumulate,
                     efficiency_distribution, fold_ensemble, ft_log_ratio,
@@ -16,10 +16,9 @@ from .thermo import (ConfigError, Efficiencies, EngineConfig, ExpansionFit,
                      classify_regime, efficiencies, excited_population,
                      low_etaC_expansion, mean_energetics, omega_star,
                      post_swap_betas, relaxation_time)
-from .trajectory import (BASIS_LABELS, JUMP_BUDGET, Energetics, LedgerKey,
-                         Protocol, RunParams, TrajectoryEvent, TrajectoryRecord,
-                         per_pulse_transfer_moments, run_ensemble,
-                         sample_initial_state)
+from .trajectory import (JUMP_BUDGET, Energetics, LedgerKey, Protocol, RunParams,
+                         TrajectoryEvent, TrajectoryRecord, per_pulse_transfer_moments,
+                         run_ensemble, sample_initial_state)
 
 __version__ = "0.1.0"
 

@@ -27,10 +27,9 @@ import json
 import math
 import sys
 import tempfile
-from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -166,8 +165,7 @@ def parse_gate_spec(text: str) -> GateSpec:
                       " | generic:a1,...,a15)")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully resolved invocation: the value of every key of KEYS but
     tau2_relax_multiple (tau2 holds the resolved interval), and the engine,
     gate and pulse schedule built from them."""
@@ -188,7 +186,7 @@ def resolve_config(args: argparse.Namespace | SimpleNamespace) -> RunConfig:
     explicit.update((key, flag) for key, flag in vars(args).items()
                     if key in KEYS and flag is not None)
     values = {key: default for key, (_, default, _) in KEYS.items()} | explicit
-    engine = EngineConfig(**{f.name: values[f.name] for f in fields(EngineConfig)})
+    engine = EngineConfig(**{name: values[name] for name in EngineConfig._fields})
     if "tau2" in explicit and "tau2_relax_multiple" in explicit:
         raise ConfigError("give either tau2 or tau2_relax_multiple, not both")
     multiple = values.pop("tau2_relax_multiple")
@@ -433,10 +431,10 @@ def cmd_power_scan(rc: RunConfig, t_op_multiple: float, n_list: str) -> int:
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "power_scan.csv"
     # PowerScanRow's fields, in order, are the columns
-    _write_csv(csv_path, [f.name for f in fields(PowerScanRow)], map(astuple, rows))
+    _write_csv(csv_path, PowerScanRow._fields, rows)
     if v["json"]:
         print(_json_text({"config": rc.echo(), "t_op_multiple": t_op_multiple,
-                          "rows": list(map(asdict, rows))}))
+                          "rows": [row._asdict() for row in rows]}))
     else:
         print(str(csv_path))
     return 0

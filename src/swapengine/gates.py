@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .thermo import ConfigError, EngineConfig, MeanEnergetics, Regime, classify_regime, excited_population
+from .thermo import (ConfigError, EngineConfig, MeanEnergetics, Regime, _Checked,
+                     classify_regime, excited_population)
 
 # (b1, b2) occupation bits for basis states |++>, |+->, |-+>, |-->
 BASIS_BITS = ((1, 1), (1, 0), (0, 1), (0, 0))
@@ -42,51 +43,61 @@ _UNITARITY_TOL = 1e-12
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-@dataclass(frozen=True)
-class Unitary4:
-    """A 4x4 unitary matrix; entries validated to U^dag U = 1 within 1e-12."""
-
+class _Unitary4Fields(NamedTuple):
     entries: np.ndarray
 
-    def __post_init__(self) -> None:
+
+class Unitary4(_Checked, _Unitary4Fields):
+    """A 4x4 unitary matrix; entries validated to U^dag U = 1 within 1e-12."""
+
+    __slots__ = ()
+
+    def _check(self) -> tuple[np.ndarray]:
         m = np.asarray(self.entries, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
         dev = np.max(np.abs(m.conj().T @ m - np.eye(4)))
         if not dev <= _UNITARITY_TOL:   # a NaN deviation fails too
             raise ValueError(f"matrix is not unitary (max deviation {dev:.3e})")
-        object.__setattr__(self, "entries", m)
+        return (m,)
 
 
-@dataclass(frozen=True)
-class SwapFamily:
-    """Phased swap gate: phases phi1, phi4 on |++>,|-->, phi2, phi3 on the swap block."""
-
+class _SwapFamilyFields(NamedTuple):
     phi1: float = 0.0
     phi2: float = 0.0
     phi3: float = 0.0
     phi4: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(p) for p in (self.phi1, self.phi2, self.phi3, self.phi4)):
+
+class SwapFamily(_Checked, _SwapFamilyFields):
+    """Phased swap gate: phases phi1, phi4 on |++>,|-->, phi2, phi3 on the swap block."""
+
+    __slots__ = ()
+
+    def _check(self) -> SwapFamily:
+        if not all(math.isfinite(p) for p in self):
             raise ValueError("swap gate needs 4 finite phases")
+        return self
 
 
-@dataclass(frozen=True)
-class Generic:
+class _GenericFields(NamedTuple):
+    angles: tuple[float, ...] = (0.0,) * 15
+
+
+class Generic(_Checked, _GenericFields):
     """15-angle parametrization of U(4) up to global phase.
 
     angles[0:3] are the relative diagonal phases, angles[3:9] the six Givens
     mixing angles, angles[9:15] the six Givens phases.
     """
 
-    angles: tuple[float, ...] = field(default=(0.0,) * 15)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> tuple[tuple[float, ...]]:
         a = tuple(float(x) for x in self.angles)
         if len(a) != 15 or not all(math.isfinite(x) for x in a):
             raise ValueError("Generic gate needs 15 finite angles")
-        object.__setattr__(self, "angles", a)
+        return (a,)
 
 
 # the swap-family member with phase i on the swap block
@@ -167,8 +178,7 @@ def mean_energetics_for_gate(U: Unitary4 | np.ndarray, cfg: EngineConfig) -> Mea
     return _energetics(_energy_changes(np.abs(m) ** 2, _centered_populations(cfg), cfg))
 
 
-@dataclass(frozen=True)
-class GateOptimum:
+class GateOptimum(NamedTuple):
     """Exact best gate: its angles, its mean energetics, and the gap to the swap gate."""
 
     best_angles: tuple[float, ...]
@@ -220,41 +230,6 @@ def optimize_gate(cfg: EngineConfig) -> GateOptimum:
     best = _energetics(de[n])
     return GateOptimum(best_angles=angles[n], optimum=best,
                        gap_to_swap=best.w - _energetics(de[-1]).w)
-
-
-def fit_to_matrix(target: np.ndarray) -> tuple[tuple[float, ...], float]:
-    """Factor a unitary into the 15-angle form, up to global phase.
-
-    Undoes the six Givens factors of the form from the right, last first:
-    the factor on pair (j, k) is chosen to zero entry (k, j) of the working
-    copy, with mixing angle atan2(|a|, |b|) and phase arg b - arg a for
-    a, b its entries (k, j), (k, k).  Unitarity leaves a diagonal matrix,
-    whose phases relative to entry (3, 3) are the three diagonal angles.
-    Returns the angles with the max entrywise distance after phase alignment;
-    a target that is not a 4x4 unitary raises ValueError.
-    """
-    v = Unitary4(target).entries
-    w = v.copy()
-    thetas: list[float] = []
-    lams: list[float] = []
-    for j, k in reversed(_PAIRS):
-        a, b = w[k, j], w[k, k]
-        th = math.atan2(abs(a), abs(b))
-        lam = 0.0 if a == 0 or b == 0 else float(np.angle(b) - np.angle(a))
-        c, s = math.cos(th), math.sin(th)
-        ep = complex(math.cos(lam), math.sin(lam))
-        col_j = w[:, j].copy()
-        w[:, j] = c * col_j - s * ep.conjugate() * w[:, k]
-        w[:, k] = s * ep * col_j + c * w[:, k]
-        thetas.append(th)
-        lams.append(lam)
-    phases = np.angle(np.diag(w)[:3]) - np.angle(w[3, 3])
-    angles = tuple(float(x) for x in [*phases, *thetas[::-1], *lams[::-1]])
-    u = _generic_matrix(angles)
-    tr = np.trace(v.conj().T @ u)
-    u_aligned = u * np.exp(-1j * np.angle(tr))
-    dist = float(np.max(np.abs(u_aligned - v)))
-    return angles, dist
 
 
 def __getattr__(name: str):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -88,17 +87,26 @@ class IntegralFt(NamedTuple):
     share: float
 
 
-@dataclass
 class EnsembleStats:
     """Exact histogram of one homogeneous ensemble over LedgerKey.
 
+    params is the run's, None until the first record is added, and counts
+    holds the records per ledger; two stats are equal when both are.
     hist_joint is keyed by exact quantum counts (q1/omega1, w/(omega1-omega2))
     = (h1, n_w), and efficiency_distribution reads the statistics of
     eta = w/q1 off it.  Below two records an error is None.
     """
 
-    params: RunParams | None = None
-    counts: Counter = field(default_factory=Counter)
+    __slots__ = ("params", "counts")
+
+    def __init__(self, params: RunParams | None = None) -> None:
+        self.params = params
+        self.counts: Counter = Counter()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EnsembleStats):
+            return NotImplemented
+        return (self.params, self.counts) == (other.params, other.counts)
 
     @property
     def quantized(self) -> bool:
@@ -259,8 +267,7 @@ def fold_ensemble(cfg: EngineConfig, protocol: Protocol, gate_spec: GateSpec,
     return stats
 
 
-@dataclass(frozen=True)
-class FtLogRatio:
+class FtLogRatio(NamedTuple):
     """Empirical log-ratio points and their weighted through-origin fit.
 
     points holds (n_w, ln P(n_w)/P(-n_w), standard error) for every signed
@@ -306,8 +313,7 @@ def ft_log_ratio(stats: EnsembleStats) -> FtLogRatio:
                       slope_se=1.0 / math.sqrt(swxx))
 
 
-@dataclass(frozen=True)
-class EfficiencyDistribution:
+class EfficiencyDistribution(NamedTuple):
     """P(eta) histogram: ETA_BIN_WIDTH-wide bins keyed by
     floor(eta/ETA_BIN_WIDTH), plus the infinity bin (finite work at zero
     hot-bath heat) and the undefined count (zero work at zero heat)."""
@@ -351,8 +357,7 @@ def efficiency_distribution(stats: EnsembleStats) -> EfficiencyDistribution:
     return EfficiencyDistribution(tuple(sorted(bins.items())), infinite, undefined)
 
 
-@dataclass(frozen=True)
-class PowerScanRow:
+class PowerScanRow(NamedTuple):
     n_pulses: int
     tau2: float
     work_output: float   # -<w> per run of n_pulses pulses
@@ -404,8 +409,7 @@ def power_scan(
     return rows
 
 
-@dataclass(frozen=True)
-class Reconstruction:
+class Reconstruction(NamedTuple):
     """Integer ledgers recovered from a pulse-marker-free jump log.
 
     The jump sums give the net emission counts h1, h2 exactly, so the naive

@@ -19,16 +19,39 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class ConfigError(ValueError):
     """Invalid physical configuration."""
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class _Checked:
+    """Base of the record types that check their fields, listed before their
+    NamedTuple base: that base binds the arguments and defaults, and _check
+    refuses a bad value or returns the fields to store.  Construction, _make
+    and so _replace all run the check."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return tuple.__new__(cls, super().__new__(cls, *args, **kwargs)._check())
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _EngineFields(NamedTuple):
+    beta1: float
+    beta2: float
+    omega1: float
+    omega2: float
+    gamma: float = 1.0
+
+
+class EngineConfig(_Checked, _EngineFields):
     """Physical parameters of the engine.
 
     beta1, beta2: inverse bath temperatures, beta1 <= beta2.
@@ -36,16 +59,12 @@ class EngineConfig:
     gamma: bath coupling rate (sets the jump-rate scale).
     """
 
-    beta1: float
-    beta2: float
-    omega1: float
-    omega2: float
-    gamma: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("beta1", "beta2", "omega1", "omega2", "gamma"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+    def _check(self) -> EngineConfig:
+        for name, v in zip(self._fields, self):
+            if isinstance(v, bool) or not (
+                    isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ConfigError(f"{name} must be a finite positive number, got {v!r}")
         if self.beta1 > self.beta2:
             raise ConfigError(
@@ -59,6 +78,7 @@ class EngineConfig:
             if x > math.log(sys.float_info.max):
                 raise ConfigError(f"beta{i}*omega{i} must keep e^(beta{i}*omega{i}) "
                                   f"finite, got {x}")
+        return self
 
 
 class Regime(Enum):
@@ -68,8 +88,7 @@ class Regime(Enum):
     BOUNDARY = "Boundary"
 
 
-@dataclass(frozen=True)
-class MeanEnergetics:
+class MeanEnergetics(NamedTuple):
     """Per-swap ensemble means; w == dE1 + dE2 by construction."""
 
     dE1: float
@@ -77,8 +96,7 @@ class MeanEnergetics:
     w: float
 
 
-@dataclass(frozen=True)
-class Efficiencies:
+class Efficiencies(NamedTuple):
     """Efficiency figures; cop is None when omega2 >= omega1 (no cooling
     cycle), cop_carnot when beta1 == beta2 (no gradient)."""
 
@@ -89,15 +107,13 @@ class Efficiencies:
     eta_ca: float
 
 
-@dataclass(frozen=True)
-class MaxPowerPoint:
+class MaxPowerPoint(NamedTuple):
     omega_ratio: float
     eta_star: float
     w_max: float
 
 
-@dataclass(frozen=True)
-class ExpansionFit:
+class ExpansionFit(NamedTuple):
     linear_coeff: float
     quad_coeff: float
 

@@ -47,7 +47,6 @@ same uniforms as one call per uniform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterator, NamedTuple
 
@@ -55,9 +54,7 @@ import numpy as np
 
 from .gates import (BASIS_BITS, SWAP_PERMUTATION, GateSpec, SwapFamily, Unitary4,
                     build_gate)
-from .thermo import ConfigError, EngineConfig, bose_occupation, excited_population
-
-BASIS_LABELS = ("++", "+-", "-+", "--")
+from .thermo import ConfigError, EngineConfig, _Checked, bose_occupation, excited_population
 
 # jump channel order: (bath 1 emission, bath 1 absorption, bath 2 emission, bath 2 absorption)
 CHANNELS = ((1, "E"), (1, "A"), (2, "E"), (2, "A"))
@@ -81,22 +78,28 @@ _TIME_RTOL = 1e-12   # relative tolerance of the jump-time root find
 JUMP_BUDGET = 1e7
 
 
-@dataclass(frozen=True)
-class Protocol:
+class _ProtocolFields(NamedTuple):
+    n_pulses: int
+    tau2: float
+
+
+class Protocol(_Checked, _ProtocolFields):
     """Pulse schedule: n_pulses gate applications spaced tau2 apart.
 
     n_pulses = 0 is the pulse-free diagnostic: a single relaxation interval
     of length tau2 with no gate, so total_time degenerates to tau2.
     """
 
-    n_pulses: int
-    tau2: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.n_pulses, int) and self.n_pulses >= 0):
-            raise ConfigError(f"n_pulses must be a nonnegative integer, got {self.n_pulses!r}")
-        if not (isinstance(self.tau2, (int, float)) and math.isfinite(self.tau2) and self.tau2 > 0):
-            raise ConfigError(f"tau2 must be a finite positive time, got {self.tau2!r}")
+    def _check(self) -> Protocol:
+        n, tau2 = self
+        if isinstance(n, bool) or not (isinstance(n, int) and n >= 0):
+            raise ConfigError(f"n_pulses must be a nonnegative integer, got {n!r}")
+        if isinstance(tau2, bool) or not (
+                isinstance(tau2, (int, float)) and math.isfinite(tau2) and tau2 > 0):
+            raise ConfigError(f"tau2 must be a finite positive time, got {tau2!r}")
+        return self
 
     @property
     def total_time(self) -> float:
@@ -204,8 +207,7 @@ def _index_key(index: int, n_pulses: int) -> LedgerKey:
     return LedgerKey(n_w - db1, -n_w - db2, db1, db2, n_w)
 
 
-@dataclass(frozen=True, slots=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     """Outcome of one run: its integer ledger, its energies read off that
     ledger, and, when the lane resolves them, its time-ordered pulse/jump
     events (None otherwise)."""

@@ -916,7 +916,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes.append(main(["analyze", *logs, "--pulses", "2", "--out-dir", "ana"]))
 print(json.dumps([codes, sorted(m for m in sys.modules
                                 if m.split(".")[0] == "scipy"), "numpy.fft" in sys.modules,
-                  random_loaded, [m for m in ("argparse", "locale") if m in sys.modules]]))
+                  random_loaded,
+                  [m for m in ("argparse", "locale", "dataclasses") if m in sys.modules]]))
 """
 
 
@@ -937,7 +938,9 @@ def test_cli_runs_import_no_scipy(tmp_path):
     # never draw from: no module may touch np.random when it is imported
     assert not random_loaded
     # plain command lines are read without argparse, which would load
-    # gettext and, on its first message lookup, locale (about 2 ms)
+    # gettext and, on its first message lookup, locale (about 2 ms); and the
+    # record types are NamedTuples, since each @dataclass compiles its
+    # methods afresh on every start (about 1 ms a class)
     assert parser_modules == []
 
 

@@ -1,5 +1,4 @@
-"""Gate construction, gate-resolved mean energetics, the exact gate optimum,
-and the exact factorization of any unitary into the 15-angle form.
+"""Gate construction, gate-resolved mean energetics and the exact gate optimum.
 
 Mean energetics are linear in the doubly stochastic matrix |U_jk|^2, whose
 extreme points are the 24 permutation matrices, so checking every
@@ -15,7 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import unitary_group
 
 import swapengine as se
 
@@ -76,10 +74,23 @@ def test_iswap_has_swap_transition_probabilities_with_quarter_phase():
 
 
 def test_unitary4_rejects_non_unitary_matrices():
-    with pytest.raises(ValueError, match="not unitary"):
-        se.Unitary4(np.ones((4, 4), dtype=complex))
-    with pytest.raises(ValueError, match="not unitary"):   # NaN deviation
-        se.Unitary4(np.full((4, 4), np.nan, dtype=complex))
+    swap = se.build_gate(se.SwapFamily())
+    # the NaN matrix's deviation is NaN
+    for entries in (np.ones((4, 4), dtype=complex),
+                    np.full((4, 4), np.nan, dtype=complex)):
+        for make in (se.Unitary4, lambda m: swap._replace(entries=m)):
+            with pytest.raises(ValueError, match="not unitary"):
+                make(entries)
+
+
+def test_fit_to_matrix_rejects_non_unitary_targets():
+    # a target gate matrix is checked where it is wrapped, by Unitary4
+    swap = se.build_gate(se.SwapFamily())
+    for entries, match in ((2.0 * SWAP_MATRIX, "not unitary"),
+                           (np.eye(3), "4x4")):
+        for make in (se.Unitary4, lambda m: swap._replace(entries=m)):
+            with pytest.raises(ValueError, match=match):
+                make(entries)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -89,13 +100,16 @@ def test_swap_family_needs_four_finite_phases(bad):
         phases[k] = bad
         with pytest.raises(ValueError, match="4 finite phases"):
             se.SwapFamily(*phases)
+        with pytest.raises(ValueError, match="4 finite phases"):
+            se.ISWAP._replace(**{f"phi{k + 1}": bad})
 
 
 def test_generic_gate_needs_fifteen_finite_angles():
-    with pytest.raises(ValueError, match="15 finite angles"):
-        se.Generic(angles=(0.0,) * 14)
-    with pytest.raises(ValueError, match="15 finite angles"):
-        se.Generic(angles=(0.0,) * 14 + (float("nan"),))
+    for angles in ((0.0,) * 14, (0.0,) * 14 + (float("nan"),)):
+        with pytest.raises(ValueError, match="15 finite angles"):
+            se.Generic(angles=angles)
+        with pytest.raises(ValueError, match="15 finite angles"):
+            se.Generic()._replace(angles=angles)
 
 
 def test_gibbs_populations_are_a_product_of_single_qubit_weights():
@@ -189,47 +203,6 @@ def test_random_gates_never_beat_the_swap(cfg):
         w = se.mean_energetics_for_gate(se.build_gate(se.Generic(angles)), cfg).w
         assert w >= w_swap - 1e-12
         assert -w <= best_out + 1e-12
-
-
-@pytest.mark.parametrize("spec", [se.ISWAP, se.SwapFamily()])
-def test_fit_to_matrix_recovers_named_gates(spec):
-    target = se.build_gate(spec).entries
-    angles, dist = se.fit_to_matrix(target)
-    assert len(angles) == 15
-    assert dist < 1e-12
-    # phase-free cross-check: transition probabilities must agree too
-    fitted = se.build_gate(se.Generic(angles)).entries
-    assert np.allclose(np.abs(fitted) ** 2, np.abs(target) ** 2, atol=1e-12)
-
-
-def test_fit_to_matrix_factors_every_permutation_gate():
-    for perm in itertools.permutations(range(4)):
-        P = np.zeros((4, 4))
-        P[list(perm), range(4)] = 1.0
-        _, dist = se.fit_to_matrix(P)
-        assert dist <= 1e-12
-
-
-def test_fit_to_matrix_factors_haar_random_unitaries():
-    for U in unitary_group.rvs(4, size=200, random_state=5):
-        _, dist = se.fit_to_matrix(U)
-        assert dist <= 1e-12
-
-
-def test_fit_to_matrix_rejects_non_unitary_targets():
-    with pytest.raises(ValueError, match="not unitary"):
-        se.fit_to_matrix(2.0 * SWAP_MATRIX)
-    with pytest.raises(ValueError, match="4x4"):
-        se.fit_to_matrix(np.eye(3))
-
-
-@settings(derandomize=True, database=None, deadline=None)
-@given(st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), min_size=15,
-                max_size=15))
-def test_fit_to_matrix_factors_every_generic_gate(angles):
-    target = se.build_gate(se.Generic(tuple(angles))).entries
-    _, dist = se.fit_to_matrix(target)
-    assert dist <= 1e-12
 
 
 def test_optimize_gate_lands_on_the_swap_value():

@@ -10,7 +10,6 @@ fluctuation relation on the events lane's own records.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import tracemalloc
 import types
@@ -85,7 +84,7 @@ def test_ft_weight_sum_follows_the_definition():
 def test_accumulate_rejects_empty_and_inhomogeneous_streams():
     with pytest.raises(se.ConfigError, match="empty record stream"):
         se.accumulate([])
-    other = PARAMS._replace(cfg=dataclasses.replace(CFG, beta1=0.5))
+    other = PARAMS._replace(cfg=CFG._replace(beta1=0.5))
     with pytest.raises(se.ConfigError, match="different runs"):
         se.accumulate([_rec(0, 0), _rec(0, 0, params=other)])
 
@@ -318,7 +317,7 @@ def test_integral_ft_reads_each_ledger_once(monkeypatch):
 def test_efficiency_distribution_structure_and_modal_bin():
     records = HAND_RECORDS + [_rec(0, 0, db1=-1, db2=1)]
     dist = se.efficiency_distribution(se.accumulate(records))
-    assert [f.name for f in dataclasses.fields(dist)] == ["bins", "infinite", "undefined"]
+    assert list(dist._fields) == ["bins", "infinite", "undefined"]
     assert dist.bins == ((8, 1), (16, 2))
     assert dist.infinite == 1
     assert dist.undefined == 1
@@ -526,7 +525,7 @@ def test_refined_reconstruction_flags_impossible_logs():
 def test_path_log_ratio_of_a_hand_path(gamma):
     # |+-> swaps to |-+> at t = 0, and bath 2 takes the quantum at 0.3; the
     # survival factors cancel and the rate ratios carry no gamma
-    cfg = dataclasses.replace(CFG, gamma=gamma)
+    cfg = CFG._replace(gamma=gamma)
     params = se.RunParams(cfg, se.Protocol(1, 1.0), se.SwapFamily())
     ratio, ledger = se.path_log_ratio(params, 1, [
         se.TrajectoryEvent(0.0, "P", 0, 0), _jump(0.3, "E", 2)])

@@ -276,8 +276,14 @@ def test_low_etaC_expansion_rejects_bad_grids():
          "gamma must be a finite positive number"),
         (dict(beta1=0.5, beta2=float("nan"), omega1=1.0, omega2=0.5),
          "finite positive number"),
+        (dict(beta1=True, beta2=1.0, omega1=1.0, omega2=0.5),
+         "beta1 must be a finite positive number, got True"),
+        (dict(beta1=0.5, beta2=1.0, omega1=1.0, omega2=0.5, gamma=True),
+         "gamma must be a finite positive number, got True"),
     ],
 )
 def test_engine_config_validation(kwargs, match):
     with pytest.raises(se.ConfigError, match=match):
         se.EngineConfig(**kwargs)
+    with pytest.raises(se.ConfigError, match=match):
+        se.EngineConfig(0.5, 1.0, 1.0, 0.5)._replace(**kwargs)

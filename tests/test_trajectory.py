@@ -37,8 +37,8 @@ N2 = se.bose_occupation(CFG.beta2, CFG.omega2)
 
 
 def test_basis_states_and_labels():
-    for idx, (b1, b2) in enumerate(se.BASIS_BITS):
-        label = se.BASIS_LABELS[idx]
+    # the documented basis order {|++>, |+->, |-+>, |-->}, "+" the excited level
+    for (b1, b2), label in zip(se.BASIS_BITS, ("++", "+-", "-+", "--"), strict=True):
         assert label == ("+" if b1 else "-") + ("+" if b2 else "-")
 
 
@@ -77,12 +77,15 @@ def test_apply_pulse_superposed_endpoint_has_no_sharp_effect():
 def test_protocol_total_time_and_validation():
     assert se.Protocol(3, 0.5).total_time == 1.5
     assert se.Protocol(0, 0.7).total_time == 0.7  # bare interval, no pulses
-    with pytest.raises(se.ConfigError, match="nonnegative integer"):
-        se.Protocol(-1, 0.5)
-    with pytest.raises(se.ConfigError, match="finite positive time"):
-        se.Protocol(2, 0.0)
-    with pytest.raises(se.ConfigError, match="finite positive time"):
-        se.Protocol(2, float("nan"))
+    for (n, tau2), match in (((-1, 0.5), "nonnegative integer, got -1"),
+                             ((True, 0.65), "nonnegative integer, got True"),
+                             ((2, 0.0), "finite positive time, got 0.0"),
+                             ((2, float("nan")), "finite positive time, got nan"),
+                             ((3, True), "finite positive time, got True")):
+        with pytest.raises(se.ConfigError, match=match):
+            se.Protocol(n, tau2)
+        with pytest.raises(se.ConfigError, match=match):
+            se.Protocol(3, 0.5)._replace(n_pulses=n, tau2=tau2)
 
 
 def test_channel_rates_follow_occupations_and_populations():
