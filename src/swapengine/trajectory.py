@@ -6,9 +6,10 @@ product-Gibbs eigenstate and ending with a projective energy measurement at
 T = N*tau2.  Between pulses each qubit couples only to its own bath.  The
 unraveling follows the waiting-time construction on the joint four-state
 space: the no-jump generator is diagonal in the energy basis, so the squared
-norm decays as a known mixture of exponentials, the next jump time solves
-survival(t) = r for uniform r, and the jump channel (emission or absorption
-in bath 1 or 2) is drawn proportionally to the instantaneous channel rates
+norm decays as the survival of a mixture of exponentials, the next jump time
+is drawn from that mixture exactly (a basis component, then its exponential
+wait), and the jump channel (emission or absorption in bath 1 or 2) is drawn
+proportionally to the instantaneous channel rates
 gamma*(n_i+1)*||sigma_i psi||^2 and gamma*n_i*||sigma_i^dag psi||^2.  For
 basis states this collapses to a classical two-state process with dichotomic
 rates gamma*(n_i+1) (emission, active when excited) and gamma*n_i
@@ -16,13 +17,13 @@ rates gamma*(n_i+1) (emission, active when excited) and gamma*n_i
 
 Three engines realize the same trajectory law:
 
-  "mcwf"    amplitude evolution with root-found jump times throughout; the
-            slow oracle;
+  "mcwf"    amplitude evolution with mixture-drawn jump times throughout;
+            the slow oracle;
   "events"  carries the state as a basis index while it is a basis state
             (always on swap-family gates, whose pulses permute the basis;
             on Generic gates once jumps have collapsed the state), with
             closed-form exponential waiting times, and as amplitudes with
-            root-found ones while it is a superposition; emits the full
+            mixture-drawn ones while it is a superposition; emits the full
             time-stamped event record;
   "bits"    vectorized sampling of the whole integer ledger without event
             times, for swap-family ensembles without event logs.  A swap
@@ -39,7 +40,8 @@ Every engine keeps each run's integer ledger as one LedgerKey, and
 derives trajectory k's random stream from (seed, stream index) with a
 counter-based generator, so record k is independent of the sample size and
 reruns are bit-identical.  The events and mcwf lanes draw the same uniforms
-in the same order, so they make the same records jump for jump; they read
+in the same order, and a basis state's mixture draw is its closed-form wait
+bit for bit, so they make the same records jump for jump; they read
 each trajectory's stream in blocks (_BufferedUniforms), which hand out the
 same uniforms as one call per uniform.
 """
@@ -66,8 +68,6 @@ _JUMP_MAPS = (
     (1, -1, 3, -1),   # sigma_2:      |b1 +> -> |b1 ->
     (-1, 0, -1, 2),   # sigma_2^dag:  |b1 -> -> |b1 +>
 )
-
-_TIME_RTOL = 1e-12   # relative tolerance of the jump-time root find
 
 # Largest expected jump count per run (the outflow rate of |++> times the
 # run time) that the events and mcwf lanes accept; the working point expects
@@ -261,13 +261,17 @@ class _BufferedUniforms:
             map(np.ndarray.tolist, map(rng.random, repeat(_UNIFORM_BLOCK)))).__next__
 
 
-def _born_draw(pops: np.ndarray, u: float) -> int:
-    """The basis index a measurement of normalized populations pops finds,
-    for u uniform: Generator.choice(4, p=pops)'s own algorithm, which reads
-    one uniform."""
+def _born_draw(pops: np.ndarray, u: float) -> tuple[int, float]:
+    """The basis index i a measurement of populations pops finds, for u
+    uniform: Generator.choice(4, p=pops)'s own algorithm, which reads one
+    uniform.  Also u's place in i's cell of the normalized cumulative
+    populations, rescaled to [0, 1): given i, a uniform of its own, and u
+    itself when i holds all the weight."""
     cdf = np.cumsum(pops)
     cdf /= cdf[-1]
-    return int(cdf.searchsorted(u, side="right"))
+    i = int(cdf.searchsorted(u, side="right"))
+    lo = cdf[i - 1] if i else 0.0
+    return i, float((u - lo) / (cdf[i] - lo))
 
 
 def _basis_index(amps: np.ndarray) -> int | None:
@@ -290,14 +294,13 @@ class _Relaxation(NamedTuple):
 
     weights[i] are basis state i's four channel rates in CHANNELS order (the
     dichotomic rate on its two active channels, 0 on the others), outflow[i]
-    = gtot[i] their sum, its total outflow rate, and energy[i] its energy,
-    the phase frequency of its amplitude.
+    their sum, its total outflow rate, and decay[i] = -1j*E_i - outflow[i]/2
+    the no-jump generator's diagonal entry, E_i being the state's energy.
     """
 
     weights: tuple[tuple[float, float, float, float], ...]
     outflow: tuple[float, ...]
-    gtot: np.ndarray
-    energy: np.ndarray
+    decay: np.ndarray
     rates: np.ndarray
 
 
@@ -309,8 +312,8 @@ def _relaxation(cfg: EngineConfig) -> _Relaxation:
     # two nonzero terms per row, so every summation order rounds alike
     gtot = weights.sum(axis=1)
     energy = cfg.omega1 * (bits[:, 0] - 0.5) + cfg.omega2 * (bits[:, 1] - 0.5)
-    return _Relaxation(tuple(map(tuple, weights.tolist())), tuple(gtot.tolist()), gtot,
-                       energy, rates)
+    return _Relaxation(tuple(map(tuple, weights.tolist())), tuple(gtot.tolist()),
+                       -1j * energy - 0.5 * gtot, rates)
 
 
 # net emission count of each jump channel, in CHANNELS order
@@ -318,10 +321,11 @@ _CHANNEL_SIGNS = (1, -1, 1, -1)
 
 
 def _pick_channel(weights: tuple[float, ...] | np.ndarray, u: float) -> int:
-    """The first channel whose cumulative rate reaches u, else the last."""
+    """The first channel whose cumulative rate exceeds u, else the last: as
+    searchsorted(side="right"), so u = 0 never picks a channel of rate 0."""
     ch = 0
     acc = weights[0]
-    while acc < u and ch < 3:
+    while acc <= u and ch < 3:
         ch += 1
         acc += weights[ch]
     return ch
@@ -341,7 +345,8 @@ def _relax_basis(
     `duration`; return the basis state it ends in.
 
     Survival in a basis state is a pure exponential, so each wait is
-    -ln(r)/outflow in closed form; the channel is drawn by walking the
+    -ln(r)/outflow in closed form, infinite where r or the outflow is 0
+    (random() may return 0); the channel is drawn by walking the
     state's channel rates up to u*outflow, for u a second uniform.  Jumps
     add to heat[bath - 1] and, when events is a list, are appended to it at
     absolute times (offset by t_start).
@@ -352,7 +357,8 @@ def _relax_basis(
     weights = relax.weights
     while duration - t > 0:
         g = outflow[idx]
-        wait = math.inf if g == 0.0 else -log(random()) / g
+        # no uniform is read where nothing can jump
+        wait = -log(u) / g if g and (u := random()) else math.inf
         if wait > duration - t:
             break
         ch = _pick_channel(weights[idx], random() * g)
@@ -379,46 +385,31 @@ def _relax_amplitudes(
     eigenstate_shortcut: bool,
 ) -> np.ndarray | int:
     """Relax the amplitudes amps (not mutated) for `duration` by the
-    waiting-time unraveling: draw r uniform, decay the amplitudes under the
-    diagonal no-jump generator until the squared norm hits r (the root is
-    bisected to _TIME_RTOL relative time tolerance), apply the channel drawn
-    from the instantaneous rates, renormalize, and repeat until the interval
-    is exhausted.  Jumps are booked as in _relax_basis.
+    waiting-time unraveling.  The no-jump generator is diagonal, so the
+    squared norm decays as sum_i p_i*exp(-g_i*t), the survival of a mixture:
+    one uniform r picks component i as _born_draw does, and its rescaled
+    place r' in i's cell gives i's exponential wait -ln(r')/g_i, exactly
+    _relax_basis's wait on a basis state.  The amplitudes decay for the wait
+    or for the rest of the interval, whichever is shorter; a jump applies the
+    channel drawn from the instantaneous rates and renormalizes, and the
+    draw repeats until the interval is exhausted.  Jumps are booked as in
+    _relax_basis.
 
     Returns the end amplitudes, or, with eigenstate_shortcut, the basis index
     _relax_basis ends in once _basis_index finds a basis state.
     """
-    gtot, energy = relax.gtot, relax.energy
     amps = np.array(amps, dtype=complex)
     t = 0.0
-    while True:
-        rem = duration - t
-        if rem <= 0:
-            break
+    while (rem := duration - t) > 0:
         if eigenstate_shortcut and (idx := _basis_index(amps)) is not None:
             return _relax_basis(idx, t, duration, t_start, rng, relax, events, heat)
-        pops = np.abs(amps) ** 2
-        pops = pops / pops.sum()
-        r = rng.random()
-        surv_end = float(pops @ np.exp(-gtot * rem))
-        if surv_end > r:
-            amps = amps * np.exp((-1j * energy - 0.5 * gtot) * rem)
-            amps = amps / np.linalg.norm(amps)
+        i, r = _born_draw(np.abs(amps) ** 2, rng.random())
+        g = relax.outflow[i]
+        wait = -math.log(r) / g if g and r else math.inf
+        amps = amps * np.exp(relax.decay * min(wait, rem))
+        amps /= np.linalg.norm(amps)
+        if wait > rem:
             break
-        lo, hi = 0.0, rem
-        # survival is strictly decreasing from 1, so the root is bracketed
-        while hi - lo > _TIME_RTOL * max(hi, 1e-300):
-            mid = 0.5 * (lo + hi)
-            if float(pops @ np.exp(-gtot * mid)) > r:
-                lo = mid
-            else:
-                hi = mid
-        t_jump = 0.5 * (lo + hi)
-        amps = amps * np.exp((-1j * energy - 0.5 * gtot) * t_jump)
-        nrm = np.linalg.norm(amps)
-        if nrm == 0.0:
-            raise AssertionError("state annihilated before jump: rate bookkeeping broken")
-        amps = amps / nrm
         weights = _channel_rates(relax.rates, amps)
         ch = _pick_channel(weights, rng.random() * weights.sum())
         # apply the jump operator: project onto the active sector, relabel
@@ -427,7 +418,7 @@ def _relax_amplitudes(
             if dst >= 0:
                 new[dst] = amps[src]
         amps = new / np.linalg.norm(new)
-        t += t_jump
+        t += wait
         bath, kind = CHANNELS[ch]
         heat[bath - 1] += _CHANNEL_SIGNS[ch]
         if events is not None:
@@ -503,9 +494,7 @@ def _trajectory(
                                       events, heat, eigenstate_shortcut)
     idx_f = state if isinstance(state, int) else _basis_index(state)
     if idx_f is None:
-        pops = np.abs(state) ** 2
-        pops = pops / pops.sum()
-        idx_f = _born_draw(pops, rng.random())
+        idx_f = _born_draw(np.abs(state) ** 2, rng.random())[0]
     ledger = LedgerKey(heat[0], heat[1], BASIS_BITS[idx_f][0] - BASIS_BITS[idx0][0],
                        BASIS_BITS[idx_f][1] - BASIS_BITS[idx0][1], n_w)
     return TrajectoryRecord(ens.params, ledger, None if events is None else tuple(events))
