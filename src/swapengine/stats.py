@@ -248,11 +248,13 @@ def fold_ensemble(cfg: EngineConfig, protocol: Protocol, gate_spec: GateSpec,
     """Fold an ensemble run without event logs on the lane pick_lane picks.
 
     This is the only way into the bit lane, which names each row by its
-    ledger's integer index: np.unique counts each chunk's distinct indices,
-    the chunks' counts are summed by index, each distinct index is decoded
-    to its LedgerKey once per run, and no per-trajectory record is built,
-    so the counts are the Counter of the rows' LedgerKeys.  The events lane
-    is accumulate(run_ensemble(...))."""
+    ledger's integer index and yields one index array per chunk, drawn and
+    indexed in blocks of _LAW_BLOCK_ROWS rows, so the lane's working set
+    stays near one chunk's indices.  np.unique counts each chunk's distinct
+    indices, the chunks' counts are summed by index, each distinct index is
+    decoded to its LedgerKey once per run, and no per-trajectory record is
+    built, so the counts are the Counter of the rows' LedgerKeys.  The
+    events lane is accumulate(run_ensemble(...))."""
     if pick_lane(gate_spec, keep_events=False) != "bits":
         return accumulate(run_ensemble(cfg, protocol, gate_spec, sample_size, seed))
     if sample_size < 1:

@@ -1,6 +1,7 @@
-"""The bit lane's ledger rows as LedgerKeys, in row order, from its two row
-sources: a plain boundary-bit chain, written here for the tests alone, and
-the rows fold_ensemble reads, drawn from the exact track law."""
+"""The bit lane's ledger rows as LedgerKeys, in row order, from its row
+sources: a plain boundary-bit chain, written here for the tests alone, the
+rows fold_ensemble reads, drawn from the exact track law, and those rows
+drawn again a whole chunk at a time."""
 
 import math
 
@@ -42,3 +43,21 @@ def folded_rows(cfg, protocol, sample_size, seed):
     return [trajectory._index_key(i, protocol.n_pulses) for index in
             trajectory._bit_lane_ledgers(cfg, protocol, sample_size, seed)
             for i in index.tolist()]
+
+
+def whole_chunk_rows(cfg, protocol, sample_size, seed):
+    """The rows of the bit lane's law with each chunk's uniforms drawn in
+    one rng.random((rows, 2)) call from its (seed, c) stream, and inverted
+    and indexed a whole chunk at a time."""
+    window = trajectory._law_window(cfg, protocol)
+    cdfs = np.cumsum(trajectory._track_laws(cfg, protocol, window).reshape(2, -1), axis=1)
+    parts = trajectory._track_index_parts(protocol.n_pulses, window)
+    chunk = trajectory._LAW_CHUNK_ROWS
+    rows = []
+    for c in range(-(-sample_size // chunk)):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, c))))
+        u = rng.random((min(chunk, sample_size - c * chunk), 2))
+        cells = [trajectory._invert(cdf, trajectory._guide(cdf), u[:, t])
+                 for t, cdf in enumerate(cdfs)]
+        rows += (parts[0, cells[0]] + parts[1, cells[1]]).tolist()
+    return [trajectory._index_key(i, protocol.n_pulses) for i in rows]

@@ -906,7 +906,6 @@ codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["analytic", "--json"], ["opt-gate"]):
         codes.append(main(argv))
-    random_loaded = "numpy.random" in sys.modules
     for argv in (["simulate", "--samples", "3", "--pulses", "1024", "--out-dir", "bits"],
                  ["simulate", "--samples", "3", "--pulses", "2", "--emit-logs",
                   "--out-dir", "sim"]):
@@ -916,9 +915,38 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes.append(main(["analyze", *logs, "--pulses", "2", "--out-dir", "ana"]))
 print(json.dumps([codes, sorted(m for m in sys.modules
                                 if m.split(".")[0] == "scipy"), "numpy.fft" in sys.modules,
-                  random_loaded,
                   [m for m in ("argparse", "locale", "dataclasses") if m in sys.modules]]))
 """
+
+
+_NO_RANDOM_RUN = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from swapengine.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in (["analytic", "--json"], ["opt-gate"],
+                                     ["analyze", *sys.argv[2:], "--pulses", "2", "--out-dir", "ana"])]
+print(json.dumps([codes, "numpy.random" in sys.modules]))
+"""
+
+
+def test_commands_that_draw_nothing_never_import_numpy_random(tmp_path, monkeypatch, capsys):
+    # numpy loads numpy.random on first use (about 5 MiB and 7-13 ms), and
+    # analytic, opt-gate and analyze draw nothing, so no module they use
+    # may touch np.random when it is imported or run; the logs analyze
+    # reads are written here, by a simulate in this interpreter
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["simulate", "--samples", "3", "--pulses", "2", "--emit-logs",
+                     "--out-dir", "sim"]) == 0
+    capsys.readouterr()
+    logs = sorted(str(p) for p in (tmp_path / "sim" / "events").iterdir())
+    src = str(Path(se.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", _NO_RANDOM_RUN, src, *logs],
+                         capture_output=True, text=True, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    codes, random_loaded = json.loads(run.stdout)
+    assert codes == [0, 0, 0]
+    assert not random_loaded
 
 
 def test_cli_runs_import_no_scipy(tmp_path):
@@ -928,15 +956,12 @@ def test_cli_runs_import_no_scipy(tmp_path):
     run = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, src],
                          capture_output=True, text=True, cwd=tmp_path)
     assert run.returncode == 0, run.stderr
-    codes, scipy_modules, fft_loaded, random_loaded, parser_modules = json.loads(run.stdout)
+    codes, scipy_modules, fft_loaded, parser_modules = json.loads(run.stdout)
     assert codes == [0, 0, 0, 0, 0]
     assert scipy_modules == []
     # numpy loads numpy.fft on first use, and the bit lane uses it only
     # above trajectory._LAW_MAX_PULSES, so no run up to 1024 pulses pays for it
     assert not fft_loaded
-    # numpy.random too (some 6 MiB and 15 ms), which analytic and opt-gate
-    # never draw from: no module may touch np.random when it is imported
-    assert not random_loaded
     # plain command lines are read without argparse, which would load
     # gettext and, on its first message lookup, locale (about 2 ms); and the
     # record types are NamedTuples, since each @dataclass compiles its

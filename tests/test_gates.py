@@ -83,8 +83,8 @@ def test_unitary4_rejects_non_unitary_matrices():
                 make(entries)
 
 
-def test_fit_to_matrix_rejects_non_unitary_targets():
-    # a target gate matrix is checked where it is wrapped, by Unitary4
+def test_unitary4_refuses_a_non_unitary_or_non_4x4_matrix():
+    # a gate matrix is checked where it is wrapped, by Unitary4
     swap = se.build_gate(se.SwapFamily())
     for entries, match in ((2.0 * SWAP_MATRIX, "not unitary"),
                            (np.eye(3), "4x4")):

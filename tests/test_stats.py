@@ -197,6 +197,24 @@ def test_columnar_fold_memory_at_a_large_pulse_count():
     assert peak < 80 * 2 ** 20
 
 
+def test_columnar_fold_memory_at_the_working_point():
+    # the bit lane draws, inverts and indexes each 2**15-row chunk in blocks
+    # of trajectory._LAW_BLOCK_ROWS rows, so a 10^5 x 100 fold peaks near
+    # 0.79 MiB of numpy buffers; whole-chunk arrays peaked near 2.13 MiB
+    # (tracemalloc sees numpy's buffers).  A fold of one row first loads
+    # numpy.random, whose import is no part of the fold's working set.
+    proto = se.Protocol(100, 0.65)
+    se.fold_ensemble(CFG, proto, se.SwapFamily(), 1, seed=0)
+    tracemalloc.start()
+    try:
+        folded = se.fold_ensemble(CFG, proto, se.SwapFamily(), 100_000, seed=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert folded.sample_size == 100_000
+    assert peak < 1.4 * 2 ** 20
+
+
 def test_one_sample_fold_draws_one_row():
     # at 20000 pulses and tau2 = 0.65 each track's sd is about 56, so the
     # law's Fourier window holds 2**13 cells; the law's build dominates this

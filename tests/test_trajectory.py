@@ -13,8 +13,8 @@ its rows from the exact law of two excitation tracks, convolved whole up to
 a pulse threshold and built on a Fourier window above it; the law is checked
 against every boundary-bit path, the fluctuation relations and the
 mean-population recursion, the window against the whole law, the
-guide-table inversion against the binary search, and a plain boundary-bit
-chain against the law.
+guide-table inversion against the binary search, the block draw against one
+draw per chunk, and a plain boundary-bit chain against the law.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from scipy import integrate, stats
 import swapengine as se
 from swapengine import trajectory
 
-from lane_rows import chain_rows, folded_rows
+from lane_rows import chain_rows, folded_rows, whole_chunk_rows
 
 CFG = se.EngineConfig(beta1=2.0 / 3.0, beta2=1.0, omega1=1.0, omega2=5.0 / 6.0)
 N1 = se.bose_occupation(CFG.beta1, CFG.omega1)
@@ -304,6 +304,18 @@ def test_same_seed_reproduces_identical_records():
     a = list(se.run_ensemble(CFG, proto, se.SwapFamily(), 40, seed=9, engine="events"))
     b = list(se.run_ensemble(CFG, proto, se.SwapFamily(), 40, seed=9, engine="events"))
     assert a == b
+
+
+@pytest.mark.parametrize("n_pulses", [0, 1, 100, trajectory._LAW_MAX_PULSES + 1])
+def test_block_draw_reads_each_chunk_as_one_draw(n_pulses):
+    # a chunk's uniforms come in blocks of _LAW_BLOCK_ROWS rows from its one
+    # stream; at sizes on either side of a block's and a chunk's edge the
+    # rows are those of one draw per chunk, on the whole law and on the
+    # Fourier window alike
+    proto = se.Protocol(n_pulses, 0.65)
+    block, chunk = trajectory._LAW_BLOCK_ROWS, trajectory._LAW_CHUNK_ROWS
+    for size in (1, block - 1, block, block + 1, chunk, chunk + 1, 100_000):
+        assert folded_rows(CFG, proto, size, seed=12) == whole_chunk_rows(CFG, proto, size, seed=12)
 
 
 def test_record_k_does_not_depend_on_sample_size():
