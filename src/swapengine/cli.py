@@ -29,7 +29,7 @@ import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +40,8 @@ from .stats import (ETA_BIN_WIDTH, EfficiencyDistribution, EnsembleStats, FtLogR
                     efficiency_distribution, fold_ensemble, ft_log_ratio, power_scan,
                     reconstruct_from_events)
 from .thermo import (ConfigError, EngineConfig, classify_regime, efficiencies,
-                     mean_energetics, omega_star, post_swap_betas, relaxation_time)
+                     low_etaC_expansion, mean_energetics, omega_star, post_swap_betas,
+                     relaxation_time)
 from .trajectory import Protocol, pick_lane, run_ensemble
 
 if TYPE_CHECKING:
@@ -66,33 +67,10 @@ KEYS: dict[str, tuple[type, object, str]] = {
     "json": (bool, False, "print the JSON report instead of the human one"),
 }
 
-# the arguments beside the KEYS flags, as add_argument keywords by flag or
-# positional name: --config, which every command takes, and command ->
-# (help, own arguments); _build_parser declares them and _read_plain reads
-# them from here
+# --config, which every command takes, as add_argument keywords:
+# _build_parser declares it and _read_plain reads it from here, as they
+# read COMMANDS
 CONFIG_FLAG = {"--config": {"help": "flat key = value config file"}}
-COMMANDS: dict[str, tuple[str, dict[str, dict]]] = {
-    "analytic": ("closed-form report for one configuration", {
-        "--scan-eta-mp": {"nargs": "?", "const": "auto", "default": None,
-                          "metavar": "LO:HI:COUNT",
-                          "help": "also sweep beta2 and tabulate eta* vs eta_C"},
-    }),
-    "simulate": ("run a trajectory ensemble and write its statistics", {}),
-    "power-scan": ("work output vs pulse count at fixed operation time", {
-        "--t-op-multiple": {"type": float, "default": 30.0,
-                            "help": "operation time in relaxation times"},
-        "--n-list": {"default": "1,2,5,10,20,50,100,200",
-                     "help": "comma-separated pulse counts, ascending"},
-    }),
-    "opt-gate": ("exact best work output over the full gate space", {
-        "--restarts": {"type": int, "default": 50,
-                       "help": "ignored, since the optimum is exact; echoed in opt_gate.json"},
-    }),
-    "analyze": ("reconstruct energetics from event logs", {
-        "logs": {"nargs": "+", "help": "event-log files"},
-        "--naive": {"action": "store_true", "help": "skip the schedule-aware refinement"},
-    }),
-}
 
 
 def _parse_bool(text: str) -> bool:
@@ -237,8 +215,8 @@ def _print_human(pairs: Sequence[tuple[str, object]]) -> None:
         print(f"{key.ljust(width)}  {value}")
 
 
-def cmd_analytic(rc: RunConfig, scan: str | None) -> int:
-    cfg = rc.engine
+def cmd_analytic(rc: RunConfig, args: argparse.Namespace | SimpleNamespace) -> int:
+    cfg, scan = rc.engine, args.scan_eta_mp
     me = mean_energetics(cfg)
     eff = efficiencies(cfg)
     b1p, b2p = post_swap_betas(cfg)
@@ -256,7 +234,8 @@ def cmd_analytic(rc: RunConfig, scan: str | None) -> int:
     if 0.0 < cfg.beta1 < cfg.beta2:
         mp = omega_star(cfg.beta1, cfg.beta2)
         report["max_power"] = {"omega_ratio": mp.omega_ratio,
-                               "eta_star": mp.eta_star, "w_max": mp.w_max}
+                               "eta_star": mp.eta_star, "w_max": mp.w_max,
+                               "low_etaC_expansion": low_etaC_expansion(cfg.beta2)._asdict()}
     else:
         report["max_power"] = None
     if scan is not None:
@@ -350,7 +329,7 @@ def _stats_summary(rc: RunConfig, stats: EnsembleStats, ift: IntegralFt,
     }
 
 
-def cmd_simulate(rc: RunConfig) -> int:
+def cmd_simulate(rc: RunConfig, args: argparse.Namespace | SimpleNamespace) -> int:
     check_eta_bins(rc.engine, rc.protocol, rc.gate)
     # staged on the output folder's file system, so a refusal changes nothing there
     out = Path(rc.values["out_dir"])
@@ -419,34 +398,34 @@ def _simulate(rc: RunConfig, out: Path, staged: Path) -> int:
     return 0
 
 
-def cmd_power_scan(rc: RunConfig, t_op_multiple: float, n_list: str) -> int:
+def cmd_power_scan(rc: RunConfig, args: argparse.Namespace | SimpleNamespace) -> int:
     check_swap_family(rc.gate, "the power scan")
     try:
-        n_values = [int(n) for n in n_list.split(",")]
+        n_values = [int(n) for n in args.n_list.split(",")]
     except ValueError:
-        raise ConfigError(f"bad pulse-count list {n_list!r}") from None
+        raise ConfigError(f"bad pulse-count list {args.n_list!r}") from None
     v = rc.values
-    rows = power_scan(rc.engine, t_op_multiple, n_values, v["samples"], v["seed"])
+    rows = power_scan(rc.engine, args.t_op_multiple, n_values, v["samples"], v["seed"])
     out = Path(v["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "power_scan.csv"
     # PowerScanRow's fields, in order, are the columns
     _write_csv(csv_path, PowerScanRow._fields, rows)
     if v["json"]:
-        print(_json_text({"config": rc.echo(), "t_op_multiple": t_op_multiple,
+        print(_json_text({"config": rc.echo(), "t_op_multiple": args.t_op_multiple,
                           "rows": [row._asdict() for row in rows]}))
     else:
         print(str(csv_path))
     return 0
 
 
-def cmd_opt_gate(rc: RunConfig, restarts: int) -> int:
+def cmd_opt_gate(rc: RunConfig, args: argparse.Namespace | SimpleNamespace) -> int:
     result = optimize_gate(rc.engine)
     me_swap = mean_energetics(rc.engine)
     best = result.optimum
     report = {
         "config": rc.echo(),
-        "restarts": restarts,
+        "restarts": args.restarts,
         "best_w": result.best_w,
         "best_angles": list(result.best_angles),
         "gap_to_swap": result.gap_to_swap,
@@ -466,13 +445,13 @@ def cmd_opt_gate(rc: RunConfig, restarts: int) -> int:
     return 0
 
 
-def cmd_analyze(rc: RunConfig, paths: list[str], naive: bool) -> int:
-    if not naive:
+def cmd_analyze(rc: RunConfig, args: argparse.Namespace | SimpleNamespace) -> int:
+    if not args.naive:
         check_swap_family(rc.gate, "the schedule-aware refinement", "; use --naive")
-    protocol = None if naive else rc.protocol
+    protocol = None if args.naive else rc.protocol
     omegas = rc.engine.omega1, rc.engine.omega2
     rows = []
-    for path in paths:
+    for path in args.logs:
         events = parse_events(path)
         jumps = [ev for ev in events if ev.kind != "P"]
         rec = reconstruct_from_events(jumps, rc.engine, protocol)
@@ -496,6 +475,34 @@ def cmd_analyze(rc: RunConfig, paths: list[str], naive: bool) -> int:
             print(f"{r['file']}: q1={_fmt(r['q1'])} q2={_fmt(r['q2'])} "
                   f"w={_fmt(r['w'])} w_refined={w_ref} survivors={r['survivors']}")
     return 0
+
+
+# command -> (help, own arguments as add_argument keywords by flag or
+# positional name, handler): _build_parser declares the arguments,
+# _read_plain reads them from here, and main calls the handler with the
+# resolved config and the parsed arguments
+COMMANDS: dict[str, tuple[str, dict[str, dict], Callable[..., int]]] = {
+    "analytic": ("closed-form report for one configuration", {
+        "--scan-eta-mp": {"nargs": "?", "const": "auto", "default": None,
+                          "metavar": "LO:HI:COUNT",
+                          "help": "also sweep beta2 and tabulate eta* vs eta_C"},
+    }, cmd_analytic),
+    "simulate": ("run a trajectory ensemble and write its statistics", {}, cmd_simulate),
+    "power-scan": ("work output vs pulse count at fixed operation time", {
+        "--t-op-multiple": {"type": float, "default": 30.0,
+                            "help": "operation time in relaxation times"},
+        "--n-list": {"default": "1,2,5,10,20,50,100,200",
+                     "help": "comma-separated pulse counts, ascending"},
+    }, cmd_power_scan),
+    "opt-gate": ("exact best work output over the full gate space", {
+        "--restarts": {"type": int, "default": 50,
+                       "help": "ignored, since the optimum is exact; echoed in opt_gate.json"},
+    }, cmd_opt_gate),
+    "analyze": ("reconstruct energetics from event logs", {
+        "logs": {"nargs": "+", "help": "event-log files"},
+        "--naive": {"action": "store_true", "help": "skip the schedule-aware refinement"},
+    }, cmd_analyze),
+}
 
 
 def _flag(key: str) -> str:
@@ -568,7 +575,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Two-qubit swap heat engine: closed forms, quantum-jump "
                     "ensembles, fluctuation statistics.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, own) in COMMANDS.items():
+    for name, (help_text, own, _) in COMMANDS.items():
         command_parser = sub.add_parser(name, parents=[common], help=help_text)
         for flag, spec in own.items():
             command_parser.add_argument(flag, **spec)
@@ -585,18 +592,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if extra:   # with the chosen command's usage, which lists the flags it takes
             _build_parser(args.command).error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        rc = resolve_config(args)
-        if args.command == "analytic":
-            return cmd_analytic(rc, args.scan_eta_mp)
-        if args.command == "simulate":
-            return cmd_simulate(rc)
-        if args.command == "power-scan":
-            return cmd_power_scan(rc, args.t_op_multiple, args.n_list)
-        if args.command == "opt-gate":
-            return cmd_opt_gate(rc, args.restarts)
-        if args.command == "analyze":
-            return cmd_analyze(rc, args.logs, args.naive)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        _, _, handler = COMMANDS[args.command]
+        return handler(resolve_config(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

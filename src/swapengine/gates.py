@@ -34,8 +34,10 @@ BASIS_BITS = ((1, 1), (1, 0), (0, 1), (0, 0))
 _BITS = np.array(BASIS_BITS, dtype=float)
 
 # the basis permutation of every swap-family gate: basis state i goes to
-# SWAP_PERMUTATION[i], so |+-> and |-+> trade places
+# SWAP_PERMUTATION[i], so |+-> and |-+> trade places; the pulse moves
+# SWAP_TRANSFER[i] = b1(SWAP_PERMUTATION[i]) - b1(i) quanta into qubit 1
 SWAP_PERMUTATION = (0, 2, 1, 3)
+SWAP_TRANSFER = tuple(BASIS_BITS[j][0] - BASIS_BITS[i][0] for i, j in enumerate(SWAP_PERMUTATION))
 
 _UNITARITY_TOL = 1e-12
 
@@ -207,6 +209,12 @@ def _corners() -> list[tuple[tuple[float, ...], tuple[int, ...]]]:
     return corners
 
 
+# the corners' angle vectors, and their permutation matrices then the swap's
+# as the last one: constants of the gate space, built once
+_CORNER_ANGLES, _CORNER_COLS = zip(*_corners())
+_CORNER_STACK = np.eye(4)[[*_CORNER_COLS, SWAP_PERMUTATION]].transpose(0, 2, 1)
+
+
 def optimize_gate(cfg: EngineConfig) -> GateOptimum:
     """Exact maximum of the mean work output over every two-qubit gate.
 
@@ -222,13 +230,10 @@ def optimize_gate(cfg: EngineConfig) -> GateOptimum:
     """
     if classify_regime(cfg) is not Regime.HEAT_ENGINE:
         raise ConfigError("gate optimization targets heat-engine configurations")
-    angles, cols = zip(*_corners())
-    # the corners' permutation matrices, then the swap's, as the last one
-    b = np.eye(4)[[*cols, SWAP_PERMUTATION]].transpose(0, 2, 1)
-    de = _energy_changes(b, _centered_populations(cfg), cfg)
+    de = _energy_changes(_CORNER_STACK, _centered_populations(cfg), cfg)
     n = int(np.argmin(de[:-1, 0] + de[:-1, 1]))
     best = _energetics(de[n])
-    return GateOptimum(best_angles=angles[n], optimum=best,
+    return GateOptimum(best_angles=_CORNER_ANGLES[n], optimum=best,
                        gap_to_swap=best.w - _energetics(de[-1]).w)
 
 

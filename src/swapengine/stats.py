@@ -28,8 +28,9 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .gates import BASIS_BITS, SWAP_PERMUTATION, GateSpec, SwapFamily, gibbs_populations
-from .thermo import ConfigError, EngineConfig, relaxation_time
+from .gates import (BASIS_BITS, SWAP_PERMUTATION, SWAP_TRANSFER, GateSpec, SwapFamily,
+                    gibbs_populations)
+from .thermo import ConfigError, EngineConfig, efficiencies, relaxation_time
 from .trajectory import (CHANNELS, LedgerKey, Protocol, RunParams, TrajectoryEvent,
                          TrajectoryRecord, _JUMP_MAPS, _bit_lane_ledgers, _index_key,
                          _relaxation, pick_lane, run_ensemble)
@@ -380,8 +381,8 @@ def power_scan(
     The operation time is t_op_multiple relaxation times; each row runs a
     fresh swap ensemble with tau2 = t_op/N (row i consumes seed + i).  After
     asserting that every record passed the rigidity checks, eta is emitted
-    as the one closed-form expression (omega1-omega2)/omega1, hence exactly
-    identical across rows.
+    as thermo.efficiencies' closed form, hence exactly identical across
+    rows.
     """
     if list(n_values) != sorted(n_values) or not n_values:
         raise ConfigError("n_values must be a nonempty ascending list")
@@ -406,7 +407,7 @@ def power_scan(
             work_output=-w_mean,
             work_se=w_se,
             power=-w_mean / t_op,
-            eta=(cfg.omega1 - cfg.omega2) / cfg.omega1,
+            eta=efficiencies(cfg).eta,
         ))
     return rows
 
@@ -465,8 +466,7 @@ def reconstruct_from_events(
 # state, jump channel or None): SWAP_PERMUTATION at a pulse, the channel's
 # jump map at a jump.  CHANNELS runs (1 E, 1 A, 2 E, 2 A), so channel ch ^ 1
 # is channel ch with E and A swapped.
-_PULSE_STEP = (SWAP_PERMUTATION, tuple(BASIS_BITS[j][0] - BASIS_BITS[i][0]
-                                      for i, j in enumerate(SWAP_PERMUTATION)), None)
+_PULSE_STEP = (SWAP_PERMUTATION, SWAP_TRANSFER, None)
 _JUMP_STEPS = {channel: (basis_map, (0, 0, 0, 0), ch)
                for ch, (channel, basis_map) in enumerate(zip(CHANNELS, _JUMP_MAPS))}
 

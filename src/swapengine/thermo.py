@@ -180,14 +180,15 @@ def classify_regime(cfg: EngineConfig) -> Regime:
 def efficiencies(cfg: EngineConfig) -> Efficiencies:
     """Machine efficiency figures.
 
-    eta = 1 - omega2/omega1 (work per unit heat drawn from bath 1, fixed by
-    the frequency ratio alone), eta_carnot = 1 - beta1/beta2, cop =
-    omega2/(omega1 - omega2) for the cooling mode (None when omega2 >=
-    omega1), cop_carnot = 1/(beta2/beta1 - 1) (None when beta1 == beta2),
-    and the Curzon-Ahlborn value
+    eta = (omega1 - omega2)/omega1 (work per unit heat drawn from bath 1,
+    fixed by the frequency ratio alone: the w/dE1 of a swap-run ledger bit
+    for bit, and correctly rounded where omega2 >= omega1/2), eta_carnot =
+    1 - beta1/beta2, cop = omega2/(omega1 - omega2) for the cooling mode
+    (None when omega2 >= omega1), cop_carnot = 1/(beta2/beta1 - 1) (None
+    when beta1 == beta2), and the Curzon-Ahlborn value
     eta_ca = 1 - sqrt(beta1/beta2).
     """
-    eta = 1.0 - cfg.omega2 / cfg.omega1
+    eta = (cfg.omega1 - cfg.omega2) / cfg.omega1
     eta_carnot = 1.0 - cfg.beta1 / cfg.beta2
     cop = cfg.omega2 / (cfg.omega1 - cfg.omega2) if cfg.omega2 < cfg.omega1 else None
     cop_carnot = 1.0 / (cfg.beta2 / cfg.beta1 - 1.0) if cfg.beta1 < cfg.beta2 else None
@@ -203,13 +204,6 @@ def post_swap_betas(cfg: EngineConfig) -> tuple[float, float]:
     at beta1' = beta2*omega2/omega1 and qubit 2 at beta2' = beta1*omega1/omega2.
     """
     return cfg.beta2 * cfg.omega2 / cfg.omega1, cfg.beta1 * cfg.omega1 / cfg.omega2
-
-
-def _work_output(omega_ratio: float, beta1: float, beta2: float) -> float:
-    """Work delivered to the drive per swap at omega1 = 1, omega2 = omega_ratio."""
-    df = (excited_population(beta1, 1.0)
-          - excited_population(beta2, omega_ratio))
-    return df * (1.0 - omega_ratio)
 
 
 def omega_star(beta1: float, beta2: float) -> MaxPowerPoint:
@@ -238,7 +232,7 @@ def omega_star(beta1: float, beta2: float) -> MaxPowerPoint:
         else:
             hi = mid
     return MaxPowerPoint(omega_ratio=lo, eta_star=1.0 - lo,
-                         w_max=_work_output(lo, beta1, beta2))
+                         w_max=(f1 - excited_population(beta2, lo)) * (1.0 - lo))
 
 
 def low_etaC_expansion(beta2: float) -> ExpansionFit:

@@ -54,8 +54,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .gates import (BASIS_BITS, SWAP_PERMUTATION, GateSpec, SwapFamily, Unitary4,
-                    build_gate)
+from .gates import (BASIS_BITS, SWAP_PERMUTATION, SWAP_TRANSFER, GateSpec, SwapFamily,
+                    Unitary4, build_gate)
 from .thermo import ConfigError, EngineConfig, _Checked, bose_occupation, excited_population
 
 # jump channel order: (bath 1 emission, bath 1 absorption, bath 2 emission, bath 2 absorption)
@@ -241,6 +241,12 @@ def _channel_rates(rates: np.ndarray, amps: np.ndarray) -> np.ndarray:
 # uniforms a jump-lane trajectory reads from its stream at a time; a
 # 25-pulse trajectory at the working point takes about 130
 _UNIFORM_BLOCK = 64
+
+
+def _stream(key: int | tuple[int, int]) -> np.random.Generator:
+    """The counter-based generator of a stream key such as (seed, k): the
+    one place the package makes a random stream."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
 class _BufferedUniforms:
@@ -465,8 +471,8 @@ def _trajectory(
     final energy eigenstate (a read-off for basis states, a Born draw
     otherwise), and fills the integer ledger.  With eigenstate_shortcut the
     state is carried as a basis index while it is one, and a swap-family
-    pulse is a lookup in SWAP_PERMUTATION; otherwise, and while the state is
-    a superposition, it is carried as amplitudes.
+    pulse is a lookup in SWAP_PERMUTATION and SWAP_TRANSFER; otherwise, and
+    while the state is a superposition, it is carried as amplitudes.
     """
     cfg, protocol, _ = ens.params
     idx0 = sample_initial_state(cfg, rng)
@@ -478,14 +484,13 @@ def _trajectory(
         t_pulse = k * protocol.tau2
         if k < protocol.n_pulses:
             if isinstance(state, int) and ens.perm is not None:
-                j = ens.perm[state]
-                n_w += BASIS_BITS[j][0] - BASIS_BITS[state][0]
-                state = j
+                n_w += SWAP_TRANSFER[state]
+                state = ens.perm[state]
             else:
                 amps = np.eye(4, dtype=complex)[state] if isinstance(state, int) else state
                 state = ens.gate.entries @ amps
                 if n_w is not None:   # a swap-family pulse on amplitudes (the mcwf lane)
-                    n_w += BASIS_BITS[_basis_index(state)][0] - BASIS_BITS[_basis_index(amps)][0]
+                    n_w += SWAP_TRANSFER[_basis_index(amps)]
             if events is not None:
                 events.append(TrajectoryEvent(t_pulse, "P", 0, k))
         if isinstance(state, int):
@@ -743,7 +748,7 @@ def _bit_lane_ledgers(
     guides = [_guide(cdf) for cdf in cdfs]
     parts = _track_index_parts(protocol.n_pulses, window)
     for c in range(-(-sample_size // _LAW_CHUNK_ROWS)):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, c))))
+        rng = _stream((seed, c))
         index = np.empty(min(_LAW_CHUNK_ROWS, sample_size - c * _LAW_CHUNK_ROWS), dtype=np.int64)
         for start in range(0, len(index), _LAW_BLOCK_ROWS):
             block = index[start:start + _LAW_BLOCK_ROWS]
@@ -786,9 +791,8 @@ def run_ensemble(
             f"over a run time of {protocol.total_time!r}")
     ens = _ensemble(cfg, protocol, gate_spec)
     shortcut = engine == "events"
-    streams = (np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, k))))
-               for k in range(sample_size))
-    return (_trajectory(ens, _BufferedUniforms(rng), keep_events, shortcut) for rng in streams)
+    return (_trajectory(ens, _BufferedUniforms(_stream((seed, k))), keep_events, shortcut)
+            for k in range(sample_size))
 
 
 def per_pulse_transfer_moments(
@@ -821,8 +825,7 @@ def per_pulse_transfer_moments(
         p1, p2 = lo1 + (hi1 - lo1) * p2, lo2 + (hi2 - lo2) * p1
     p1, p2 = excited.T
     into, out_of = p2 * (1.0 - p1), p1 * (1.0 - p2)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    up, down, _ = rng.multinomial(
+    up, down, _ = _stream(seed).multinomial(
         sample_size, np.stack([into, out_of, 1.0 - into - out_of], axis=1)).T
     n = sample_size
     mean = (up - down) / n

@@ -72,6 +72,21 @@ def test_analytic_json_report(capsys, monkeypatch, tmp_path):
     assert report["config"]["gate"] == "swap"
 
 
+def test_analytic_json_reports_the_low_etaC_series_beside_eta_star(capsys, monkeypatch,
+                                                                   tmp_path):
+    monkeypatch.chdir(tmp_path)
+    for beta1, beta2 in ((2.0 / 3.0, 1.0), (1.98, 2.0)):
+        assert cli.main(["analytic", "--beta1", repr(beta1), "--beta2", repr(beta2),
+                         "--json"]) == 0
+        max_power = _strict_json(capsys.readouterr().out)["max_power"]
+        series = max_power["low_etaC_expansion"]
+        assert series == se.low_etaC_expansion(beta2)._asdict()
+    # at eta_C = 0.01 the two terms give eta* within 0.2*eta_C^3
+    eta_c = 1.0 - beta1 / beta2
+    assert abs(max_power["eta_star"] - series["linear_coeff"] * eta_c
+               - series["quad_coeff"] * eta_c ** 2) <= 0.2 * eta_c ** 3
+
+
 def test_analytic_scan_rows_cover_the_requested_beta2_grid(capsys,
                                                            monkeypatch,
                                                            tmp_path):

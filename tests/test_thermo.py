@@ -143,11 +143,22 @@ def test_regime_matches_sign_of_work_and_hot_heat():
 
 def test_efficiencies_at_working_point():
     eff = se.efficiencies(se.EngineConfig(B1, B2, O1, O2))
-    assert eff.eta == 0.16666666666666663  # fl(1 - fl(5/6))
+    assert eff.eta == 0.16666666666666663  # (1 - fl(5/6))/1, an exact difference
     assert eff.eta_carnot == 0.33333333333333337  # fl(1 - fl(2/3))
     assert _close(eff.cop, 5.0)
     assert eff.cop_carnot == 2.0
     assert _close(eff.eta_ca, ETA_CA_REF)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(beta1=st.floats(1e-3, 10.0), ratio=st.floats(1.0 + 1e-6, 5.0),
+       omega1=st.floats(1e-3, 10.0), frac=st.floats(1e-6, 1.0 - 1e-6))
+def test_eta_is_the_swap_ledgers_w_over_dE1(beta1, ratio, omega1, frac):
+    # omega2 anywhere in the heat-engine window (omega1*beta1/beta2, omega1)
+    lo = omega1 / ratio
+    cfg = se.EngineConfig(beta1, beta1 * ratio, omega1, lo + frac * (omega1 - lo))
+    e = se.LedgerKey(1, -1, 0, 0, 1).energetics(cfg.omega1, cfg.omega2)
+    assert se.efficiencies(cfg).eta == e.w / e.dE1
 
 
 def test_efficiencies_cop_undefined_when_no_cooling_window():
