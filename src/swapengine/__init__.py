@@ -8,7 +8,7 @@ from .gates import (BASIS_BITS, ISWAP, SWAP_PERMUTATION, GateOptimum, GateSpec,
                     Generic, SwapFamily, Unitary4, build_gate, gibbs_populations,
                     mean_energetics_for_gate, optimize_gate)
 from .stats import (EfficiencyDistribution, EnsembleStats, FtLogRatio,
-                    IntegralFt, PowerScanRow, Reconstruction, accumulate,
+                    IntegralFt, PowerScanRow, ReadOff, Reconstruction, accumulate,
                     efficiency_distribution, fold_ensemble, ft_log_ratio,
                     path_log_ratio, power_scan, reconstruct_from_events)
 from .thermo import (ConfigError, Efficiencies, EngineConfig, ExpansionFit,

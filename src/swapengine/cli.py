@@ -36,12 +36,12 @@ import numpy as np
 from .eventlog import ParseError, parse_events, write_events
 from .gates import ISWAP, Generic, GateSpec, SwapFamily, optimize_gate
 from .stats import (ETA_BIN_WIDTH, EfficiencyDistribution, EnsembleStats, FtLogRatio,
-                    IntegralFt, PowerScanRow, check_eta_bins, check_swap_family,
+                    PowerScanRow, ReadOff, check_eta_bins, check_swap_family,
                     efficiency_distribution, fold_ensemble, ft_log_ratio, power_scan,
                     reconstruct_from_events)
-from .thermo import (ConfigError, EngineConfig, classify_regime, efficiencies,
-                     low_etaC_expansion, mean_energetics, omega_star, post_swap_betas,
-                     relaxation_time)
+from .thermo import (ConfigError, EngineConfig, MaxPowerPoint, classify_regime,
+                     efficiencies, low_etaC_expansion, mean_energetics, omega_star,
+                     post_swap_betas, relaxation_time)
 from .trajectory import Protocol, pick_lane, run_ensemble
 
 if TYPE_CHECKING:
@@ -231,11 +231,14 @@ def cmd_analytic(rc: RunConfig, args: argparse.Namespace | SimpleNamespace) -> i
         "post_swap_betas": [b1p, b2p],
         "relaxation_time": relaxation_time(cfg),
     }
-    if 0.0 < cfg.beta1 < cfg.beta2:
-        mp = omega_star(cfg.beta1, cfg.beta2)
+    # the engine window in omega_star's units, which holds at beta1 < beta2
+    # unless a product leaves the float range or rounds onto the other
+    if cfg.beta1 * cfg.omega1 < cfg.beta2 * cfg.omega1 < math.inf:
+        mp = _max_power(cfg, cfg.beta2)
         report["max_power"] = {"omega_ratio": mp.omega_ratio,
                                "eta_star": mp.eta_star, "w_max": mp.w_max,
-                               "low_etaC_expansion": low_etaC_expansion(cfg.beta2)._asdict()}
+                               "low_etaC_expansion":
+                                   low_etaC_expansion(cfg.beta2 * cfg.omega1)._asdict()}
     else:
         report["max_power"] = None
     if scan is not None:
@@ -259,7 +262,9 @@ def cmd_analytic(rc: RunConfig, args: argparse.Namespace | SimpleNamespace) -> i
         ("relaxation time", _fmt(relaxation_time(cfg))),
     ]
     if report["max_power"] is None:
-        pairs.append(("max power", "skipped (needs 0 < beta1 < beta2)"))
+        window = "0 < beta1 < beta2" if cfg.beta1 >= cfg.beta2 else \
+            "beta1*omega1 < beta2*omega1 < inf in floats"
+        pairs.append(("max power", f"skipped (needs {window})"))
     else:
         pairs.extend([("omega* (max power)", _fmt(report["max_power"]["omega_ratio"])),
                       ("eta*  (max power)", _fmt(report["max_power"]["eta_star"])),
@@ -270,6 +275,14 @@ def cmd_analytic(rc: RunConfig, args: argparse.Namespace | SimpleNamespace) -> i
         for row in report["scan"]:
             print(",".join(_fmt(v) for v in row.values()))
     return 0
+
+
+def _max_power(cfg: EngineConfig, beta2: float) -> MaxPowerPoint:
+    """The maximum-power point of cfg's engine at cold-bath beta2: omega_star
+    takes omega1 as the energy unit, so it gets the products beta*omega1,
+    and w_max returns to the engine's energy units."""
+    mp = omega_star(cfg.beta1 * cfg.omega1, beta2 * cfg.omega1)
+    return mp._replace(w_max=mp.w_max * cfg.omega1)
 
 
 def _eta_mp_scan(cfg: EngineConfig, scan: str) -> list[dict]:
@@ -287,12 +300,14 @@ def _eta_mp_scan(cfg: EngineConfig, scan: str) -> list[dict]:
             lo, hi, count = float(lo_s), float(hi_s), int(n_s)
         except ValueError:
             raise ConfigError(f"bad scan grid {scan!r}, expected lo:hi:count") from None
-        if not (cfg.beta1 < lo < hi < math.inf and count >= 2):
+        # the same window as the report's, at the grid's ends
+        if not (cfg.beta1 * cfg.omega1 < lo * cfg.omega1 < hi * cfg.omega1 < math.inf
+                and count >= 2):
             raise ConfigError("scan grid must satisfy beta1 < lo < hi < inf with count >= 2")
         beta2_grid = list(np.linspace(lo, hi, count))
     rows = []
     for beta2 in beta2_grid:
-        mp = omega_star(cfg.beta1, beta2)
+        mp = _max_power(cfg, beta2)
         rows.append({
             "beta2": beta2,
             "eta_carnot": 1.0 - cfg.beta1 / beta2,
@@ -304,28 +319,20 @@ def _eta_mp_scan(cfg: EngineConfig, scan: str) -> list[dict]:
     return rows
 
 
-def _stats_summary(rc: RunConfig, stats: EnsembleStats, ift: IntegralFt,
-                   ratio: FtLogRatio | None, dist: EfficiencyDistribution | None,
-                   lane: str) -> dict:
-    mean_dE1, se_dE1 = stats.mean_dE1
-    mean_dE2, se_dE2 = stats.mean_dE2
-    mean_w, se_w = stats.mean_w
-    mean_q1, se_q1 = stats.mean_q1
-    mean_q2, se_q2 = stats.mean_q2
+def _stats_summary(rc: RunConfig, read: ReadOff, ratio: FtLogRatio | None,
+                   dist: EfficiencyDistribution | None, lane: str) -> dict:
     return {
         "config": rc.echo(),
         "engine_lane": lane,
-        "sample_size": stats.sample_size,
-        "means": {
-            "dE1": [mean_dE1, se_dE1], "dE2": [mean_dE2, se_dE2],
-            "w": [mean_w, se_w], "q1": [mean_q1, se_q1], "q2": [mean_q2, se_q2],
-        },
-        "integral_ft": [ift.mean, ift.std_err],
+        "sample_size": read.sample_size,
+        "means": {"dE1": list(read.dE1), "dE2": list(read.dE2), "w": list(read.w),
+                  "q1": list(read.q1), "q2": list(read.q2)},
+        "integral_ft": [read.integral_ft.mean, read.integral_ft.std_err],
         "log_ratio_slope": None if ratio is None else [ratio.slope, ratio.slope_se],
         "eta_infinite": None if dist is None else dist.infinite,
         "eta_undefined": None if dist is None else dist.undefined,
-        "rigidity_violations": stats.rigidity_violations,
-        "quantization_violations": stats.quantization_violations,
+        "rigidity_violations": read.rigidity_violations,
+        "quantization_violations": read.quantization_violations,
     }
 
 
@@ -354,23 +361,24 @@ def _simulate(rc: RunConfig, out: Path, staged: Path) -> int:
             stats.add(record)
     else:
         stats = fold_ensemble(cfg, rc.protocol, rc.gate, v["samples"], v["seed"])
+    read = stats.read_off()
     ratio: FtLogRatio | None
     try:
-        ratio = ft_log_ratio(stats)
+        ratio = ft_log_ratio(read)
     except ConfigError:
         ratio = None
-    dist = efficiency_distribution(stats) if stats.quantized else None
+    dist = efficiency_distribution(read, cfg) if stats.quantized else None
     # (name, header, rows), with rows None where the run cannot read the table off
     tables = [
-        ("hist_nw.csv", ("n_w", "count"), dist and sorted(stats.hist_nw.items())),
+        ("hist_nw.csv", ("n_w", "count"), dist and sorted(read.hist_nw.items())),
         ("hist_joint.csv", ("q1_quanta", "w_quanta", "count"),
-         dist and [(h, m, c) for (h, m), c in sorted(stats.hist_joint.items())]),
+         dist and [(h, m, c) for (h, m), c in sorted(read.hist_joint.items())]),
         ("hist_eta.csv", ("eta_lo", "eta_hi", "count"),
          dist and [(i * ETA_BIN_WIDTH, (i + 1) * ETA_BIN_WIDTH, c) for i, c in dist.bins]),
         ("log_ratio.csv", ("n_w", "log_ratio", "std_error"), ratio and list(ratio.points)),
     ]
-    ift = stats.integral_ft
-    summary_text = _json_text(_stats_summary(rc, stats, ift, ratio, dist, lane))
+    ift = read.integral_ft
+    summary_text = _json_text(_stats_summary(rc, read, ratio, dist, lane))
     for name, header, rows in tables:
         if rows is not None:
             _write_csv(staged / name, header, rows)

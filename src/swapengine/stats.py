@@ -2,9 +2,11 @@
 
 The accumulator is an exact histogram over each record's integer ledger
 key, so the order in which records are folded can never change a count, and
-every statistic is read off the counts: means and errors from exact integer
-moments (the level spacings multiply in only then), the integral-FT sum over
-the sorted keys.
+EnsembleStats.read_off reads every statistic off the counts in one walk over
+the sorted keys, reading each ledger's energetics once: means and errors
+from exact integer moments (the level spacings multiply in only then), the
+integral-FT sum and its largest term, the n_w and (h1, n_w) histograms that
+ft_log_ratio and efficiency_distribution read, and the rigidity counts.
 Swap-family runs additionally carry rigidity checks, deterministic in the
 key and counted per record: the energy-proportionality identity
 dE2 = -(omega2/omega1)*dE1 is tested on the integer ledger, as y = -x, so
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,12 +90,43 @@ class IntegralFt(NamedTuple):
     share: float
 
 
+class ReadOff(NamedTuple):
+    """Every statistic of an ensemble that simulate and power_scan write,
+    from EnsembleStats.read_off: the sample size, each energy's (mean,
+    standard error), the IntegralFt, the histograms of n_w and of (h1, n_w)
+    (None on generic-gate runs, which have no work lattice) and the records
+    that fail the rigidity and the lattice checks (0 on generic-gate runs)."""
+
+    sample_size: int
+    dE1: tuple[float, float | None]
+    dE2: tuple[float, float | None]
+    w: tuple[float, float | None]
+    q1: tuple[float, float | None]
+    q2: tuple[float, float | None]
+    integral_ft: IntegralFt
+    hist_nw: dict[int, int] | None
+    hist_joint: dict[tuple[int, int], int] | None
+    rigidity_violations: int
+    quantization_violations: int
+
+
+def _mean_se(n: float, s: float, ss: float, scale: float) -> tuple[float, float | None]:
+    """scale times the mean of n values with sum s and sum of squares ss,
+    and its standard error (None below two values)."""
+    mean = scale * (s / n)
+    if n < 2:
+        return mean, None
+    var = (ss - s * s / n) / (n - 1)
+    return mean, abs(scale) * math.sqrt(max(var, 0.0) / n)
+
+
 class EnsembleStats:
     """Exact histogram of one homogeneous ensemble over LedgerKey.
 
     params is the run's, None until the first record is added, and counts
     holds the records per ledger; two stats are equal when both are.
-    hist_joint is keyed by exact quantum counts (q1/omega1, w/(omega1-omega2))
+    read_off reads every statistic off the counts in one walk.  hist_joint
+    is keyed by exact quantum counts (q1/omega1, w/(omega1-omega2))
     = (h1, n_w), and efficiency_distribution reads the statistics of
     eta = w/q1 off it.  Below two records an error is None.
     """
@@ -135,103 +168,107 @@ class EnsembleStats:
     def sample_size(self) -> int:
         return sum(self.counts.values())
 
-    def _moments(self, f: Callable[[LedgerKey], float]) -> tuple[float, float]:
-        """Sums of f and f^2 over the records, taken over the sorted keys."""
-        s = ss = 0
-        for k, c in sorted(self.counts.items()):
-            v = f(k)
-            s += c * v
-            ss += c * v * v
-        return s, ss
+    def read_off(self) -> ReadOff:
+        """The ReadOff of the records, from one walk over the sorted keys
+        that reads each ledger's energetics once.
 
-    def _mean_se(self, s: float, ss: float, scale: float) -> tuple[float, float | None]:
-        n = self.sample_size
-        mean = scale * (s / n)
-        if n < 2:
-            return mean, None
-        var = (ss - s * s / n) / (n - 1)
-        return mean, abs(scale) * math.sqrt(max(var, 0.0) / n)
-
-    def _swap_tally(self, f: Callable[[LedgerKey], object]) -> Counter:
-        """Counts of f(key) over swap-family records (None values left out);
-        for a predicate f, tally[True] is the number of records it holds on."""
-        tally: Counter = Counter()
-        for k, c in self.counts.items() if self.quantized else ():
-            v = f(k)
-            if v is not None:
-                tally[v] += c
-        return tally
-
-    @property
-    def mean_dE1(self) -> tuple[float, float | None]:
-        return self._mean_se(*self._moments(lambda k: k.x), self.params.cfg.omega1)
-
-    @property
-    def mean_dE2(self) -> tuple[float, float | None]:
-        return self._mean_se(*self._moments(lambda k: k.y), self.params.cfg.omega2)
-
-    @property
-    def mean_q1(self) -> tuple[float, float | None]:
-        return self._mean_se(*self._moments(lambda k: k.h1), self.params.cfg.omega1)
-
-    @property
-    def mean_q2(self) -> tuple[float, float | None]:
-        return self._mean_se(*self._moments(lambda k: k.h2), self.params.cfg.omega2)
-
-    @property
-    def mean_w(self) -> tuple[float, float | None]:
-        p = self.params.cfg
-        s_x, ss_x = self._moments(lambda k: k.x)
-        if self.quantized:
-            return self._mean_se(s_x, ss_x, p.omega1 - p.omega2)
-        s_y, ss_y = self._moments(lambda k: k.y)
-        s_xy = self._moments(lambda k: k.x * k.y)[0]
-        n = self.sample_size
-        mean = (p.omega1 * s_x + p.omega2 * s_y) / n
-        if n < 2:
-            return mean, None
-        var_x = (ss_x - s_x ** 2 / n) / (n - 1)
-        var_y = (ss_y - s_y ** 2 / n) / (n - 1)
-        cov = (s_xy - s_x * s_y / n) / (n - 1)
-        var = p.omega1 ** 2 * var_x + p.omega2 ** 2 * var_y \
-            + 2.0 * p.omega1 * p.omega2 * cov
-        return mean, math.sqrt(max(var, 0.0) / n)
-
-    @property
-    def integral_ft(self) -> IntegralFt:
-        """The IntegralFt of the records, from one walk over the sorted
-        keys, which sums the weights as _moments does."""
-        p = self.params.cfg
-        s = ss = top_term = 0
+        Each sum adds count*value, and each sum of squares count*value*value,
+        key by key in sorted order: exact on integer counts, whatever the
+        order, and one fixed order on float weights.  The energies' moments
+        are integer moments of the ledger, scaled by the level spacings only
+        in the mean and the error.
+        """
+        if not self.counts:
+            raise ConfigError("empty ensemble")
+        beta1, beta2, omega1, omega2, _ = self.params.cfg
+        quantized = self.quantized
+        n = s_x = ss_x = s_y = ss_y = s_xy = s_h1 = ss_h1 = s_h2 = ss_h2 = 0
+        s = ss = top_term = 0   # the integral-FT weights
         top = None
-        for k, c in sorted(self.counts.items()):
-            e = k.energetics(p.omega1, p.omega2)
-            v = math.exp((p.beta2 - p.beta1) * e.dE1 - p.beta2 * e.w)
+        hist_nw, hist_joint = ({}, {}) if quantized else (None, None)
+        rigidity = quantization = 0
+        counts = self.counts
+        for k in sorted(counts):
+            c = counts[k]
+            h1, h2, db1, db2, n_w = k
+            x, y = h1 + db1, h2 + db2
+            n += c
+            s_x += c * x
+            ss_x += c * x * x
+            s_y += c * y
+            ss_y += c * y * y
+            s_xy += c * (x * y)
+            s_h1 += c * h1
+            ss_h1 += c * h1 * h1
+            s_h2 += c * h2
+            ss_h2 += c * h2 * h2
+            e = k.energetics(omega1, omega2)
+            v = math.exp((beta2 - beta1) * e.dE1 - beta2 * e.w)
             s += c * v
             ss += c * v * v
             if top is None or c * v > top_term:
                 top, top_term = k, c * v
-        return IntegralFt(*self._mean_se(s, ss, 1.0), top, top_term / s if s else 0.0)
+            if quantized:
+                hist_nw[n_w] = hist_nw.get(n_w, 0) + c
+                hist_joint[h1, n_w] = hist_joint.get((h1, n_w), 0) + c
+                if y != -x:
+                    rigidity += c
+                # w = d*n_w is on the lattice when round(w/d) recovers n_w
+                # (bare w/d can round off-integer); d*round(w/d) then
+                # reproduces w bit for bit
+                if omega1 != omega2 and round(e.w / (omega1 - omega2)) != n_w:
+                    quantization += c
+        if quantized:
+            w = _mean_se(n, s_x, ss_x, omega1 - omega2)
+        else:
+            mean = (omega1 * s_x + omega2 * s_y) / n
+            if n < 2:
+                w = mean, None
+            else:
+                var_x = (ss_x - s_x ** 2 / n) / (n - 1)
+                var_y = (ss_y - s_y ** 2 / n) / (n - 1)
+                cov = (s_xy - s_x * s_y / n) / (n - 1)
+                var = omega1 ** 2 * var_x + omega2 ** 2 * var_y \
+                    + 2.0 * omega1 * omega2 * cov
+                w = mean, math.sqrt(max(var, 0.0) / n)
+        return ReadOff(
+            n, _mean_se(n, s_x, ss_x, omega1), _mean_se(n, s_y, ss_y, omega2), w,
+            _mean_se(n, s_h1, ss_h1, omega1), _mean_se(n, s_h2, ss_h2, omega2),
+            IntegralFt(*_mean_se(n, s, ss, 1.0), top, top_term / s if s else 0.0),
+            hist_nw, hist_joint, rigidity, quantization)
+
+    # views of read_off, one walk each
+    @property
+    def mean_dE1(self) -> tuple[float, float | None]:
+        return self.read_off().dE1
 
     @property
-    def hist_nw(self) -> Counter:
-        return self._swap_tally(lambda k: k.n_w)
+    def mean_q1(self) -> tuple[float, float | None]:
+        return self.read_off().q1
 
     @property
-    def hist_joint(self) -> Counter:
-        return self._swap_tally(lambda k: (k.h1, k.n_w))
+    def mean_w(self) -> tuple[float, float | None]:
+        return self.read_off().w
+
+    @property
+    def integral_ft(self) -> IntegralFt:
+        return self.read_off().integral_ft
+
+    @property
+    def hist_nw(self) -> dict[int, int] | None:
+        return self.read_off().hist_nw
+
+    @property
+    def hist_joint(self) -> dict[tuple[int, int], int] | None:
+        return self.read_off().hist_joint
 
     @property
     def rigidity_violations(self) -> int:
-        return self._swap_tally(lambda k: k.y != -k.x)[True]
+        return self.read_off().rigidity_violations
 
     @property
     def quantization_violations(self) -> int:
-        # w = d*n_w is on the lattice when round(w/d) recovers n_w (bare w/d
-        # can round off-integer); d*round(w/d) then reproduces w bit for bit
-        p = self.params.cfg
-        return self._swap_tally(lambda k: p.omega1 != p.omega2 and round(
-            k.energetics(p.omega1, p.omega2).w / (p.omega1 - p.omega2)) != k.n_w)[True]
+        return self.read_off().quantization_violations
 
 
 def accumulate(records: Iterable[TrajectoryRecord]) -> EnsembleStats:
@@ -239,7 +276,7 @@ def accumulate(records: Iterable[TrajectoryRecord]) -> EnsembleStats:
     stats = EnsembleStats()
     for record in records:
         stats.add(record)
-    if stats.sample_size == 0:
+    if not stats.counts:
         raise ConfigError("cannot accumulate an empty record stream")
     return stats
 
@@ -284,17 +321,18 @@ class FtLogRatio(NamedTuple):
     slope_se: float
 
 
-def ft_log_ratio(stats: EnsembleStats) -> FtLogRatio:
-    """Work-quanta fluctuation ratio ln P(n)/P(-n) and its fitted slope.
+def ft_log_ratio(read: ReadOff) -> FtLogRatio:
+    """Work-quanta fluctuation ratio ln P(n)/P(-n) and its fitted slope,
+    from a read-off's hist_nw.
 
     The variance of each log-ratio is 1/count(n) + 1/count(-n) (delta method
     on independent Poisson counts); the through-origin weighted
     least-squares slope is sum(w n y)/sum(w n^2) with variance
     1/sum(w n^2).  Needs paired +-n support for at least 3 positive n.
     """
-    if not stats.quantized:
+    hist = read.hist_nw
+    if hist is None:
         raise ConfigError("the work-quanta ratio is defined for swap-family runs only")
-    hist = stats.hist_nw
     positive = [n for n in sorted(hist) if n > 0 and -n in hist]
     if len(positive) < 3:
         raise ConfigError(
@@ -331,9 +369,9 @@ class EfficiencyDistribution(NamedTuple):
         return idx * ETA_BIN_WIDTH, (idx + 1) * ETA_BIN_WIDTH
 
 
-def efficiency_distribution(stats: EnsembleStats) -> EfficiencyDistribution:
-    """Stochastic-efficiency histogram of a swap-family ensemble, read off
-    hist_joint.
+def efficiency_distribution(read: ReadOff, cfg: EngineConfig) -> EfficiencyDistribution:
+    """Stochastic-efficiency histogram of a swap-family ensemble of engine
+    cfg, from its read-off's hist_joint.
 
     eta = w/q1 is the per-record work output over the heat drawn from the
     hot bath, (omega1-omega2)*n_w over omega1*h1: the same two products
@@ -343,17 +381,14 @@ def efficiency_distribution(stats: EnsembleStats) -> EfficiencyDistribution:
     because the infinity bin carries finite probability, making the
     ensemble average ill-defined.
     """
-    if not stats.quantized:
+    if read.hist_joint is None:
         raise ConfigError("the efficiency distribution is defined for swap-family runs only")
-    if stats.sample_size == 0:
-        raise ConfigError("empty ensemble")
-    p = stats.params.cfg
     bins: Counter = Counter()
     infinite = undefined = 0
-    for (h1, n_w), c in stats.hist_joint.items():
+    for (h1, n_w), c in read.hist_joint.items():
         if h1:
-            bins[_eta_bin((p.omega1 - p.omega2) * n_w, p.omega1 * h1)] += c
-        elif (p.omega1 - p.omega2) * n_w:
+            bins[_eta_bin((cfg.omega1 - cfg.omega2) * n_w, cfg.omega1 * h1)] += c
+        elif (cfg.omega1 - cfg.omega2) * n_w:
             infinite += c
         else:
             undefined += c
@@ -394,13 +429,13 @@ def power_scan(
     rows = []
     for i, n_pulses in enumerate(n_values):
         protocol = Protocol(n_pulses=n_pulses, tau2=t_op / n_pulses)
-        stats = fold_ensemble(cfg, protocol, SwapFamily(), sample_size, seed + i)
-        if stats.rigidity_violations or stats.quantization_violations:
+        read = fold_ensemble(cfg, protocol, SwapFamily(), sample_size, seed + i).read_off()
+        if read.rigidity_violations or read.quantization_violations:
             raise AssertionError(
                 f"rigidity broken at N={n_pulses}: "
-                f"{stats.rigidity_violations} proportionality, "
-                f"{stats.quantization_violations} quantization failures")
-        w_mean, w_se = stats.mean_w
+                f"{read.rigidity_violations} proportionality, "
+                f"{read.quantization_violations} quantization failures")
+        w_mean, w_se = read.w
         rows.append(PowerScanRow(
             n_pulses=n_pulses,
             tau2=protocol.tau2,

@@ -182,12 +182,11 @@ class LedgerKey(NamedTuple):
         recovers n_w and remultiplies to w bit for bit (bare division may
         round one ulp off the integer).
         """
-        dE1 = omega1 * self.x
-        dE2 = omega2 * self.y
-        return Energetics(
-            q1=omega1 * self.h1, q2=omega2 * self.h2,
-            dU1=omega1 * self.db1, dU2=omega2 * self.db2, dE1=dE1, dE2=dE2,
-            w=dE1 + dE2 if self.n_w is None else (omega1 - omega2) * self.n_w)
+        h1, h2, db1, db2, n_w = self
+        dE1 = omega1 * (h1 + db1)
+        dE2 = omega2 * (h2 + db2)
+        return Energetics(omega1 * h1, omega2 * h2, omega1 * db1, omega2 * db2, dE1, dE2,
+                          dE1 + dE2 if n_w is None else (omega1 - omega2) * n_w)
 
 
 def _key_index(db1, db2, n_w, n_pulses: int):

@@ -68,7 +68,7 @@ def test_work_quanta_log_ratio_slope_is_the_affinity(big_ensemble):
     stats, build_seconds = big_ensemble
     assert build_seconds < 900.0
     assert stats.sample_size == 1_000_000
-    fit = se.ft_log_ratio(stats)
+    fit = se.ft_log_ratio(stats.read_off())
     affinity = CFG.beta1 * CFG.omega1 - CFG.beta2 * CFG.omega2
     assert affinity == pytest.approx(-1.0 / 6.0, rel=1e-15)
     assert abs(fit.slope - affinity) <= 2.0 * fit.slope_se
@@ -92,7 +92,7 @@ def test_work_lattice_is_rigid_and_efficiency_peaks_at_the_swap_value(
     stats, _ = big_ensemble
     assert stats.rigidity_violations == 0
     assert stats.quantization_violations == 0
-    dist = se.efficiency_distribution(stats)
+    dist = se.efficiency_distribution(stats.read_off(), CFG)
     assert dist.modal_bin() == (0.16, 0.17)
     assert dist.infinite > 0
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -85,6 +86,35 @@ def test_analytic_json_reports_the_low_etaC_series_beside_eta_star(capsys, monke
     eta_c = 1.0 - beta1 / beta2
     assert abs(max_power["eta_star"] - series["linear_coeff"] * eta_c
                - series["quad_coeff"] * eta_c ** 2) <= 0.2 * eta_c ** 3
+
+
+def test_analytic_max_power_point_is_that_of_the_configured_omega1(capsys, monkeypatch,
+                                                                  tmp_path):
+    # halving both betas and doubling both spacings keeps every beta*omega
+    # product of the working point: the max-power point has its ratio, eta*
+    # and low-eta_C series, and twice its work per pulse, in every scan row too
+    monkeypatch.chdir(tmp_path)
+    doubled = ["--beta1", "0.3333333333333333", "--beta2", "0.5",
+               "--omega1", "2", "--omega2", "1.6666666666666667"]
+    assert cli.main(["analytic", "--json", *doubled]) == 0
+    max_power = _strict_json(capsys.readouterr().out)["max_power"]
+    assert (max_power["omega_ratio"], max_power["eta_star"],
+            max_power["low_etaC_expansion"]["quad_coeff"]) == \
+        (0.8307943159126296, 0.16920568408737036, 0.02888232232875061)
+    assert max_power["w_max"] == 2 * 0.006051893201542406
+    assert cli.main(["analytic", "--json", *doubled, "--scan-eta-mp", "0.4:1.0:4"]) == 0
+    rows = _strict_json(capsys.readouterr().out)["scan"]
+    assert cli.main(["analytic", "--json", "--scan-eta-mp", "0.8:2.0:4"]) == 0
+    unit_rows = _strict_json(capsys.readouterr().out)["scan"]
+    assert rows == [r | {"beta2": r["beta2"] / 2, "w_max": 2 * r["w_max"]} for r in unit_rows]
+    # beta2*omega1 = 1e310 overflows, so that engine's max-power point has no float window
+    assert cli.main(["analytic", "--json", "--beta1", "1e-300", "--beta2", "1e300",
+                     "--omega1", "1e10", "--omega2", "1e-305"]) == 0
+    assert _strict_json(capsys.readouterr().out)["max_power"] is None
+    assert cli.main(["analytic", "--beta1", "1e-300", "--beta2", "1e300",
+                     "--omega1", "1e10", "--omega2", "1e-305"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.endswith("  skipped (needs beta1*omega1 < beta2*omega1 < inf in floats)")
 
 
 def test_analytic_scan_rows_cover_the_requested_beta2_grid(capsys,
@@ -223,6 +253,45 @@ def test_simulate_reruns_are_byte_identical(gate, emit_logs, samples, pulses,
         assert runs[1] == runs[0]
         logs = [name for name in runs[0][1] if name.startswith("events/")]
         assert len(logs) == (samples if emit_logs else 0)
+
+
+# SHA-256 digests of simulate's files, taken before EnsembleStats.read_off
+# replaced one walk over the counts per statistic, on x86-64 Linux (another
+# libm may round exp and log apart): the benchmark's ensemble command line
+# at three seeds, and summary.json of its 500 x 25 --emit-logs run
+PINNED_ARTIFACTS = {
+    "ensemble-seed1": (["--pulses", "100", "--samples", "100000", "--seed", "1"], {
+        "hist_eta.csv": "62fe4bdc32d047b971e33f43ef18c0467483d6e70a3a80ade9084c1cce7725fa",
+        "hist_joint.csv": "49165ac3aa476a8a7ed35f31ab1c6926c201ad58d142341d852247003d9ebd9b",
+        "hist_nw.csv": "e55c6dabff26b5c228825db2b179ea8c6deb672dc24477e9a7d23244bdc8305b",
+        "log_ratio.csv": "0bbe778005f401881926ad2f5df0e665fc69fa84c025a337f71b1605cbc06ca9",
+        "summary.json": "8aef0e6fd265bf4ef1498624e374e3e1c8f9c0c4324b3fa441b58a252dc67c08"}),
+    "ensemble-seed2": (["--pulses", "100", "--samples", "100000", "--seed", "2"], {
+        "hist_eta.csv": "bd1fded8c343fd5e7db9efa9fed70fc2eb3d9a0ca0b6b4ae14c701df8fec489e",
+        "hist_joint.csv": "d44747d5347e49afa7d21ee226d55c370e8f6e76ebb9374329ccdeace7e90db4",
+        "hist_nw.csv": "f0b0f0d51678bf29e8af26aaaf62c7e415cc243eac0e42848e8fae637acbe8c9",
+        "log_ratio.csv": "5beb3eb52b5f221c7c7cd879396a53b2c2017e892733f297d01ef32810e6cdb3",
+        "summary.json": "5752a137ec543581637e2e22ca1c51c7f323e5533adbb3a11f357ad3a6eb6dc5"}),
+    "ensemble-seed3": (["--pulses", "100", "--samples", "100000", "--seed", "3"], {
+        "hist_eta.csv": "295c8bbdb82165557faae43a54b09df45c7c58d0507b8e74a1a390aa7917cbae",
+        "hist_joint.csv": "05f142957bf416822e9a71168fc2eded35b70be36ef4e143b5d13227897655e7",
+        "hist_nw.csv": "3d27cc6903bb3055f9481e5af6dc5a80f81e4e7b28c428f103ca11090897bf0b",
+        "log_ratio.csv": "4730002426563963bf16ca1d6a9ec35f84aa1089ebe0b7cff863d9a1f668dd9f",
+        "summary.json": "50a5170aadaae9e7ef5472e812aa80f1c463488b46ee561178d4ee37831dfc63"}),
+    "emit-logs": (["--pulses", "25", "--samples", "500", "--seed", "4", "--emit-logs"], {
+        "summary.json": "a71b95ec780277cea922ce9c64bea748f9eecdab7b1ed2bb35effbbdb5adb535"}),
+}
+
+
+@pytest.mark.parametrize("flags,digests", PINNED_ARTIFACTS.values(), ids=PINNED_ARTIFACTS)
+def test_simulate_artifacts_match_their_pinned_digests(monkeypatch, tmp_path, flags, digests):
+    # a relative --out-dir, since summary.json echoes the output folder
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", *WORKING_POINT, "--tau2", "0.65", *flags,
+                         "--out-dir", "sim"]) == 0
+    assert {name: hashlib.sha256((tmp_path / "sim" / name).read_bytes()).hexdigest()
+            for name in digests} == digests
 
 
 def test_simulate_lane_selection_follows_the_gate(monkeypatch, tmp_path):

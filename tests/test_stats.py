@@ -10,6 +10,8 @@ fluctuation relation on the events lane's own records.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import tracemalloc
 import types
@@ -17,10 +19,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import swapengine as se
+from swapengine import cli
 from swapengine import stats as stats_module
 from swapengine import trajectory
 
@@ -59,14 +62,15 @@ def test_hand_records_accumulate_to_exact_counts_and_means():
     assert dict(st.hist_nw) == {-1: 2, 0: 1, 1: 1}
     assert dict(st.hist_joint) == {(-1, -1): 1, (0, 0): 1, (-2, -1): 1,
                                    (1, 1): 1}
-    assert se.efficiency_distribution(st) == se.EfficiencyDistribution(
+    assert se.efficiency_distribution(st.read_off(), CFG) == se.EfficiencyDistribution(
         bins=((8, 1), (16, 2)), infinite=0, undefined=1)
     assert st.rigidity_violations == 0
     assert st.quantization_violations == 0
 
 
 def test_work_without_hot_heat_counts_as_infinite_efficiency():
-    dist = se.efficiency_distribution(se.accumulate([_rec(0, 0, db1=-1, db2=1), _rec(0, 0)]))
+    st = se.accumulate([_rec(0, 0, db1=-1, db2=1), _rec(0, 0)])
+    dist = se.efficiency_distribution(st.read_off(), CFG)
     assert dist.infinite == 1
     assert dist.undefined == 1
     assert not dist.bins
@@ -147,7 +151,7 @@ def test_columnar_fold_equals_the_record_fold(cfg, pulses, samples):
             infinite += 1
         else:
             undefined += 1
-    assert se.efficiency_distribution(folded) == se.EfficiencyDistribution(
+    assert se.efficiency_distribution(folded.read_off(), cfg) == se.EfficiencyDistribution(
         tuple(sorted(bins.items())), infinite, undefined)
 
 
@@ -235,7 +239,7 @@ def test_ft_log_ratio_on_exact_geometric_counts():
     # through-origin fit must return log 2 and the textbook error bar
     counts = {1: 100, -1: 50, 2: 40, -2: 10, 3: 16, -3: 2, 0: 7}
     records = [_rec(n, -n) for n, c in counts.items() for _ in range(c)]
-    fr = se.ft_log_ratio(se.accumulate(records))
+    fr = se.ft_log_ratio(se.accumulate(records).read_off())
     assert [p[0] for p in fr.points] == [-3, -2, -1, 1, 2, 3]
     for n, log_ratio, point_se in fr.points:
         assert log_ratio == pytest.approx(
@@ -252,14 +256,14 @@ def test_ft_log_ratio_on_exact_geometric_counts():
 def test_ft_log_ratio_needs_three_paired_counts():
     records = [_rec(n, -n) for n in (1, -1, 2, -2, 0)]
     with pytest.raises(se.ConfigError, match="at least 3"):
-        se.ft_log_ratio(se.accumulate(records))
+        se.ft_log_ratio(se.accumulate(records).read_off())
 
 
 def test_ft_log_ratio_slope_matches_the_thermal_affinity():
     # slope of ln[P(n)/P(-n)] against n estimates beta1*omega1 - beta2*omega2
     proto = se.Protocol(n_pulses=10, tau2=0.65)
     st = se.fold_ensemble(CFG, proto, se.SwapFamily(), 30000, seed=71)
-    fr = se.ft_log_ratio(st)
+    fr = se.ft_log_ratio(st.read_off())
     affinity = CFG.beta1 * CFG.omega1 - CFG.beta2 * CFG.omega2
     assert abs(fr.slope - affinity) < 4.0 * fr.slope_se
     assert fr.slope_se < 0.05
@@ -269,7 +273,7 @@ def test_ft_log_ratio_slope_vanishes_at_zero_affinity():
     cfg = se.EngineConfig(0.8, 1.0, 1.0, 0.8)  # beta1*omega1 == beta2*omega2
     proto = se.Protocol(n_pulses=20, tau2=0.5)
     st = se.fold_ensemble(cfg, proto, se.SwapFamily(), 20000, seed=72)
-    fr = se.ft_log_ratio(st)
+    fr = se.ft_log_ratio(st.read_off())
     assert abs(fr.slope) < 4.0 * fr.slope_se
 
 
@@ -315,7 +319,7 @@ def test_integral_ft_top_share_is_the_largest_weight_over_the_weight_sum():
     assert st.integral_ft[2:] == (se.LedgerKey(-2, 2, 0, 0, -2), 0.0)
 
 
-def test_integral_ft_reads_each_ledger_once(monkeypatch):
+def test_integral_ft_reads_each_ledger_once(monkeypatch, tmp_path):
     # the estimate, its error and the top share come from one walk over the
     # keys: one energetics read-off per distinct ledger
     st = se.fold_ensemble(CFG, se.Protocol(n_pulses=10, tau2=0.65), se.SwapFamily(), 1500,
@@ -330,11 +334,179 @@ def test_integral_ft_reads_each_ledger_once(monkeypatch):
     monkeypatch.setattr(se.LedgerKey, "energetics", counted)
     st.integral_ft
     assert reads == Counter(dict.fromkeys(st.counts, 1))
+    # so does everything one simulate call writes: at the benchmark's
+    # ensemble command line, seed 2, one pass over the counts and one read
+    # of each of the 387 distinct ledgers
+    walks, folds = [], []
+
+    class Walked(Counter):
+        def __iter__(self):
+            walks.append("__iter__")
+            return super().__iter__()
+
+        def items(self):
+            walks.append("items")
+            return super().items()
+
+        def values(self):
+            walks.append("values")
+            return super().values()
+
+    def walked_fold(*args):
+        folded = se.fold_ensemble(*args)
+        folded.counts = Walked(folded.counts)
+        folds.append(folded)
+        return folded
+
+    monkeypatch.setattr(cli, "fold_ensemble", walked_fold)
+    monkeypatch.chdir(tmp_path)
+    reads.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "--beta1", repr(2.0 / 3.0), "--beta2", "1.0",
+                         "--omega1", "1.0", "--omega2", repr(5.0 / 6.0), "--pulses", "100",
+                         "--tau2", "0.65", "--samples", "100000", "--seed", "2",
+                         "--out-dir", "sim"]) == 0
+    [folded] = folds
+    assert walks == ["__iter__"]
+    assert reads == Counter(dict.fromkeys(folded.counts, 1))
+    assert len(reads) == 387
+
+
+def _sorted_sums(counts: Counter, f) -> tuple:
+    """Sums of count*f(key) and count*f(key)*f(key), key by key in sorted order."""
+    s = ss = 0
+    for key in sorted(counts):
+        c, v = counts[key], f(key)
+        s += c * v
+        ss += c * v * v
+    return s, ss
+
+
+def _definition_read_off(stats: se.EnsembleStats) -> se.ReadOff:
+    """ReadOff with each statistic taken from its definition by a walk of
+    its own over the sorted keys."""
+    cfg, counts = stats.params.cfg, stats.counts
+    n = 0
+    for key in sorted(counts):
+        n += counts[key]
+
+    def mean_se(s, ss, scale):
+        if n < 2:
+            return scale * (s / n), None
+        return scale * (s / n), abs(scale) * math.sqrt(max((ss - s * s / n) / (n - 1), 0.0) / n)
+
+    s_x, ss_x = _sorted_sums(counts, lambda k: k.x)
+    s_y, ss_y = _sorted_sums(counts, lambda k: k.y)
+    if stats.quantized:
+        w = mean_se(s_x, ss_x, cfg.omega1 - cfg.omega2)
+    elif n < 2:
+        w = (cfg.omega1 * s_x + cfg.omega2 * s_y) / n, None
+    else:
+        s_xy = _sorted_sums(counts, lambda k: k.x * k.y)[0]
+        var = (cfg.omega1 ** 2 * ((ss_x - s_x ** 2 / n) / (n - 1))
+               + cfg.omega2 ** 2 * ((ss_y - s_y ** 2 / n) / (n - 1))
+               + 2.0 * cfg.omega1 * cfg.omega2 * ((s_xy - s_x * s_y / n) / (n - 1)))
+        w = (cfg.omega1 * s_x + cfg.omega2 * s_y) / n, math.sqrt(max(var, 0.0) / n)
+
+    def weight(k):
+        e = k.energetics(cfg.omega1, cfg.omega2)
+        return math.exp((cfg.beta2 - cfg.beta1) * e.dE1 - cfg.beta2 * e.w)
+
+    s, ss = _sorted_sums(counts, weight)
+    terms = [(counts[k] * weight(k), k) for k in sorted(counts)]
+    top_term = max(term for term, _ in terms)
+    top = next(k for term, k in terms if term == top_term)   # the first largest
+    hist_nw = hist_joint = None
+    rigidity = quantization = 0
+    if stats.quantized:
+        hist_nw, hist_joint = Counter(), Counter()
+        for k in sorted(counts):
+            hist_nw[k.n_w] += counts[k]
+        for k in sorted(counts):
+            hist_joint[k.h1, k.n_w] += counts[k]
+        for k in sorted(counts):
+            rigidity += counts[k] if k.y != -k.x else 0
+        d = cfg.omega1 - cfg.omega2
+        for k in sorted(counts):
+            off = d != 0 and round(k.energetics(cfg.omega1, cfg.omega2).w / d) != k.n_w
+            quantization += counts[k] if off else 0
+        hist_nw, hist_joint = dict(hist_nw), dict(hist_joint)
+    return se.ReadOff(
+        n, mean_se(s_x, ss_x, cfg.omega1), mean_se(s_y, ss_y, cfg.omega2), w,
+        mean_se(*_sorted_sums(counts, lambda k: k.h1), cfg.omega1),
+        mean_se(*_sorted_sums(counts, lambda k: k.h2), cfg.omega2),
+        se.IntegralFt(*mean_se(s, ss, 1.0), top, top_term / s if s else 0.0),
+        hist_nw, hist_joint, rigidity, quantization)
+
+
+def _bits(value):
+    """value with each float spelled by repr, so that == compares floats bit
+    for bit (-0.0 and 0.0 apart)."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+READ_OFF_CONFIGS = [
+    CFG,
+    # frequencies at which the float ratio route rounds apart
+    se.EngineConfig(0.2, 0.3, 2.8510833966980074, 1.0043112108304078),
+    se.EngineConfig(2.0 / 3.0, 1.0, 5.0 / 6.0, 1.0),   # omega2 > omega1
+    se.EngineConfig(2.0 / 3.0, 1.0, 1.0, 1.0),         # no work lattice spacing
+]
+GENERIC_GATE = se.Generic(tuple(np.linspace(0.2, 2.0, 15)))
+
+
+@st.composite
+def histograms(draw) -> se.EnsembleStats:
+    """An EnsembleStats of drawn swap-family or generic-gate ledgers with
+    int counts or float weights; a swap-family ledger may break y = -x."""
+    swap = draw(st.booleans())
+    quanta, bit = st.integers(-12, 12), st.integers(-1, 1)
+    if swap:
+        ledger = st.builds(lambda n_w, db1, db2, shift: se.LedgerKey(
+            n_w - db1, -n_w - db2 + shift, db1, db2, n_w),
+            quanta, bit, bit, st.sampled_from((0, 0, 0, 1, -1)))
+    else:
+        ledger = st.builds(lambda h1, h2, db1, db2: se.LedgerKey(h1, h2, db1, db2, None),
+                           quanta, quanta, bit, bit)
+    weight = draw(st.sampled_from((st.integers(1, 10 ** 6),
+                                   st.floats(1e-12, 1.0, allow_subnormal=False))))
+    stats = se.EnsembleStats(se.RunParams(draw(st.sampled_from(READ_OFF_CONFIGS)),
+                                          se.Protocol(12, 0.65),
+                                          se.SwapFamily() if swap else GENERIC_GATE))
+    stats.counts.update(draw(st.dictionaries(ledger, weight, min_size=1, max_size=30)))
+    return stats
+
+
+def _cold_stats(count) -> se.EnsembleStats:
+    # every weight exp(-(beta1*omega1 - beta2*omega2)*n_w) = exp(-1398)
+    # underflows, so the weight sum is 0
+    cold = se.EngineConfig(1.0, 700.0, 1.0, 1.0)
+    stats = se.EnsembleStats(se.RunParams(cold, se.Protocol(10, 0.65), se.SwapFamily()))
+    stats.counts[se.LedgerKey(-2, 2, 0, 0, -2)] = count
+    stats.counts[se.LedgerKey(-3, 2, 1, 0, -2)] = count
+    return stats
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(histograms())
+@example(_cold_stats(3))
+@example(_cold_stats(0.25))
+def test_read_off_is_each_statistic_by_its_definition(stats):
+    read = stats.read_off()
+    assert _bits(read) == _bits(_definition_read_off(stats))
+    if stats.params.cfg.beta2 == 700.0:
+        assert read.integral_ft[2:] == (se.LedgerKey(-3, 2, 1, 0, -2), 0.0)
 
 
 def test_efficiency_distribution_structure_and_modal_bin():
     records = HAND_RECORDS + [_rec(0, 0, db1=-1, db2=1)]
-    dist = se.efficiency_distribution(se.accumulate(records))
+    dist = se.efficiency_distribution(se.accumulate(records).read_off(), CFG)
     assert list(dist._fields) == ["bins", "infinite", "undefined"]
     assert dist.bins == ((8, 1), (16, 2))
     assert dist.infinite == 1
@@ -349,9 +521,9 @@ def test_efficiency_distribution_rejects_generic_runs():
                                        seed=1))
     assert not st.quantized
     with pytest.raises(se.ConfigError, match="swap-family runs only"):
-        se.efficiency_distribution(st)
+        se.efficiency_distribution(st.read_off(), CFG)
     with pytest.raises(se.ConfigError, match="swap-family runs only"):
-        se.ft_log_ratio(st)
+        se.ft_log_ratio(st.read_off())
 
 
 def test_mixing_generic_and_swap_records_is_rejected():
