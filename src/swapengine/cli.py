@@ -42,7 +42,7 @@ from .stats import (ETA_BIN_WIDTH, EfficiencyDistribution, EnsembleStats, FtLogR
 from .thermo import (ConfigError, EngineConfig, MaxPowerPoint, classify_regime,
                      efficiencies, low_etaC_expansion, mean_energetics, omega_star,
                      post_swap_betas, relaxation_time)
-from .trajectory import Protocol, pick_lane, run_ensemble
+from .trajectory import Protocol, _tilted_moment, pick_lane, run_ensemble
 
 if TYPE_CHECKING:
     import argparse
@@ -336,6 +336,30 @@ def _stats_summary(rc: RunConfig, read: ReadOff, ratio: FtLogRatio | None,
     }
 
 
+def _ift_warning(rc: RunConfig, read: ReadOff) -> str | None:
+    """Why the integral-FT estimate of a run cannot be trusted, or None.
+
+    On swap-family runs the weight is W = exp(-a*n_w), a = beta1*omega1 -
+    beta2*omega2, and its exact E[W^2] = E[exp(-2a*n_w)] is known before
+    sampling: the estimate's expected relative standard error is
+    sqrt((E[W^2] - 1)/n), so n < E[W^2] - 1 trajectories (or an E[W^2]
+    beyond the float range) cannot resolve it, whatever the seed.  On
+    generic gates, where no exact moment is at hand, the estimate is
+    flagged when one ledger carries over half of its weight sum."""
+    if not isinstance(rc.gate, SwapFamily):
+        ift = read.integral_ft
+        return (f"the integral-FT estimate rests on one ledger, {ift.top}, which carries "
+                f"{ift.share:.0%} of its weight sum") if ift.share > 0.5 else None
+    cfg = rc.engine
+    second = _tilted_moment(cfg, rc.protocol,
+                            -2.0 * (cfg.beta1 * cfg.omega1 - cfg.beta2 * cfg.omega2))
+    if read.sample_size >= second - 1.0:
+        return None
+    shown = f"= {second:.3g}" if math.isfinite(second) else "beyond the float range"
+    return (f"the integral-FT weight has E[W^2] {shown} on this run, so its estimate "
+            f"needs more than E[W^2] - 1 trajectories, and the run drew {read.sample_size}")
+
+
 def cmd_simulate(rc: RunConfig, args: argparse.Namespace | SimpleNamespace) -> int:
     check_eta_bins(rc.engine, rc.protocol, rc.gate)
     # staged on the output folder's file system, so a refusal changes nothing there
@@ -377,7 +401,6 @@ def _simulate(rc: RunConfig, out: Path, staged: Path) -> int:
          dist and [(i * ETA_BIN_WIDTH, (i + 1) * ETA_BIN_WIDTH, c) for i, c in dist.bins]),
         ("log_ratio.csv", ("n_w", "log_ratio", "std_error"), ratio and list(ratio.points)),
     ]
-    ift = read.integral_ft
     summary_text = _json_text(_stats_summary(rc, read, ratio, dist, lane))
     for name, header, rows in tables:
         if rows is not None:
@@ -398,10 +421,10 @@ def _simulate(rc: RunConfig, out: Path, staged: Path) -> int:
             (staged / name).replace(out / name)
         else:
             (out / name).unlink(missing_ok=True)
-    if ift.share > 0.5:
-        print(f"warning: the integral-FT estimate rests on one ledger, {ift.top}, which "
-              f"carries {ift.share:.0%} of its weight sum; its standard error does not bound "
-              "how far the estimate is from 1", file=sys.stderr)
+    warning = _ift_warning(rc, read)
+    if warning:
+        print(f"warning: {warning}; its standard error does not bound how far the "
+              "estimate is from 1", file=sys.stderr)
     print(summary_text if v["json"] else str(out / "summary.json"))
     return 0
 

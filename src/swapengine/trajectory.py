@@ -38,17 +38,21 @@ Three engines realize the same trajectory law:
 
 Every engine keeps each run's integer ledger as one LedgerKey, and
 derives trajectory k's random stream from (seed, stream index) with a
-counter-based generator, so record k is independent of the sample size and
-reruns are bit-identical.  The events and mcwf lanes draw the same uniforms
-in the same order, and a basis state's mixture draw is its closed-form wait
-bit for bit, so they make the same records jump for jump; they read
-each trajectory's stream in blocks (_BufferedUniforms), which hand out the
-same uniforms as one call per uniform.
+counter-based generator, SplitMix64 in counter mode (_Stream, in numpy
+uint64 arithmetic, so numpy.random is never loaded), so record k is
+independent of the sample size and reruns are bit-identical.  The events
+and mcwf lanes draw the same uniforms in the same order, and a basis
+state's mixture draw is its closed-form wait bit for bit, so they make the
+same records jump for jump; they read each trajectory's stream in blocks
+(_BufferedUniforms), which hand out the same uniforms as one call per
+uniform.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from itertools import chain, repeat
 from typing import Iterator, NamedTuple
 
@@ -237,31 +241,114 @@ def _channel_rates(rates: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return rates * np.array([p1, 1.0 - p1, p2, 1.0 - p2])
 
 
-# uniforms a jump-lane trajectory reads from its stream at a time; a
-# 25-pulse trajectory at the working point takes about 130
-_UNIFORM_BLOCK = 64
+# uniforms a jump-lane trajectory reads from its stream at a time.  A
+# 25-pulse trajectory at the working point takes about 130 and a 100-pulse
+# one about 500; a block costs about 7 us at 64 uniforms and 11 us at 256,
+# mostly numpy's per-call overhead.  A 500 x 25 events-lane run takes about
+# as long at 128 as at 256 and 10% longer at 512, and a 500 x 100 run
+# about 10% longer at 128 than at 256 (2-core x86-64)
+_UNIFORM_BLOCK = 256
+
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014; Vigna's splitmix64.c): the
+# golden-ratio increment and the finalizer's multipliers
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_MASK64 = (1 << 64) - 1
+# counters per slice of _ramp(): 2*_LAW_BLOCK_ROWS, a bit-lane block's uniforms
+_RAMP_LEN = 1 << 13
 
 
-def _stream(key: int | tuple[int, int]) -> np.random.Generator:
-    """The counter-based generator of a stream key such as (seed, k): the
-    one place the package makes a random stream."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+@functools.cache
+def _ramp() -> np.ndarray:
+    """(j + 1)*_GOLDEN mod 2**64 for j < _RAMP_LEN, read-only: a block of
+    uniforms is its first counter plus a slice of this.  Built on the first
+    draw, so a command that draws nothing never allocates it."""
+    ramp = np.arange(1, _RAMP_LEN + 1, dtype=np.uint64)
+    ramp *= _GOLDEN
+    ramp.flags.writeable = False
+    return ramp
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64's finalizer of a Python int in [0, 2**64)."""
+    z = (z ^ z >> 30) * _MIX1 & _MASK64
+    z = (z ^ z >> 27) * _MIX2 & _MASK64
+    return z ^ z >> 31
+
+
+class _Stream:
+    """A counter-based stream (Salmon, Moraes, Dror & Shaw, SC 2011): its
+    uniform i is a pure function of its 64-bit key and i, SplitMix64 in
+    counter mode, (mix64(key + (i+1)*_GOLDEN mod 2**64) >> 11) * 2**-53 on
+    [0, 1): output i of splitmix64.c seeded with the key, its top 53 bits
+    as a double.  A block of them is a handful of numpy uint64 operations
+    on a slice of _ramp(), and any split into blocks reads the same uniforms.
+    `drawn` uniforms have been read."""
+
+    __slots__ = ("key", "drawn")
+
+    def __init__(self, key: int) -> None:
+        self.key, self.drawn = key, 0
+
+    def random(self, size: int | tuple[int, ...] | None = None) -> float | np.ndarray:
+        """The next uniform as a float, or the next prod(size) of them as a
+        float64 array of that shape."""
+        if size is None:
+            self.drawn += 1
+            return (_mix64(self.key + self.drawn * _GOLDEN & _MASK64) >> 11) * 2.0 ** -53
+        n = math.prod(size) if isinstance(size, tuple) else size
+        # each counter slice's first counter less _GOLDEN, in Python ints:
+        # numpy would warn of a scalar uint64 overflow
+        base = self.key + self.drawn * _GOLDEN
+        self.drawn += n
+        parts = [_ramp()[:n - at] + (base + at * _GOLDEN & _MASK64)
+                 for at in range(0, n or 1, _RAMP_LEN)]
+        z = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        z ^= z >> 30
+        z *= _MIX1
+        z ^= z >> 27
+        z *= _MIX2
+        z ^= z >> 31
+        z >>= 11
+        return (z * 2.0 ** -53).reshape(size)
+
+
+def _stream(key: int | tuple[int, ...]) -> _Stream:
+    """The SplitMix64 stream (Steele, Lea & Flood, OOPSLA 2014) of a key
+    such as seed or (seed, k), of nonnegative ints, in counter mode (see
+    _Stream): the one place the package makes a random stream.  Its
+    64-bit key absorbs each word's 64-bit limbs, low first, each by
+    h = mix64((h ^ limb) + n*_GOLDEN) for a word of n limbs, from h = 0, so
+    (seed) and (seed, 0) make unrelated streams, and so do a seed of 2**64
+    or more and its low 64 bits.  Every sum stays a Python int: numpy would
+    warn of a scalar uint64 overflow."""
+    h = 0
+    for word in map(operator.index, key if isinstance(key, tuple) else (key,)):
+        if word < 0:
+            raise ValueError(f"stream keys are nonnegative integers, got {key!r}")
+        n = max(-(-word.bit_length() // 64), 1)
+        for _ in range(n):
+            h = _mix64((h ^ word & _MASK64) + n * _GOLDEN & _MASK64)
+            word >>= 64
+    return _Stream(h)
 
 
 class _BufferedUniforms:
-    """One trajectory's generator, read _UNIFORM_BLOCK uniforms at a time.
+    """One trajectory's stream, read _UNIFORM_BLOCK uniforms at a time.
 
-    random() returns what the generator's own random() calls would, in the
-    same order, since a generator's random(n) reads the same stream as n
-    calls of random(); one block and its tolist() cost about as much as a
-    few scalar calls.  The buffer runs ahead of the generator, so only a
-    generator that nothing else reads may be wrapped: run_ensemble wraps
-    each trajectory's own.
+    The stream is counter-based SplitMix64 (_Stream; Salmon et al., SC
+    2011; Steele, Lea & Flood, OOPSLA 2014), so a block is a handful of
+    numpy uint64 operations.  random() returns what the stream's own
+    random() calls would, in the same order, since a stream's random(n)
+    reads the same uniforms as n calls of random(); one block and its
+    tolist() cost less than a few scalar calls.  The buffer runs ahead of
+    the stream, so only a stream that nothing else reads may be wrapped:
+    run_ensemble wraps each trajectory's own.
     """
 
     __slots__ = ("random",)
 
-    def __init__(self, rng: np.random.Generator) -> None:
+    def __init__(self, rng: _Stream) -> None:
         self.random = chain.from_iterable(
             map(np.ndarray.tolist, map(rng.random, repeat(_UNIFORM_BLOCK)))).__next__
 
@@ -288,7 +375,7 @@ def _basis_index(amps: np.ndarray) -> int | None:
     return occupied[0] if len(occupied) == 1 else None
 
 
-def sample_initial_state(cfg: EngineConfig, rng: np.random.Generator | _BufferedUniforms) -> int:
+def sample_initial_state(cfg: EngineConfig, rng: _Stream | _BufferedUniforms) -> int:
     """Draw a joint basis index from the product Gibbs distribution, with
     two uniforms from rng."""
     b1 = rng.random() < excited_population(cfg.beta1, cfg.omega1)
@@ -343,7 +430,7 @@ def _relax_basis(
     t: float,
     duration: float,
     t_start: float,
-    rng: np.random.Generator | _BufferedUniforms,
+    rng: _Stream | _BufferedUniforms,
     relax: _Relaxation,
     events: list[TrajectoryEvent] | None,
     heat: list[int],
@@ -385,7 +472,7 @@ def _relax_amplitudes(
     amps: np.ndarray,
     duration: float,
     t_start: float,
-    rng: np.random.Generator | _BufferedUniforms,
+    rng: _Stream | _BufferedUniforms,
     relax: _Relaxation,
     events: list[TrajectoryEvent] | None,
     heat: list[int],
@@ -458,7 +545,7 @@ def _ensemble(cfg: EngineConfig, protocol: Protocol, gate_spec: GateSpec) -> _En
 
 def _trajectory(
     ens: _Ensemble,
-    rng: np.random.Generator | _BufferedUniforms,
+    rng: _Stream | _BufferedUniforms,
     keep_events: bool,
     eigenstate_shortcut: bool,
 ) -> TrajectoryRecord:
@@ -675,6 +762,25 @@ def _track_laws(cfg: EngineConfig, protocol: Protocol,
     return law
 
 
+def _tilted_moment(cfg: EngineConfig, protocol: Protocol, chi: float) -> float:
+    """E[exp(chi*n_w)] of a swap-family run, exact.  n_w is the sum of the
+    two independent tracks' shares m, so this is the product over the
+    tracks of each track's walk with its polynomials in m evaluated at
+    e^chi, weighed by the initial bit and summed over the final one.  inf
+    or nan where e^(+-chi) or a product overflows."""
+    if protocol.n_pulses == 0:
+        return 1.0
+    odds = _bit_propagator(cfg, protocol.tau2)
+    moment = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.exp([-chi, 0.0, chi])
+        for track, (f, _, _) in enumerate(odds):
+            walk = _track_walk(odds, track, protocol.n_pulses, np.matmul, np.eye(2),
+                               lambda poly: poly @ powers)
+            moment *= float(np.array([1.0 - f, f]) @ walk.sum(axis=1))
+    return moment
+
+
 def _track_index_parts(n_pulses: int,
                        window: tuple[int, tuple[int, int]] | None = None) -> np.ndarray:
     """Each track cell's part of the run's _key_index, (2, 4*cells) int64
@@ -807,26 +913,37 @@ def per_pulse_transfer_moments(
     times (omega1-omega2) the per-pulse <w>.  A swap-family pulse meets two
     independent bits, excited with probabilities p1 and p2 (each qubit's f
     at pulse 0), so its transfer b2 - b1 into qubit 1 is +1, -1 or 0 with
-    probabilities p2*(1 - p1), p1*(1 - p2) and the rest: each pulse's counts
-    over sample_size runs are one multinomial draw, all of them from the
-    run's seed stream.  The pulse swaps the bits, which then relax:
+    probabilities p2*(1 - p1), p1*(1 - p2) and the rest: row j's transfer
+    at pulse k is +1 where its uniform u < p2*(1 - p1), -1 where
+    p2*(1 - p1) <= u < p2*(1 - p1) + p1*(1 - p2), and 0 above, which has
+    the multinomial law of each pulse's counts.  The uniforms are read row
+    by row, n_pulses a row, from the run's seed stream, and counted a block
+    of rows at a time.  The pulse swaps the bits, which then relax:
     p1' = lo1 + (hi1 - lo1)*p2 and p2' = lo2 + (hi2 - lo2)*p1.
     """
-    if protocol.n_pulses < 1:
+    n_pulses = protocol.n_pulses
+    if n_pulses < 1:
         raise ConfigError("per-pulse moments need at least one pulse")
     if sample_size < 2:
         raise ConfigError(f"sample_size must be at least 2, got {sample_size}")
     (f1, lo1, hi1), (f2, lo2, hi2) = _bit_propagator(cfg, protocol.tau2)
-    excited = np.empty((protocol.n_pulses, 2))
+    excited = np.empty((n_pulses, 2))
     p1, p2 = f1, f2
-    for k in range(protocol.n_pulses):
+    for k in range(n_pulses):
         excited[k] = p1, p2
         p1, p2 = lo1 + (hi1 - lo1) * p2, lo2 + (hi2 - lo2) * p1
     p1, p2 = excited.T
-    into, out_of = p2 * (1.0 - p1), p1 * (1.0 - p2)
-    up, down, _ = _stream(seed).multinomial(
-        sample_size, np.stack([into, out_of, 1.0 - into - out_of], axis=1)).T
+    into = p2 * (1.0 - p1)
+    moved = into + p1 * (1.0 - p2)
+    rng = _stream(seed)
+    rows = max(_RAMP_LEN // n_pulses, 1)
+    up = moving = 0
+    for start in range(0, sample_size, rows):
+        u = rng.random((min(rows, sample_size - start), n_pulses))
+        up += np.count_nonzero(u < into, axis=0)
+        moving += np.count_nonzero(u < moved, axis=0)
     n = sample_size
+    down = moving - up
     mean = (up - down) / n
     var = ((up + down) / n - mean ** 2) * (n / (n - 1))
     return mean, np.sqrt(var / n)

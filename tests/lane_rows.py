@@ -55,7 +55,7 @@ def whole_chunk_rows(cfg, protocol, sample_size, seed):
     chunk = trajectory._LAW_CHUNK_ROWS
     rows = []
     for c in range(-(-sample_size // chunk)):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, c))))
+        rng = trajectory._stream((seed, c))
         u = rng.random((min(chunk, sample_size - c * chunk), 2))
         cells = [trajectory._invert(cdf, trajectory._guide(cdf), u[:, t])
                  for t, cdf in enumerate(cdfs)]

@@ -210,26 +210,44 @@ def test_simulate_json_mode_prints_the_summary(capsys, monkeypatch, tmp_path):
 
 def test_simulate_warns_when_one_ledger_carries_the_integral_ft_estimate(capsys, monkeypatch,
                                                                        tmp_path):
-    # at 10^4 pulses the weight exp(-(beta2*omega2 - beta1*omega1)*n_w) sits
-    # on trajectories far in the tail: one of the 10^4 drawn carries most of
-    # the weight sum, and the estimate lies many of its own errors below 1
+    # at 10^4 pulses the weight W = exp(-(beta1*omega1 - beta2*omega2)*n_w)
+    # has the exact E[W^2] = 6.25e37, so 10^4 trajectories cannot resolve
+    # its mean at any seed, and the estimate lies many of its own errors
+    # below 1
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["simulate", "--pulses", "10000", "--samples", "10000",
-                     "--out-dir", "long"]) == 0
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert "rests on one ledger, LedgerKey(" in lines[0]
-    assert "standard error does not bound" in lines[0]
-    value, std_err = _strict_json((tmp_path / "long" / "summary.json").read_text())["integral_ft"]
-    assert value + 100.0 * std_err < 1.0
+    for seed in (0, 1):
+        assert cli.main(["simulate", "--pulses", "10000", "--samples", "10000",
+                         "--seed", str(seed), "--out-dir", "long"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "E[W^2] = 6.25e+37 on this run" in lines[0]
+        assert "the run drew 10000" in lines[0]
+        assert "standard error does not bound" in lines[0]
+        value, std_err = _strict_json(
+            (tmp_path / "long" / "summary.json").read_text())["integral_ft"]
+        assert value + 100.0 * std_err < 1.0
     # the benchmark's ensemble run, 10^5 trajectories of 100 pulses at the
-    # working point, draws no such ledger
+    # working point, where E[W^2] = 2.39
     working_point = ["--beta1", repr(2.0 / 3.0), "--beta2", "1.0", "--omega1", "1.0",
                      "--omega2", repr(5.0 / 6.0), "--gamma", "1.0"]
     for seed in (1, 2, 3):
         assert cli.main(["simulate", *working_point, "--pulses", "100", "--tau2", "0.65",
                          "--samples", "100000", "--seed", str(seed), "--out-dir", "sim"]) == 0
         assert capsys.readouterr().err == ""
+    # at strong affinity E[W^2] overflows, which warns too
+    assert cli.main(["simulate", "--beta1", "0.05", "--beta2", "30", "--omega2", "0.5",
+                     "--samples", "1000", "--out-dir", "strong"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert "E[W^2] beyond the float range on this run" in lines[0]
+    # generic gates have no exact moment yet: one ledger carrying over half
+    # the weight sum is flagged, as a single trajectory's always is
+    assert cli.main(["simulate", "--gate", GENERIC, "--pulses", "2", "--samples", "1",
+                     "--out-dir", "generic"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert "rests on one ledger, LedgerKey(" in lines[0]
+    assert "standard error does not bound" in lines[0]
 
 
 @settings(derandomize=True, database=None, deadline=None)
@@ -255,31 +273,31 @@ def test_simulate_reruns_are_byte_identical(gate, emit_logs, samples, pulses,
         assert len(logs) == (samples if emit_logs else 0)
 
 
-# SHA-256 digests of simulate's files, taken before EnsembleStats.read_off
-# replaced one walk over the counts per statistic, on x86-64 Linux (another
-# libm may round exp and log apart): the benchmark's ensemble command line
-# at three seeds, and summary.json of its 500 x 25 --emit-logs run
+# SHA-256 digests of simulate's files, taken when the streams became
+# SplitMix64 in counter mode, on x86-64 Linux (another libm may round exp
+# and log apart): the benchmark's ensemble command line at three seeds, and
+# summary.json of its 500 x 25 --emit-logs run
 PINNED_ARTIFACTS = {
     "ensemble-seed1": (["--pulses", "100", "--samples", "100000", "--seed", "1"], {
-        "hist_eta.csv": "62fe4bdc32d047b971e33f43ef18c0467483d6e70a3a80ade9084c1cce7725fa",
-        "hist_joint.csv": "49165ac3aa476a8a7ed35f31ab1c6926c201ad58d142341d852247003d9ebd9b",
-        "hist_nw.csv": "e55c6dabff26b5c228825db2b179ea8c6deb672dc24477e9a7d23244bdc8305b",
-        "log_ratio.csv": "0bbe778005f401881926ad2f5df0e665fc69fa84c025a337f71b1605cbc06ca9",
-        "summary.json": "8aef0e6fd265bf4ef1498624e374e3e1c8f9c0c4324b3fa441b58a252dc67c08"}),
+        "hist_eta.csv": "bf156e0fe25f4ec3ba5032a5a0dbbc7c2c0539e9f8057636febdc2a5dc9fda67",
+        "hist_joint.csv": "a91a649f7b2ab10780706ad5e404b11ab3ec665313eec1d7ef8a92cc10933934",
+        "hist_nw.csv": "1787d348c422c949dfc10f46003bcf4dff9d154acfa294e20060327ae3253d3f",
+        "log_ratio.csv": "be70d461fcc16797d7bd3b4143db9393499d32144098734b099fa8cf64a8ae5c",
+        "summary.json": "4e7d6e8bb667ad56b1d4eaa09bf290e27708126cc2aa6841f0ab2a1e573045f4"}),
     "ensemble-seed2": (["--pulses", "100", "--samples", "100000", "--seed", "2"], {
-        "hist_eta.csv": "bd1fded8c343fd5e7db9efa9fed70fc2eb3d9a0ca0b6b4ae14c701df8fec489e",
-        "hist_joint.csv": "d44747d5347e49afa7d21ee226d55c370e8f6e76ebb9374329ccdeace7e90db4",
-        "hist_nw.csv": "f0b0f0d51678bf29e8af26aaaf62c7e415cc243eac0e42848e8fae637acbe8c9",
-        "log_ratio.csv": "5beb3eb52b5f221c7c7cd879396a53b2c2017e892733f297d01ef32810e6cdb3",
-        "summary.json": "5752a137ec543581637e2e22ca1c51c7f323e5533adbb3a11f357ad3a6eb6dc5"}),
+        "hist_eta.csv": "45024a41216ca2e37d69db7ab2322f595062e3564941d0a3c986ebda23123dcc",
+        "hist_joint.csv": "c47538f3378fe3955aacd0338edf286dc950dea3be90c22a5770410a306ebcb7",
+        "hist_nw.csv": "8e81a2ad7270109015d654b42ce0d927fb51fd9d796da74b206ea60563189755",
+        "log_ratio.csv": "23d084b8cea8ad1a2d64b10ac26c74230ed9554385353d948064fd9000d92d61",
+        "summary.json": "43ab5d4651b17221324f583d59f40e76e97002bfbf97a84fa085ccc2f2fd020d"}),
     "ensemble-seed3": (["--pulses", "100", "--samples", "100000", "--seed", "3"], {
-        "hist_eta.csv": "295c8bbdb82165557faae43a54b09df45c7c58d0507b8e74a1a390aa7917cbae",
-        "hist_joint.csv": "05f142957bf416822e9a71168fc2eded35b70be36ef4e143b5d13227897655e7",
-        "hist_nw.csv": "3d27cc6903bb3055f9481e5af6dc5a80f81e4e7b28c428f103ca11090897bf0b",
-        "log_ratio.csv": "4730002426563963bf16ca1d6a9ec35f84aa1089ebe0b7cff863d9a1f668dd9f",
-        "summary.json": "50a5170aadaae9e7ef5472e812aa80f1c463488b46ee561178d4ee37831dfc63"}),
+        "hist_eta.csv": "dae2d48c2ae8d9cbbe689ff0fbd2aa448512d40e54a7901dad84d1c5575a171f",
+        "hist_joint.csv": "516b62543a391608c1bfe48b6dce5de06dc08be2e714283ba358b20bed5d801a",
+        "hist_nw.csv": "bdeac5315529913f6b8d1ea23be4f7b32802d2dbb6b79d6fcfdeb52748995876",
+        "log_ratio.csv": "6a181227c150a97ea7cfb48d1cfb6c9d10ff2b38109a7d8b131b881423bf80d8",
+        "summary.json": "319f379dbd36969c261269d8c5aecfec264d19b77d2e589fc32ca3d9ebcb04c3"}),
     "emit-logs": (["--pulses", "25", "--samples", "500", "--seed", "4", "--emit-logs"], {
-        "summary.json": "a71b95ec780277cea922ce9c64bea748f9eecdab7b1ed2bb35effbbdb5adb535"}),
+        "summary.json": "93c394eb45d8d07e0cbff5099fc111027e352bc6509a017db2dd16ef0b394b38"}),
 }
 
 
@@ -1004,33 +1022,36 @@ print(json.dumps([codes, sorted(m for m in sys.modules
 
 
 _NO_RANDOM_RUN = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 sys.path.insert(0, sys.argv[1])
 from swapengine.cli import main
+runs = []
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(argv) for argv in (["analytic", "--json"], ["opt-gate"],
-                                     ["analyze", *sys.argv[2:], "--pulses", "2", "--out-dir", "ana"])]
-print(json.dumps([codes, "numpy.random" in sys.modules]))
+    for argv in (["simulate", "--samples", "3000", "--pulses", "20", "--out-dir", "bits"],
+                 ["simulate", "--samples", "3", "--pulses", "2", "--emit-logs",
+                  "--out-dir", "sim"],
+                 ["power-scan", "--samples", "50", "--n-list", "1,2", "--out-dir", "ps"],
+                 ["analytic", "--json"], ["opt-gate"]):
+        runs.append([argv[0], main(argv), "numpy.random" in sys.modules])
+    logs = sorted(os.path.join("sim", "events", f)
+                  for f in os.listdir(os.path.join("sim", "events")))
+    argv = ["analyze", *logs, "--pulses", "2", "--out-dir", "ana"]
+    runs.append([argv[0], main(argv), "numpy.random" in sys.modules])
+print(json.dumps(runs))
 """
 
 
-def test_commands_that_draw_nothing_never_import_numpy_random(tmp_path, monkeypatch, capsys):
-    # numpy loads numpy.random on first use (about 5 MiB and 7-13 ms), and
-    # analytic, opt-gate and analyze draw nothing, so no module they use
-    # may touch np.random when it is imported or run; the logs analyze
-    # reads are written here, by a simulate in this interpreter
-    monkeypatch.chdir(tmp_path)
-    assert cli.main(["simulate", "--samples", "3", "--pulses", "2", "--emit-logs",
-                     "--out-dir", "sim"]) == 0
-    capsys.readouterr()
-    logs = sorted(str(p) for p in (tmp_path / "sim" / "events").iterdir())
+def test_commands_that_draw_nothing_never_import_numpy_random(tmp_path):
+    # numpy loads numpy.random on first use (about 5 MiB and 7-13 ms); the
+    # package draws every stream with numpy's uint64 arithmetic, so no
+    # command, the sampling ones included, may load it, on import or run
     src = str(Path(se.__file__).resolve().parents[1])
-    run = subprocess.run([sys.executable, "-c", _NO_RANDOM_RUN, src, *logs],
+    run = subprocess.run([sys.executable, "-c", _NO_RANDOM_RUN, src],
                          capture_output=True, text=True, cwd=tmp_path)
     assert run.returncode == 0, run.stderr
-    codes, random_loaded = json.loads(run.stdout)
-    assert codes == [0, 0, 0]
-    assert not random_loaded
+    assert json.loads(run.stdout) == [[command, 0, False] for command in
+                                      ("simulate", "simulate", "power-scan", "analytic",
+                                       "opt-gate", "analyze")]
 
 
 def test_cli_runs_import_no_scipy(tmp_path):

@@ -204,9 +204,9 @@ def test_columnar_fold_memory_at_a_large_pulse_count():
 def test_columnar_fold_memory_at_the_working_point():
     # the bit lane draws, inverts and indexes each 2**15-row chunk in blocks
     # of trajectory._LAW_BLOCK_ROWS rows, so a 10^5 x 100 fold peaks near
-    # 0.79 MiB of numpy buffers; whole-chunk arrays peaked near 2.13 MiB
-    # (tracemalloc sees numpy's buffers).  A fold of one row first loads
-    # numpy.random, whose import is no part of the fold's working set.
+    # 0.88 MiB of numpy buffers; whole-chunk arrays peaked near 2.13 MiB
+    # (tracemalloc sees numpy's buffers).  A fold of one row runs first, so
+    # that nothing a first call sets up counts in the fold's working set.
     proto = se.Protocol(100, 0.65)
     se.fold_ensemble(CFG, proto, se.SwapFamily(), 1, seed=0)
     tracemalloc.start()
@@ -336,7 +336,7 @@ def test_integral_ft_reads_each_ledger_once(monkeypatch, tmp_path):
     assert reads == Counter(dict.fromkeys(st.counts, 1))
     # so does everything one simulate call writes: at the benchmark's
     # ensemble command line, seed 2, one pass over the counts and one read
-    # of each of the 387 distinct ledgers
+    # of each of the 370 distinct ledgers
     walks, folds = [], []
 
     class Walked(Counter):
@@ -369,7 +369,7 @@ def test_integral_ft_reads_each_ledger_once(monkeypatch, tmp_path):
     [folded] = folds
     assert walks == ["__iter__"]
     assert reads == Counter(dict.fromkeys(folded.counts, 1))
-    assert len(reads) == 387
+    assert len(reads) == 370
 
 
 def _sorted_sums(counts: Counter, f) -> tuple:

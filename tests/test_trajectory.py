@@ -332,16 +332,78 @@ def test_record_k_does_not_depend_on_sample_size():
     assert small == big[:20]
 
 
-def _philox(seed):
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0))))
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64_next(state):
+    """splitmix64.c's next() (Vigna, 2015) on a Python int: (new state, output)."""
+    state = (state + 0x9E3779B97F4A7C15) & _MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return state, z ^ (z >> 31)
+
+
+def _splitmix64_uniforms(key, n):
+    """n uniforms of the stream of key, one scalar step at a time: the key
+    absorbs each word's 64-bit limbs, low first, each by h = mix64((h ^ limb)
+    + n_limbs*golden) (mix64 being next()'s output from the state less one
+    golden step), and uniform i is next()'s (i+1)-th output from that key,
+    its top 53 bits over 2**53."""
+    h = 0
+    for word in (key,) if isinstance(key, int) else key:
+        limbs = [(word >> s) & _MASK64 for s in range(0, max(word.bit_length(), 1), 64)]
+        for limb in limbs:
+            _, h = _splitmix64_next(((h ^ limb) + (len(limbs) - 1) * 0x9E3779B97F4A7C15)
+                                    & _MASK64)
+    out = []
+    for _ in range(n):
+        h, z = _splitmix64_next(h)
+        out.append((z >> 11) / 2.0 ** 53)
+    return out
+
+
+@pytest.mark.parametrize("key", [0, 7, (7, 0), (7, 123456), (2**64 + 7, 3), 2**64 + 7,
+                                 2**64 - 1, (3 * 2**130 + 1, 2**63), (0, 0, 0)])
+def test_streams_are_splitmix64_in_counter_mode(key):
+    # a block, a block across two ramp slices, and scalar draws are each
+    # the scalar transcription's uniforms, bit for bit
+    want = _splitmix64_uniforms(key, 2 * trajectory._RAMP_LEN + 5)
+    assert trajectory._stream(key).random(len(want)).tolist() == want
+    rng = trajectory._stream(key)
+    assert [rng.random() for _ in range(5)] == want[:5]
+
+
+def test_stream_keys_of_different_shapes_make_different_streams():
+    keys = [7, (7,), (7, 0), (0, 7), 2**64 + 7, (2**64 + 7, 0), (7, 1)]
+    firsts = {key: trajectory._stream(key).random(4).tolist() for key in keys}
+    assert firsts[7] == firsts[(7,)] == trajectory._stream(np.int64(7)).random(4).tolist()
+    assert trajectory._stream((np.uint64(7), 1)).random(4).tolist() == firsts[(7, 1)]
+    assert len({tuple(u) for u in firsts.values()}) == len(keys) - 1
+    with pytest.raises(ValueError, match="nonnegative"):
+        trajectory._stream((7, -1))
+    with pytest.raises(TypeError):
+        trajectory._stream((7, 1.0))
+
+
+@pytest.mark.parametrize("a,b", [(3, 5), (1, 8192), (8191, 8194), (0, 9), ((2, 3), (40, 2))])
+def test_successive_draws_read_one_stream(a, b):
+    # random(a) then random(b) is random(a + b), whatever the shapes, and a
+    # scalar draw reads the next uniform
+    rng = trajectory._stream((5, 2))
+    first, second = rng.random(a), rng.random(b)
+    assert first.shape == np.empty(a).shape and second.shape == np.empty(b).shape
+    whole = trajectory._stream((5, 2)).random(first.size + second.size + 1).tolist()
+    assert first.ravel().tolist() + second.ravel().tolist() == whole[:-1]
+    assert rng.random() == whole[-1]
 
 
 def test_buffered_uniforms_are_the_generators_own_uniforms():
-    # 200 draws cross three block edges
+    # 600 draws cross two block edges
     for seed in (0, 9, 2**40):
-        buffered = trajectory._BufferedUniforms(_philox(seed))
-        rng = _philox(seed)
-        assert [buffered.random() for _ in range(200)] == [rng.random() for _ in range(200)]
+        buffered = trajectory._BufferedUniforms(trajectory._stream((seed, 0)))
+        rng = trajectory._stream((seed, 0))
+        assert [buffered.random() for _ in range(600)] == [rng.random() for _ in range(600)]
 
 
 def test_the_born_draw_is_the_generators_choice():
@@ -350,8 +412,8 @@ def test_the_born_draw_is_the_generators_choice():
              ([1, 0, 0, 0], [0, 0, 0, 1], [0, 0.5, 0, 0.5], [0.25] * 4, [0.1, 0.2, 0.3, 0.4])]
     dists += [p / p.sum() for p in rng.random((20, 4)) * (rng.random((20, 4)) < 0.7) + 1e-300]
     for n, pops in enumerate(dists):
-        buffered = trajectory._BufferedUniforms(_philox(n))
-        rng = _philox(n)
+        buffered = trajectory._BufferedUniforms(np.random.default_rng(n))
+        rng = np.random.default_rng(n)
         for _ in range(100):   # across block edges, and the stream stays in step
             i, rescaled = trajectory._born_draw(pops, buffered.random())
             assert i == rng.choice(4, p=pops)
@@ -394,17 +456,17 @@ def test_a_callers_generator_advances_as_one_call_per_uniform():
 
 
 @pytest.mark.parametrize("gate,pulses,digest", [
-    (se.SwapFamily(), 3, "bad55855ba35510c7c78b39c05910a58578ac1e27759b04720b92a39226c4180"),
+    (se.SwapFamily(), 3, "e941bec09e64b7fda7709e89ad783366fd5cfa3cd9d637af6e1cf624b878a0d3"),
     (se.Generic(tuple(np.linspace(0.2, 2.0, 15))), 3,
-     "7da1fd28e9a279952812f1267fa4090b8e665831efc447dbc2e593600f66a407"),
+     "1568f3ea423535f6f1e2f2117f2f27b6fef8caad3536263c7fb4007788361a32"),
     (se.Generic(tuple(np.linspace(0.2, 2.0, 15))), 25,
-     "043d2efabff3a057c6bb85f22111de2a663fb3792fbe4e3b03f04e25771d6b01"),
-])
+     "024ab4105bbc2d6cccbc6618e78d287ba6886f939379cdaf2f9aef62ddb059f5"),
+], ids=["swap-3", "generic-3", "generic-25"])
 def test_events_lane_records_are_pinned(gate, pulses, digest):
     # digests of the records as the lane made them when it read one uniform
-    # per call; buffered reads and the Born draw must leave every bit alone.
-    # The generic-gate digests also pin the mixture draw of a
-    # superposition's jump time.
+    # per call, each from _Stream's scalar random(); buffered reads and the
+    # Born draw must leave every bit alone.  The generic-gate digests also
+    # pin the mixture draw of a superposition's jump time.
     h = hashlib.sha256()
     for rec in se.run_ensemble(CFG, se.Protocol(pulses, 0.5), gate, 40, seed=7,
                                keep_events=True):
@@ -416,7 +478,7 @@ def test_the_bit_lane_draws_from_the_track_law_up_to_its_threshold():
     # the whole law up to the threshold, a Fourier window above it; either
     # way a row inverts each track's cumulative law on one of its chunk's
     # two uniforms
-    u = np.random.Generator(np.random.Philox(np.random.SeedSequence((3, 0)))).random((40, 2))
+    u = trajectory._stream((3, 0)).random((40, 2))
     for pulses in (trajectory._LAW_MAX_PULSES, trajectory._LAW_MAX_PULSES + 1):
         proto = se.Protocol(pulses, 0.01)
         window = trajectory._law_window(CFG, proto)
@@ -570,6 +632,23 @@ def test_track_law_obeys_both_fluctuation_relations(run):
         if min(p_nw[n], p_nw[-n]) > 1e-300:
             assert math.log(p_nw[n] / p_nw[-n]) == pytest.approx(
                 affinity * n, rel=1e-12, abs=1e-12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(law_runs(), st.floats(-1.0, 1.0))
+def test_tilted_moment_is_the_laws_moment(run, chi):
+    # E[exp(chi*n_w)] from the tilted walk against the sum over the law, at
+    # chi, at -a (the integral FT, 1) and at -2a (E[W^2] of its weight)
+    # while every weight exp(tilt*n_w) is a float (|n_w| <= N)
+    cfg, proto = run
+    law = _ledger_law(cfg, proto)
+    affinity = cfg.beta1 * cfg.omega1 - cfg.beta2 * cfg.omega2
+    for tilt in (chi, -affinity, -2.0 * affinity):
+        if abs(tilt) * proto.n_pulses > 700.0:
+            continue
+        want = math.fsum(p * math.exp(tilt * key.n_w) for key, p in law.items())
+        assert trajectory._tilted_moment(cfg, proto, tilt) == pytest.approx(want, rel=1e-10)
+    assert trajectory._tilted_moment(cfg, proto, -affinity) == pytest.approx(1.0, abs=1e-12)
 
 
 def _mean_work_by_populations(cfg, protocol):
