@@ -15,6 +15,10 @@ COMMANDS hold the other arguments.  Plain command lines are read off these
 tables directly; argparse, imported for the rest alone, builds its parsers
 from the same tables and serves help, errors and abbreviations.
 
+Only the commands that sample (simulate, power-scan and analyze) load the
+stats and trajectory modules, and numpy with them, when they start
+(_load_samplers), so analytic and opt-gate run without numpy.
+
 Exit codes: 0 success, 2 configuration error, 3 I/O failure or exhausted
 memory, 4 event-log parse error, 5 broken internal check (such as
 work-lattice rigidity).
@@ -22,6 +26,7 @@ work-lattice rigidity).
 
 from __future__ import annotations
 
+import importlib
 import io
 import json
 import math
@@ -31,21 +36,45 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-import numpy as np
-
 from .eventlog import ParseError, parse_events, write_events
 from .gates import ISWAP, Generic, GateSpec, SwapFamily, optimize_gate
-from .stats import (ETA_BIN_WIDTH, EfficiencyDistribution, EnsembleStats, FtLogRatio,
-                    PowerScanRow, ReadOff, check_eta_bins, check_swap_family,
-                    efficiency_distribution, fold_ensemble, ft_log_ratio, power_scan,
-                    reconstruct_from_events)
-from .thermo import (ConfigError, EngineConfig, MaxPowerPoint, classify_regime,
+from .thermo import (ConfigError, EngineConfig, MaxPowerPoint, Protocol, classify_regime,
                      efficiencies, low_etaC_expansion, mean_energetics, omega_star,
                      post_swap_betas, relaxation_time)
-from .trajectory import Protocol, _tilted_moment, pick_lane, run_ensemble
 
 if TYPE_CHECKING:
     import argparse
+
+    from .stats import (ETA_BIN_WIDTH, EfficiencyDistribution, EnsembleStats, FtLogRatio,
+                        PowerScanRow, ReadOff, check_eta_bins, check_swap_family,
+                        efficiency_distribution, fold_ensemble, ft_log_ratio, power_scan,
+                        reconstruct_from_events)
+    from .trajectory import _tilted_moment, pick_lane, run_ensemble
+
+# the names that the commands which sample call, by the module that defines
+# them, which loads numpy: _load_samplers binds them here
+_SAMPLERS = {
+    "stats": ("ETA_BIN_WIDTH", "EnsembleStats", "PowerScanRow", "check_eta_bins",
+              "check_swap_family", "efficiency_distribution", "fold_ensemble",
+              "ft_log_ratio", "power_scan", "reconstruct_from_events"),
+    "trajectory": ("_tilted_moment", "pick_lane", "run_ensemble"),
+}
+
+
+def _load_samplers() -> None:
+    """Bind the names of _SAMPLERS in this module, keeping any already bound,
+    such as a wrapper put in a name's place before the command ran."""
+    for home, names in _SAMPLERS.items():
+        module = importlib.import_module(f".{home}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    if any(name in names for names in _SAMPLERS.values()):
+        _load_samplers()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 # key -> (type, default, flag help), in the README's flag order: the one home
 # of every config key, which gives the defaults, the config-file typing, the
@@ -285,6 +314,15 @@ def _max_power(cfg: EngineConfig, beta2: float) -> MaxPowerPoint:
     return mp._replace(w_max=mp.w_max * cfg.omega1)
 
 
+def _linspace(lo: float, hi: float, count: int) -> list[float]:
+    """numpy.linspace(lo, hi, count) for count >= 2, bit for bit: i*step + lo,
+    or i/(count - 1)*(hi - lo) + lo where the step underflows to 0, then hi."""
+    div = count - 1
+    delta = hi - lo
+    step = delta / div
+    return [(i * step if step else i / div * delta) + lo for i in range(div)] + [hi]
+
+
 def _eta_mp_scan(cfg: EngineConfig, scan: str) -> list[dict]:
     """Efficiency-at-max-power table over a cold-bath beta2 grid.
 
@@ -292,8 +330,7 @@ def _eta_mp_scan(cfg: EngineConfig, scan: str) -> list[dict]:
     efficiencies 0.05..0.95 at fixed beta1.
     """
     if scan == "auto":
-        etas = np.linspace(0.05, 0.95, 19)
-        beta2_grid = [cfg.beta1 / (1.0 - e) for e in etas]
+        beta2_grid = [cfg.beta1 / (1.0 - e) for e in _linspace(0.05, 0.95, 19)]
     else:
         try:
             lo_s, hi_s, n_s = scan.split(":")
@@ -304,7 +341,7 @@ def _eta_mp_scan(cfg: EngineConfig, scan: str) -> list[dict]:
         if not (cfg.beta1 * cfg.omega1 < lo * cfg.omega1 < hi * cfg.omega1 < math.inf
                 and count >= 2):
             raise ConfigError("scan grid must satisfy beta1 < lo < hi < inf with count >= 2")
-        beta2_grid = list(np.linspace(lo, hi, count))
+        beta2_grid = _linspace(lo, hi, count)
     rows = []
     for beta2 in beta2_grid:
         mp = _max_power(cfg, beta2)
@@ -361,6 +398,7 @@ def _ift_warning(rc: RunConfig, read: ReadOff) -> str | None:
 
 
 def cmd_simulate(rc: RunConfig, args: argparse.Namespace | SimpleNamespace) -> int:
+    _load_samplers()
     check_eta_bins(rc.engine, rc.protocol, rc.gate)
     # staged on the output folder's file system, so a refusal changes nothing there
     out = Path(rc.values["out_dir"])
@@ -430,6 +468,7 @@ def _simulate(rc: RunConfig, out: Path, staged: Path) -> int:
 
 
 def cmd_power_scan(rc: RunConfig, args: argparse.Namespace | SimpleNamespace) -> int:
+    _load_samplers()
     check_swap_family(rc.gate, "the power scan")
     try:
         n_values = [int(n) for n in args.n_list.split(",")]
@@ -477,6 +516,7 @@ def cmd_opt_gate(rc: RunConfig, args: argparse.Namespace | SimpleNamespace) -> i
 
 
 def cmd_analyze(rc: RunConfig, args: argparse.Namespace | SimpleNamespace) -> int:
+    _load_samplers()
     if not args.naive:
         check_swap_family(rc.gate, "the schedule-aware refinement", "; use --naive")
     protocol = None if args.naive else rc.protocol

@@ -21,13 +21,20 @@ from __future__ import annotations
 import math
 import re
 from pathlib import Path
-from typing import Iterable
-
-from .trajectory import TrajectoryEvent
+from typing import Iterable, NamedTuple
 
 # the numerals format_event writes: "%.17g" of a float, str() of an int
 _TIME = re.compile(r"-?([0-9]+(\.[0-9]+)?(e[+-][0-9]+)?|inf|nan)", re.ASCII)
 _INDEX = re.compile(r"-?[0-9]+", re.ASCII)
+
+
+class TrajectoryEvent(NamedTuple):
+    """One record line: a jump ("E"/"A" with bath 1|2) or a pulse ("P" with index)."""
+
+    time: float
+    kind: str
+    bath: int = 0
+    index: int = -1
 
 
 class ParseError(Exception):

@@ -14,24 +14,26 @@ Mean energetics of a gate acting on the product Gibbs state depend only on
 the doubly stochastic matrix B = |U_jk|^2, so every member of the swap family
 moves the same average energy, and a linear objective peaks at a vertex of the
 Birkhoff polytope: one of the 24 permutation gates (Birkhoff-von Neumann).
-Evaluating them all at once gives the exact optimum, which is the swap for a
-heat engine (Campisi, Pekola & Fazio, NJP 17, 035012 (2015)).
+Evaluating them all gives the exact optimum, which is the swap for a heat
+engine (Campisi, Pekola & Fazio, NJP 17, 035012 (2015)).
+The search permutes populations in plain floats: only the functions that
+build or check a complex matrix load numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .thermo import (ConfigError, EngineConfig, MeanEnergetics, Regime, _Checked,
                      classify_regime, excited_population)
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # (b1, b2) occupation bits for basis states |++>, |+->, |-+>, |-->
 BASIS_BITS = ((1, 1), (1, 0), (0, 1), (0, 0))
-_BITS = np.array(BASIS_BITS, dtype=float)
 
 # the basis permutation of every swap-family gate: basis state i goes to
 # SWAP_PERMUTATION[i], so |+-> and |-+> trade places; the pulse moves
@@ -55,6 +57,8 @@ class Unitary4(_Checked, _Unitary4Fields):
     __slots__ = ()
 
     def _check(self) -> tuple[np.ndarray]:
+        import numpy as np
+
         m = np.asarray(self.entries, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
@@ -109,6 +113,8 @@ GateSpec = SwapFamily | Generic
 
 
 def _generic_matrix(angles: tuple[float, ...]) -> np.ndarray:
+    import numpy as np
+
     phases = angles[0:3]
     thetas = angles[3:9]
     lams = angles[9:15]
@@ -127,6 +133,8 @@ def _generic_matrix(angles: tuple[float, ...]) -> np.ndarray:
 
 def build_gate(spec: GateSpec) -> Unitary4:
     """Realize a gate spec as a concrete 4x4 unitary."""
+    import numpy as np
+
     if isinstance(spec, SwapFamily):
         m = np.zeros((4, 4), dtype=complex)
         m[0, 0] = complex(math.cos(spec.phi1), math.sin(spec.phi1))
@@ -141,31 +149,35 @@ def build_gate(spec: GateSpec) -> Unitary4:
 
 def gibbs_populations(cfg: EngineConfig) -> np.ndarray:
     """Diagonal of the product Gibbs state in the joint basis."""
+    import numpy as np
+
     f1 = excited_population(cfg.beta1, cfg.omega1)
     f2 = excited_population(cfg.beta2, cfg.omega2)
     return np.array([f1 * f2, f1 * (1 - f2), (1 - f1) * f2, (1 - f1) * (1 - f2)])
 
 
-def _centered_populations(cfg: EngineConfig) -> np.ndarray:
+def _centered_populations(cfg: EngineConfig) -> tuple[float, ...]:
     """gibbs_populations less 1/4, built from f = 1/2 + u, so that their
     differences carry no rounding of the 1/4."""
     u1 = excited_population(cfg.beta1, cfg.omega1) - 0.5
     u2 = excited_population(cfg.beta2, cfg.omega2) - 0.5
-    s = 2.0 * _BITS - 1.0
-    return 0.5 * (s[:, 0] * u1 + s[:, 1] * u2) + s[:, 0] * s[:, 1] * (u1 * u2)
+    signs = [(2.0 * b1 - 1.0, 2.0 * b2 - 1.0) for b1, b2 in BASIS_BITS]
+    return tuple(0.5 * (s1 * u1 + s2 * u2) + s1 * s2 * (u1 * u2) for s1, s2 in signs)
 
 
-def _energy_changes(b: np.ndarray, q: np.ndarray, cfg: EngineConfig) -> np.ndarray:
-    """(dE1, dE2) along the last axis for the transfer matrix b = |U|^2, or a
-    stack of them, acting on the centered populations q: B p - p ignores a
-    constant shift of p."""
-    # each qubit's change of excited population, times its level spacing
-    return (b @ q - q) @ _BITS * (cfg.omega1, cfg.omega2)
+def _energy_changes(moved: Sequence[float], cfg: EngineConfig) -> tuple[float, float]:
+    """(dE1, dE2) for the population changes moved = B p - p of the four
+    basis states under a transfer matrix B = |U|^2, which ignore a constant
+    shift of p: each qubit's change of excited population, summed over the
+    states where it is excited (|++> and |+-> for qubit 1, |++> and |-+> for
+    qubit 2, as BASIS_BITS orders them), times its level spacing."""
+    d_pp, d_pm, d_mp, _ = moved
+    return (d_pp + d_pm) * cfg.omega1, (d_pp + d_mp) * cfg.omega2
 
 
-def _energetics(de: np.ndarray) -> MeanEnergetics:
-    """MeanEnergetics of one (dE1, dE2) row of _energy_changes."""
-    dE1, dE2 = de.tolist()
+def _energetics(de: tuple[float, float]) -> MeanEnergetics:
+    """MeanEnergetics of one (dE1, dE2) of _energy_changes."""
+    dE1, dE2 = de
     return MeanEnergetics(dE1=dE1, dE2=dE2, w=dE1 + dE2)
 
 
@@ -176,8 +188,11 @@ def mean_energetics_for_gate(U: Unitary4 | np.ndarray, cfg: EngineConfig) -> Mea
     matrix B = |U|^2: row j of U collects basis state k with weight
     |U_jk|^2, so p'_j = sum_k B_jk p_k.
     """
+    import numpy as np
+
     m = U.entries if isinstance(U, Unitary4) else Unitary4(np.asarray(U, dtype=complex)).entries
-    return _energetics(_energy_changes(np.abs(m) ** 2, _centered_populations(cfg), cfg))
+    q = _centered_populations(cfg)
+    return _energetics(_energy_changes((np.abs(m) ** 2 @ q - q).tolist(), cfg))
 
 
 class GateOptimum(NamedTuple):
@@ -209,29 +224,34 @@ def _corners() -> list[tuple[tuple[float, ...], tuple[int, ...]]]:
     return corners
 
 
-# the corners' angle vectors, and their permutation matrices then the swap's
-# as the last one: constants of the gate space, built once
+# the corners' angle vectors, and for the corners' permutations then the
+# swap's as the last one the basis state whose population each basis state
+# receives (cols inverted): constants of the gate space, built once
 _CORNER_ANGLES, _CORNER_COLS = zip(*_corners())
-_CORNER_STACK = np.eye(4)[[*_CORNER_COLS, SWAP_PERMUTATION]].transpose(0, 2, 1)
+_SOURCES = tuple(tuple(sorted(range(4), key=cols.__getitem__))
+                 for cols in (*_CORNER_COLS, SWAP_PERMUTATION))
 
 
 def optimize_gate(cfg: EngineConfig) -> GateOptimum:
     """Exact maximum of the mean work output over every two-qubit gate.
 
     The 64 _corners reach all 24 permutation matrices; each corner's |U|^2
-    is taken as its exact 0/1 permutation matrix, and all 64 go through
-    _energy_changes in one batch, built without a complex matrix.  The first
-    maximum in corner order wins.  For an exact permutation B, B q is q
-    permuted without rounding, and each column of _BITS sums two entries, so
-    the winner and its energetics are those of the Givens products, whose
-    off-permutation terms fall below half an ulp.  gap_to_swap is the amount
-    by which the swap's work output exceeds the winner's, 0 when the swap
-    wins.
+    is taken as its exact 0/1 permutation matrix, so B q is q permuted
+    without rounding, and no complex matrix is built.  The first maximum in
+    corner order wins.  Each qubit's population change sums two entries
+    (_energy_changes), so the winner and its energetics are those of the
+    Givens products, whose off-permutation terms fall below half an ulp.
+    gap_to_swap is the amount by which the swap's work output exceeds the
+    winner's, 0 when the swap wins.
     """
     if classify_regime(cfg) is not Regime.HEAT_ENGINE:
         raise ConfigError("gate optimization targets heat-engine configurations")
-    de = _energy_changes(_CORNER_STACK, _centered_populations(cfg), cfg)
-    n = int(np.argmin(de[:-1, 0] + de[:-1, 1]))
+    q = _centered_populations(cfg)
+    # B q - q, basis state j receiving the population of state s_j
+    de = [_energy_changes((q[s0] - q[0], q[s1] - q[1], q[s2] - q[2], q[s3] - q[3]), cfg)
+          for s0, s1, s2, s3 in _SOURCES]
+    w = [dE1 + dE2 for dE1, dE2 in de[:-1]]
+    n = w.index(min(w))
     best = _energetics(de[n])
     return GateOptimum(best_angles=_CORNER_ANGLES[n], optimum=best,
                        gap_to_swap=best.w - _energetics(de[-1]).w)

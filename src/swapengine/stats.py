@@ -30,12 +30,12 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .eventlog import TrajectoryEvent
 from .gates import (BASIS_BITS, SWAP_PERMUTATION, SWAP_TRANSFER, GateSpec, SwapFamily,
                     gibbs_populations)
-from .thermo import ConfigError, EngineConfig, efficiencies, relaxation_time
-from .trajectory import (CHANNELS, LedgerKey, Protocol, RunParams, TrajectoryEvent,
-                         TrajectoryRecord, _JUMP_MAPS, _bit_lane_ledgers, _index_key,
-                         _relaxation, pick_lane, run_ensemble)
+from .thermo import ConfigError, EngineConfig, Protocol, efficiencies, relaxation_time
+from .trajectory import (CHANNELS, LedgerKey, RunParams, TrajectoryRecord, _JUMP_MAPS,
+                         _bit_lane_ledgers, _index_key, _relaxation, pick_lane, run_ensemble)
 
 ETA_BIN_WIDTH = 0.01
 

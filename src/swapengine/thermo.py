@@ -81,6 +81,34 @@ class EngineConfig(_Checked, _EngineFields):
         return self
 
 
+class _ProtocolFields(NamedTuple):
+    n_pulses: int
+    tau2: float
+
+
+class Protocol(_Checked, _ProtocolFields):
+    """Pulse schedule: n_pulses gate applications spaced tau2 apart.
+
+    n_pulses = 0 is the pulse-free diagnostic: a single relaxation interval
+    of length tau2 with no gate, so total_time degenerates to tau2.
+    """
+
+    __slots__ = ()
+
+    def _check(self) -> Protocol:
+        n, tau2 = self
+        if isinstance(n, bool) or not (isinstance(n, int) and n >= 0):
+            raise ConfigError(f"n_pulses must be a nonnegative integer, got {n!r}")
+        if isinstance(tau2, bool) or not (
+                isinstance(tau2, (int, float)) and math.isfinite(tau2) and tau2 > 0):
+            raise ConfigError(f"tau2 must be a finite positive time, got {tau2!r}")
+        return self
+
+    @property
+    def total_time(self) -> float:
+        return self.n_pulses * self.tau2 if self.n_pulses else self.tau2
+
+
 class Regime(Enum):
     HEAT_ENGINE = "HeatEngine"
     REFRIGERATOR = "Refrigerator"

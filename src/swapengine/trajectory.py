@@ -58,9 +58,10 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .eventlog import TrajectoryEvent
 from .gates import (BASIS_BITS, SWAP_PERMUTATION, SWAP_TRANSFER, GateSpec, SwapFamily,
                     Unitary4, build_gate)
-from .thermo import ConfigError, EngineConfig, _Checked, bose_occupation, excited_population
+from .thermo import ConfigError, EngineConfig, Protocol, bose_occupation, excited_population
 
 # jump channel order: (bath 1 emission, bath 1 absorption, bath 2 emission, bath 2 absorption)
 CHANNELS = ((1, "E"), (1, "A"), (2, "E"), (2, "A"))
@@ -80,43 +81,6 @@ _JUMP_MAPS = (
 # near the float limit each waiting time falls below the float spacing of
 # the clock, which then never advances.
 JUMP_BUDGET = 1e7
-
-
-class _ProtocolFields(NamedTuple):
-    n_pulses: int
-    tau2: float
-
-
-class Protocol(_Checked, _ProtocolFields):
-    """Pulse schedule: n_pulses gate applications spaced tau2 apart.
-
-    n_pulses = 0 is the pulse-free diagnostic: a single relaxation interval
-    of length tau2 with no gate, so total_time degenerates to tau2.
-    """
-
-    __slots__ = ()
-
-    def _check(self) -> Protocol:
-        n, tau2 = self
-        if isinstance(n, bool) or not (isinstance(n, int) and n >= 0):
-            raise ConfigError(f"n_pulses must be a nonnegative integer, got {n!r}")
-        if isinstance(tau2, bool) or not (
-                isinstance(tau2, (int, float)) and math.isfinite(tau2) and tau2 > 0):
-            raise ConfigError(f"tau2 must be a finite positive time, got {tau2!r}")
-        return self
-
-    @property
-    def total_time(self) -> float:
-        return self.n_pulses * self.tau2 if self.n_pulses else self.tau2
-
-
-class TrajectoryEvent(NamedTuple):
-    """One record line: a jump ("E"/"A" with bath 1|2) or a pulse ("P" with index)."""
-
-    time: float
-    kind: str
-    bath: int = 0
-    index: int = -1
 
 
 class RunParams(NamedTuple):

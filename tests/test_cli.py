@@ -158,6 +158,34 @@ def test_analytic_scan_without_a_grid_sweeps_19_carnot_efficiencies(capsys, monk
         [[r[c] for c in columns] for r in rows]
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300), st.integers(2, 60))
+@example(0.0, 5e-324, 4)        # the step 5e-324/3 underflows to 0, not 2/3 of it
+@example(0.05, 0.95, 19)        # the auto scan's grid of Carnot efficiencies
+def test_scan_grid_is_numpys_linspace_bit_for_bit(lo, hi, count):
+    lo, hi = sorted((lo, hi))
+    want = np.linspace(lo, hi, count).tolist()
+    assert [x.hex() for x in cli._linspace(lo, hi, count)] == [x.hex() for x in want]
+
+
+# SHA-256 of stdout, taken from the build that computed the scan with numpy.linspace
+ANALYTIC_DIGESTS = {
+    "json": (["--json"], "682f7b27889edfb2afd83665d82a49fd3d5d079d5a9c965f402b00db50e59046"),
+    "json-auto-scan": (["--json", "--scan-eta-mp"],
+                       "17021f22b5b406cda1afa9090485ef6d9782623868670a6efc3937b603d007c2"),
+    "json-grid-scan": (["--json", "--scan-eta-mp", "0.8:2.0:7"],
+                       "8593bda08de3462d37d8316d702014c12a385892be7f598518287926d1db5524"),
+    "auto-scan": (["--scan-eta-mp"],
+                  "abfa5deea56570cf0dae0dba6d3799dce90d4dc4f4816d83563250dab317fbbb"),
+}
+
+
+@pytest.mark.parametrize("flags,digest", ANALYTIC_DIGESTS.values(), ids=ANALYTIC_DIGESTS)
+def test_analytic_output_matches_its_pinned_digest(capsys, flags, digest):
+    assert cli.main(["analytic", *flags]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_simulate_writes_summary_and_histograms(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     rc = cli.main(["simulate", "--samples", "400", "--pulses", "10",
@@ -1072,6 +1100,88 @@ def test_cli_runs_import_no_scipy(tmp_path):
     # record types are NamedTuples, since each @dataclass compiles its
     # methods afresh on every start (about 1 ms a class)
     assert parser_modules == []
+
+
+_NUMPY_FREE_RUN = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("swapengine", "numpy")
+                  and m.count(".") < 2)
+import swapengine
+steps = [["import swapengine", loaded()]]
+import swapengine.cli as cli
+steps.append(["import swapengine.cli", loaded()])
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["analytic", "--json"], ["analytic", "--scan-eta-mp"], ["opt-gate"],
+                 ["simulate", "--samples", "30", "--pulses", "3", "--out-dir", "sim"]):
+        steps.append([argv[0], cli.main(argv), "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_closed_form_commands_never_load_numpy(tmp_path):
+    # numpy is about two thirds of a fresh interpreter's start-up; only
+    # simulate, power-scan and analyze need it, through stats and trajectory
+    src = str(Path(se.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", _NUMPY_FREE_RUN, src],
+                         capture_output=True, text=True, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [
+        ["import swapengine", ["swapengine"]],
+        ["import swapengine.cli", ["swapengine", "swapengine.cli", "swapengine.eventlog",
+                                   "swapengine.gates", "swapengine.thermo"]],
+        ["analytic", 0, False], ["analytic", 0, False], ["opt-gate", 0, False],
+        ["simulate", 0, True]]
+
+
+def test_the_package_exports_each_name_from_its_home_module():
+    modules = [se.eventlog, se.gates, se.stats, se.thermo, se.trajectory]
+    for name in se.__all__:
+        value = getattr(se, name)
+        # every module that binds the name binds this object
+        bound = [getattr(m, name) for m in modules if hasattr(m, name)]
+        assert bound and all(v is value for v in bound), name
+        home = getattr(value, "__module__", None)
+        if isinstance(home, str) and home.startswith("swapengine."):
+            assert getattr(sys.modules[home], name) is value, name
+
+
+_TRACED_RUN = """
+import contextlib, io, json, os, sys
+sys.path.insert(0, sys.argv[1])
+import swapengine.cli as cli
+called = set()
+def wrap(name):
+    inner = getattr(cli, name)
+    def wrapper(*args, **kwargs):
+        called.add(name)
+        return inner(*args, **kwargs)
+    setattr(cli, name, wrapper)
+for name in sys.argv[2:]:
+    wrap(name)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["opt-gate"]),
+             cli.main(["simulate", "--samples", "3", "--pulses", "2", "--emit-logs",
+                       "--out-dir", "sim"])]
+    logs = sorted(os.path.join("sim", "events", f)
+                  for f in os.listdir(os.path.join("sim", "events")))
+    codes.append(cli.main(["analyze", *logs, "--pulses", "2", "--out-dir", "ana"]))
+print(json.dumps([codes, sorted(called)]))
+"""
+
+
+def test_commands_call_the_names_rebound_on_cli_before_they_run(tmp_path):
+    # bench/child.py's traced mode wraps these names on cli before main()
+    # runs, and before cli has loaded the sampling modules; a command that
+    # rebinds a name when it loads them would silence the benchmark's spans
+    names = ["efficiency_distribution", "ft_log_ratio", "optimize_gate", "parse_events",
+             "reconstruct_from_events", "run_ensemble", "write_events"]
+    src = str(Path(se.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", _TRACED_RUN, src, *names],
+                         capture_output=True, text=True, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [[0, 0, 0], names]
 
 
 def test_console_script_matches_in_process_behavior(tmp_path):

@@ -236,7 +236,7 @@ def _optimize_by_matrices(cfg):
     for thetas in itertools.product((0.0, math.pi / 2), repeat=6):
         angles = (0.0,) * 3 + thetas + (0.0,) * 6
         b = np.abs(se.gates._generic_matrix(angles)) ** 2
-        dq1, dq2 = (b @ q - q) @ se.gates._BITS
+        dq1, dq2 = (b @ q - q) @ np.array(se.BASIS_BITS, dtype=float)
         dE1, dE2 = cfg.omega1 * float(dq1), cfg.omega2 * float(dq2)
         if best is None or dE1 + dE2 < best.w:
             best, best_angles = se.MeanEnergetics(dE1, dE2, dE1 + dE2), angles
